@@ -4,7 +4,15 @@ The density error norm is the L1 distance on [0, xmax] computed with a
 composite Simpson rule (defaults: xmax = 50, step = 1e-2).  Truncating
 the half line at 50 is harmless for every supported problem: all
 densities decay at least like e^{-x} there, so the discarded tail is
-below 1e-20.
+below 1e-20.  Error tables sample the exact solution once per time and
+reuse that grid for every truncation order.
+
+The sup-norm behind the convergence bounds is exact on [0, inf) for
+single-rate values: time is substituted exactly, the half line is split
+at the certified sign changes of the x-polynomial, and the exact tail
+antiderivative is differenced between them.  Adaptive quadrature on
+[0, 50] is used only for values with several rates or with roots that
+cannot be certified.
 """
 
 from __future__ import annotations
@@ -51,9 +59,15 @@ def l1_error(
 ) -> float:
     """Simpson approximation of int_0^xmax |f(x, t) - exact(x, t)| dx."""
     xs, w = _simpson_grid(xmax, step)
-    approx = f.eval_grid(xs, t)
-    ex = np.array([sol.evaluate(float(x), t) for x in xs])
-    return float(np.sum(w * np.abs(approx - ex)))
+    return _l1_distance(f, _exact_grid(sol, xs, t), xs, w, t)
+
+
+def _exact_grid(sol, xs: np.ndarray, t: float) -> np.ndarray:
+    return np.array([sol.evaluate(float(x), t) for x in xs])
+
+
+def _l1_distance(f: PolyExp1D, ex: np.ndarray, xs: np.ndarray, w: np.ndarray, t: float) -> float:
+    return float(np.sum(w * np.abs(f.eval_grid(xs, t) - ex)))
 
 
 def pointwise(f: PolyExp1D, sol, x: float, t: float) -> tuple[float, float, float]:
@@ -78,6 +92,145 @@ def series_moment(series: SeriesSolution, k: int, j) -> TPoly:
 # norms and convergence bounds
 
 
+def _as_integers(coeffs: list[Fraction]) -> tuple[list[int], int]:
+    """Integer coefficients and common denominator: coeffs = ints / den."""
+    den = math.lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs], den
+
+
+def _value(p: list[int], x: Fraction) -> tuple[int, int]:
+    """(num, den) with p(x) = num / den and den > 0, in integer arithmetic."""
+    n, d = x.numerator, x.denominator
+    acc, dk = p[-1], 1
+    for c in reversed(p[:-1]):
+        dk *= d
+        acc = acc * n + c * dk
+    return acc, dk
+
+
+def _sign_variations(values) -> int:
+    signs = [v > 0 for v in values if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+def _positive_root_count(p: list[int]) -> int:
+    """Distinct roots in (0, inf) of p, which must not vanish at 0 (Sturm).
+
+    Remainders are taken as positive multiples (pseudo-division by the
+    absolute leading coefficient) and reduced to primitive parts, which
+    keeps every sign of the Sturm sequence and all arithmetic in integers.
+    """
+    seq = [p, [i * c for i, c in enumerate(p)][1:]]
+    while len(seq[-1]) > 1:
+        num, den = seq[-2], seq[-1]
+        lead, sign = abs(den[-1]), (1 if den[-1] > 0 else -1)
+        while len(num) >= len(den):
+            k, shift = sign * num[-1], len(num) - len(den)
+            num = [lead * c for c in num]
+            for i, c in enumerate(den):
+                num[shift + i] -= k * c
+            while num and num[-1] == 0:
+                num.pop()
+        if not num:
+            break
+        g = math.gcd(*num)
+        seq.append([-c // g for c in num])
+    return _sign_variations(q[0] for q in seq) - _sign_variations(q[-1] for q in seq)
+
+
+def _refine_root(p: list[int], lo: Fraction, hi: Fraction, x: float):
+    """A float within one ulp of the only root of p in (lo, hi), or None.
+
+    p must change sign across the bracket.  Newton steps from the guess x
+    are computed from exact values, and every step shrinks the bracket by
+    an exact sign test, falling back to bisection when a step leaves it.
+    """
+    dp = [i * c for i, c in enumerate(p)][1:]
+    lo_positive = _value(p, lo)[0] > 0
+    for _ in range(100):
+        xf = Fraction(x)
+        if not lo < xf < hi:
+            x = float((lo + hi) / 2)
+            xf = Fraction(x)
+            if not lo < xf < hi:
+                return x  # no float lies strictly inside the bracket
+        v, vden = _value(p, xf)
+        if v == 0:
+            return x
+        if (v > 0) == lo_positive:
+            lo, toward = xf, float(hi)
+        else:
+            hi, toward = xf, float(lo)
+        dv, dvden = _value(dp, xf)
+        try:
+            newton = x - (v * dvden) / (dv * vden)
+        except (ZeroDivisionError, OverflowError):
+            newton = math.inf  # leaves the bracket, so the next step bisects
+        x = newton if newton != x else math.nextafter(x, toward)
+    return None
+
+
+def _sign_changes(coeffs: list[Fraction]):
+    """Points in (0, inf) where the polynomial changes sign, or None.
+
+    Candidates come from ``numpy.roots``; they are accepted only when the
+    Sturm count of distinct positive roots equals their number and exact
+    signs alternate across the brackets between them, so each bracket holds
+    exactly one root.  None means the roots could not be certified.
+    """
+    p, _ = _as_integers(coeffs)
+    while p and p[-1] == 0:
+        p.pop()
+    while p and p[0] == 0:  # a factor x^m has no root in (0, inf)
+        p.pop(0)
+    if len(p) <= 1:
+        return []
+    count = _positive_root_count(p)
+    if count == 0:
+        return []
+    try:
+        monic = [c / p[-1] for c in reversed(p)]
+    except OverflowError:
+        return None
+    guesses = sorted(
+        r.real for r in np.roots(monic)
+        if r.real > 0 and abs(r.imag) <= 1e-9 * abs(r)
+    )
+    if len(guesses) != count:
+        return None
+    # Cauchy's bound: every root lies below it
+    edges = ([Fraction(0)]
+             + [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(guesses, guesses[1:])]
+             + [1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))])
+    values = [_value(p, e)[0] for e in edges]
+    if 0 in values or any(a >= b for a, b in zip(edges, edges[1:])) or \
+            any((a > 0) == (b > 0) for a, b in zip(values, values[1:])):
+        return None
+    roots = [_refine_root(p, lo, hi, g) for lo, hi, g in zip(edges, edges[1:], guesses)]
+    return None if None in roots else roots
+
+
+def _exact_abs_integral(a: Fraction, coeffs: list[Fraction], roots: list[float]) -> float:
+    """int_0^inf |P(x)| e^{-ax} dx from the tail antiderivative e^{-ax} Q(x).
+
+    Q is what ``PolyExp1D.tail_integral(0)`` gives for P e^{-ax}, built by
+    its recurrence a Q_k = c_k + (k+1) Q_{k+1} in time linear in the degree
+    rather than quadratic.  Between consecutive sign
+    changes the integral is the difference of the antiderivative at the
+    ends; each end is rounded once.
+    """
+    q = [Fraction(0)] * (len(coeffs) + 1)
+    for k in range(len(coeffs) - 1, -1, -1):
+        q[k] = (coeffs[k] + (k + 1) * q[k + 1]) / a
+    q, qden = _as_integers(q[:-1])
+    ends = []
+    for r in [0.0, *roots]:
+        num, den = _value(q, Fraction(r))
+        ends.append(num / (den * qden) * math.exp(-float(a) * r))
+    ends.append(0.0)
+    return sum(abs(u - v) for u, v in zip(ends, ends[1:]))
+
+
 def _l1_at_time(f: PolyExp1D, s: float) -> float:
     collapsed = f.collapse_t(Fraction(s))
     coeffs = [c for poly in collapsed.values() for c in poly]
@@ -85,19 +238,37 @@ def _l1_at_time(f: PolyExp1D, s: float) -> float:
         # Single-signed coefficients make f single-signed on x > 0, so the
         # absolute integral is the absolute value of the exact moment.
         return abs(tpoly_eval(f.moment(0), s))
-    val, _ = integrate.quad(
-        lambda xx: abs(f.evaluate(float(xx), s)), 0.0, 50.0,
-        epsabs=1e-12, epsrel=1e-10, limit=200,
-    )
+    if len(collapsed) == 1:
+        (a, poly), = collapsed.items()
+        roots = _sign_changes(poly) if a > 0 else None
+        if roots is not None:
+            return _exact_abs_integral(a, poly, roots)
+    groups = [(float(a), [float(c) for c in reversed(poly)]) for a, poly in collapsed.items()]
+
+    def integrand(x: float) -> float:
+        total = 0.0
+        for a, cs in groups:
+            acc = 0.0
+            for c in cs:
+                acc = acc * x + c
+            total += acc * math.exp(-a * x)
+        return abs(total)
+
+    val, _ = integrate.quad(integrand, 0.0, 50.0, epsabs=1e-12, epsrel=1e-10, limit=200)
     return val
 
 
 def sup_l1_norm(f: PolyExp1D, t0: float, samples: int = 101) -> float:
     """sup over s in [0, t0] of int_0^inf |f(x, s)| dx.
 
-    The sup is sampled on an equispaced time grid; each inner integral is
-    exact whenever the collapsed x-polynomial has one coefficient sign and
-    falls back to adaptive quadrature on [0, 50] otherwise.
+    The sup is sampled on an equispaced time grid.  Each inner integral
+    collapses t exactly and is exact on [0, inf) whenever the x-polynomial
+    has one coefficient sign (the absolute moment), or when f has a single
+    rate a > 0: the half line is split at the certified sign changes of P
+    and the tail antiderivative e^{-ax} Q(x) is differenced between them,
+    rounding once per root.  Adaptive quadrature on [0, 50], over a float
+    Horner evaluation, is used only for several rates or roots that cannot
+    be certified (repeated or clustered roots).
     """
     if t0 < 0 or samples < 2:
         raise InvalidSpecError("sup norm needs t0 >= 0 and at least two samples")
@@ -253,13 +424,18 @@ def error_table_l1(
     xmax: float = 50.0,
     step: float = 1e-2,
 ) -> ErrorTable:
-    """L1-error grid over truncation orders (rows) and times (columns)."""
+    """L1-error grid over truncation orders (rows) and times (columns).
+
+    The exact solution is sampled once per time and shared by every order.
+    """
     if not orders or not times:
         raise InvalidSpecError("error table needs nonempty order and time lists")
+    xs, w = _simpson_grid(xmax, step)
+    exact = [_exact_grid(sol, xs, t) for t in times]
     cells = []
     for n in orders:
         psi = series.truncated(n)
-        cells.append(tuple(l1_error(psi, sol, t, xmax, step) for t in times))
+        cells.append(tuple(_l1_distance(psi, ex, xs, w, t) for t, ex in zip(times, exact)))
     return ErrorTable(
         row_axis="n",
         col_axis="t",

@@ -119,10 +119,14 @@ def parse_orders(text: str) -> list[int]:
     try:
         if ":" in text:
             lo, hi = (int(p) for p in text.split(":"))
-            return list(range(lo, hi + 1))
-        return [int(p) for p in text.split(",") if p.strip()]
+            orders = list(range(lo, hi + 1))
+        else:
+            orders = [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad order list {text!r}") from exc
+    if any(n < 0 for n in orders):
+        raise ConfigError(f"truncation orders must be nonnegative, got {text!r}")
+    return orders
 
 
 def parse_frag(text: str) -> FragSpec:
@@ -137,14 +141,17 @@ def parse_moment_orders(text: str, dim: int) -> list:
     """1-D: '0,1,2'; 2-D: semicolon-separated pairs '0,0;1,0;2,0'."""
     try:
         if dim == 2:
-            pairs = []
+            orders = []
             for chunk in text.split(";"):
                 jx, jy = (int(p) for p in chunk.split(","))
-                pairs.append((jx, jy))
-            return pairs
-        return [int(p) for p in text.split(",") if p.strip()]
+                orders.append((jx, jy))
+        else:
+            orders = [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad moment orders {text!r}") from exc
+    if any(min(j) < 0 if dim == 2 else j < 0 for j in orders):
+        raise ConfigError(f"moment orders must be nonnegative, got {text!r}")
+    return orders
 
 
 # ---------------------------------------------------------------------------
@@ -226,15 +233,18 @@ def _as_float(s: _Settings, key: str, default=None) -> float:
         raise ConfigError(f"--{key.replace('_', '-')} must be numeric, got {raw!r}") from exc
 
 
+def _method(s: _Settings) -> Method:
+    try:
+        return Method(s.get("method", "ahpetm"))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def run_series(s: _Settings, problem: Problem, min_terms: int = 0) -> SeriesSolution:
     n = _as_int(s, "terms", 3)
     if n < 0:
         raise ConfigError("--terms must be nonnegative")
-    try:
-        method = Method(s.get("method", "ahpetm"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return iterate(problem, method, max(n, min_terms))
+    return iterate(problem, _method(s), max(n, min_terms))
 
 
 def require_exact(problem: Problem):
@@ -348,8 +358,7 @@ def cmd_error_table(s: _Settings) -> None:
         orders = parse_orders(s.require("terms"))
         if not orders:
             raise ConfigError("--terms gave an empty order list")
-        method = Method(s.get("method", "ahpetm"))
-        series = iterate(problem, method, max(orders))
+        series = iterate(problem, _method(s), max(orders))
         table = analysis.error_table_l1(series, sol, orders, ts)
     if s.get("format", "csv") == "json":
         _write(json.dumps(table.to_json_obj(), indent=1) + "\n", s.get("out"))

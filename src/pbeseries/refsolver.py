@@ -130,17 +130,20 @@ def _frag_rhs(frag, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
     return birth - death
 
 
+def _rhs_values(problem: Problem, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
+    """Right-hand side on bare node values: the one path RK4 and discrete_rhs share."""
+    out = np.zeros_like(u)
+    if isinstance(problem, (Coag1D, CoagFrag)):
+        out += _coag_rhs(problem.kernel, u, xs, h)
+    if isinstance(problem, (Frag, CoagFrag)):
+        out += _frag_rhs(problem.frag, u, xs, h)
+    return out
+
+
 def discrete_rhs(problem: Problem, u: GridFunction) -> GridFunction:
     """Trapezoid discretisation of the model right-hand side."""
     _require_1d(problem)
-    xs = u.spec.nodes()
-    h = u.spec.h
-    vals = np.zeros_like(u.values)
-    if isinstance(problem, (Coag1D, CoagFrag)):
-        vals += _coag_rhs(problem.kernel, u.values, xs, h)
-    if isinstance(problem, (Frag, CoagFrag)):
-        vals += _frag_rhs(problem.frag, u.values, xs, h)
-    return GridFunction(u.spec, vals, u.time)
+    return GridFunction(u.spec, _rhs_values(problem, u.values, u.spec.nodes(), u.spec.h), u.time)
 
 
 def sample_initial(problem: Problem, spec: GridSpec) -> GridFunction:
@@ -161,21 +164,13 @@ def integrate(problem: Problem, spec: GridSpec) -> GridFunction:
     xs = spec.nodes()
     h = spec.h
 
-    def rhs_of(vals: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(vals)
-        if isinstance(problem, (Coag1D, CoagFrag)):
-            out += _coag_rhs(problem.kernel, vals, xs, h)
-        if isinstance(problem, (Frag, CoagFrag)):
-            out += _frag_rhs(problem.frag, vals, xs, h)
-        return out
-
     u = state.values
     t = 0.0
     for _ in range(steps):
-        k1 = rhs_of(u)
-        k2 = rhs_of(u + 0.5 * dt * k1)
-        k3 = rhs_of(u + 0.5 * dt * k2)
-        k4 = rhs_of(u + dt * k3)
+        k1 = _rhs_values(problem, u, xs, h)
+        k2 = _rhs_values(problem, u + 0.5 * dt * k1, xs, h)
+        k3 = _rhs_values(problem, u + 0.5 * dt * k2, xs, h)
+        k4 = _rhs_values(problem, u + dt * k3, xs, h)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > VALUE_BLOWUP_LIMIT:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import random
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from scipy import integrate
 
+from pbeseries import analysis
 from pbeseries.analysis import (
     ErrorTable,
     InvalidSpecError,
@@ -20,6 +23,7 @@ from pbeseries.analysis import (
     series_moment,
     sup_l1_norm,
 )
+from pbeseries.cli import main
 from pbeseries.exact import ConstantKernelSolution, SumKernelSolution
 from pbeseries.polyexp import PolyExp1D
 from pbeseries.series import iterate_accelerated
@@ -163,6 +167,139 @@ class TestSupNorm:
     def test_invalid(self):
         with pytest.raises(InvalidSpecError):
             sup_l1_norm(PolyExp1D.monomial(1, rate=1), -1.0)
+
+
+def _no_quad(*args, **kwargs):
+    raise AssertionError("quad called on a single-rate value")
+
+
+def _counting_quad(calls):
+    def quad(*args, **kwargs):
+        calls.append(args[1:3])
+        return integrate.quad(*args, **kwargs)
+
+    return SimpleNamespace(quad=quad)
+
+
+def _from_roots(c, roots, rate, tpow=1):
+    """c * prod (x - r) * t^tpow * e^{-rate x} with exact coefficients."""
+    coeffs = [F(c)]
+    for r in roots:
+        shifted = [F(0)] + coeffs
+        for i, k in enumerate(coeffs):
+            shifted[i] -= r * k
+        coeffs = shifted
+    return PolyExp1D({rate: {(i, tpow): k for i, k in enumerate(coeffs)}})
+
+
+def _split_quad(c, roots, rate):
+    """int_0^inf |c prod (x - r)| e^{-rate x} dx by quad between the roots."""
+    def g(x):
+        return abs(c * math.prod(x - float(r) for r in roots)) * math.exp(-float(rate) * x)
+
+    ends = [0.0] + sorted(float(r) for r in roots) + [math.inf]
+    return sum(integrate.quad(g, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(ends, ends[1:]))
+
+
+class TestExactSupNorm:
+    def test_random_single_rate_matches_split_quad(self, monkeypatch):
+        rng = random.Random(20230108)
+        monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
+        for _ in range(25):
+            degree = rng.randint(1, 6)
+            roots = sorted({F(rng.randint(1, 799), 100) for _ in range(degree)})
+            c = rng.choice([-1, 1]) * F(rng.randint(1, 50), rng.randint(1, 50))
+            rate = F(rng.randint(1, 32), 4)
+            # f = t * c prod (x - r) e^{-ax}: the sup over [0, 1] sits at t = 1
+            got = sup_l1_norm(_from_roots(c, roots, rate), 1.0)
+            ref = _split_quad(float(c), roots, rate)
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (c, roots, rate)
+
+    def test_complex_roots_do_not_count(self, monkeypatch):
+        # (x^2 - 2x + 5)(x - 3): Descartes allows three positive roots,
+        # Sturm certifies the single one at x = 3
+        monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
+        f = PolyExp1D({1: {(3, 0): 1, (2, 0): -5, (1, 0): 11, (0, 0): -15}})
+        ref, _ = integrate.quad(
+            lambda x: abs((x * x - 2 * x + 5) * (x - 3)) * math.exp(-x), 0, 3, epsrel=1e-13)
+        tail, _ = integrate.quad(
+            lambda x: abs((x * x - 2 * x + 5) * (x - 3)) * math.exp(-x), 3, math.inf,
+            epsrel=1e-13)
+        assert sup_l1_norm(f, 0.0) == pytest.approx(ref + tail, rel=1e-12)
+
+    def test_repeated_root_falls_back_to_quad(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "integrate", _counting_quad(calls))
+        roots = [F(1), F(1), F(3)]
+        got = sup_l1_norm(_from_roots(1, roots, 1, tpow=0), 0.0)
+        assert calls == [(0.0, 50.0)]
+        assert got == pytest.approx(_split_quad(1.0, roots, 1), rel=1e-9)
+
+    def test_two_rates_go_through_quad(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(analysis, "integrate", _counting_quad(calls))
+        f = PolyExp1D({1: {(1, 0): 1, (0, 0): -1}, 2: {(0, 0): F(1, 2)}})
+        got = sup_l1_norm(f, 0.0)
+        assert calls == [(0.0, 50.0)]
+        ref, _ = integrate.quad(
+            lambda x: abs((x - 1) * math.exp(-x) + 0.5 * math.exp(-2 * x)), 0, 50,
+            points=[0.5, 1.0], epsrel=1e-12, limit=200)
+        assert got == pytest.approx(ref, rel=1e-9)
+
+    @pytest.mark.parametrize("t0", [0.05, 0.25, 1.0])
+    def test_first_components_in_closed_form(
+        self, constant_kernel_problem, binary_breakage_problem, t0
+    ):
+        # v_1 = t (x/2 - 1) e^{-x} and t (2 - x) e^{-x}
+        v1 = iterate_accelerated(constant_kernel_problem, 1).components[1]
+        assert sup_l1_norm(v1, t0) == pytest.approx(t0 * (0.5 + math.exp(-2)), rel=1e-14)
+        v1 = iterate_accelerated(binary_breakage_problem, 1).components[1]
+        assert sup_l1_norm(v1, t0) == pytest.approx(t0 * (1 + 2 * math.exp(-2)), rel=1e-14)
+
+
+# the 1-D bounds commands of the README and the published tables
+BOUNDS_1D = [
+    ["--model", "coag", "--kernel", "constant", "--u0", "exp:1",
+     "--t0", "0.05", "--T", "1", "--m", "3"],
+    ["--model", "coag", "--kernel", "constant", "--u0", "exp:1",
+     "--t0", "0.25", "--T", "1", "--m", "3"],
+    ["--model", "frag", "--frag", "2,1,1,1", "--u0", "exp:1",
+     "--t0", "0.25", "--lam", "1", "--m", "3"],
+]
+
+
+class TestStructure:
+    """Which path does the work, by counts rather than timings."""
+
+    def test_single_rate_norms_never_call_quad(
+        self, monkeypatch, capsys, constant_series, binary_breakage_problem
+    ):
+        monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
+        frag = iterate_accelerated(binary_breakage_problem, 2)
+        for f in (*constant_series.components, *frag.components):
+            assert sup_l1_norm(f, 0.25) >= 0.0
+        for argv in BOUNDS_1D:
+            assert main(["bounds", *argv]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_error_table_samples_exact_solution_once_per_time(self, constant_series):
+        calls = []
+
+        class Counting:
+            def evaluate(self, x, t):
+                calls.append(t)
+                return ConstantKernelSolution().evaluate(x, t)
+
+        times = [0.5, 1.0]
+        table = error_table_l1(constant_series, Counting(), [1, 2, 3], times)
+        assert len(calls) == len(times) * 5001
+        # the shared grids reproduce the per-cell l1_error exactly
+        sol = ConstantKernelSolution()
+        assert table.cells == tuple(
+            tuple(l1_error(constant_series.truncated(n), sol, t) for t in times)
+            for n in (1, 2, 3)
+        )
 
 
 class TestErrorTables:

@@ -267,6 +267,32 @@ class TestErrorPaths:
         assert code == 4
         assert err.count("\n") == 1
 
+    def test_bad_method_in_config_is_exit_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("method = bogus\n")
+        code, out, err = run(
+            capsys, "error-table", "--model", "coag", "--kernel", "constant",
+            "--u0", "exp:1", "--terms", "2:3", "--t", "0.5", "--config", str(cfg),
+        )
+        assert code == 2 and out == ""
+        assert "bogus" in err and err.count("\n") == 1
+
+    def test_negative_order_range_is_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "error-table", "--model", "coag", "--kernel", "constant",
+            "--u0", "exp:1", "--terms=-1:2", "--t", "0.5",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_negative_moment_order_is_exit_2(self, capsys):
+        code, out, err = run(
+            capsys, "moments", "--model", "coag", "--kernel", "constant",
+            "--u0", "exp:1", "--terms", "2", "--j=-1", "--t", "0.5",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_unknown_exact_solution(self, capsys):
         code, _, err = run(
             capsys, "density", "--model", "coag", "--kernel", "constant",

@@ -91,6 +91,22 @@ class TestIntegrate:
         gf = integrate(problem, spec)
         assert np.array_equal(gf.values, sample_initial(problem, spec).values)
 
+    @pytest.mark.parametrize("problem", all_problems()[2:4])
+    def test_step_is_rk4_over_discrete_rhs(self, problem):
+        # integrate steps the same right-hand side that discrete_rhs exposes
+        spec = GridSpec(50.0, 200, 1e-2, 1e-2)
+        u = sample_initial(problem, spec)
+
+        def rhs(vals):
+            return discrete_rhs(problem, GridFunction(spec, vals, 0.0)).values
+
+        k1 = rhs(u.values)
+        k2 = rhs(u.values + 0.5 * spec.dt * k1)
+        k3 = rhs(u.values + 0.5 * spec.dt * k2)
+        k4 = rhs(u.values + spec.dt * k3)
+        by_hand = u.values + (spec.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(integrate(problem, spec).values, by_hand)
+
     def test_against_exact_solution(self):
         problem = Coag1D(CoagKernel.CONSTANT, exponential_ic(1))
         gf = integrate(problem, SPEC)
