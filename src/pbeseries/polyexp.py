@@ -17,6 +17,14 @@ Exponent tuples are ``(xpow, tpow)`` in 1-D and ``(xpow, ypow, tpow)`` in
 so two values are mathematically equal exactly when their term maps are
 equal; the zero function is the empty map.
 
+Products and convolutions run fraction-free.  Coefficients are exact
+Fractions at the API, but ``_group_product`` takes each operand's rate
+group over one common denominator as integer numerators, pre-scales them
+by i! on every size axis that is convolved (the Borel/Laplace trick, which
+turns the weight i! j!/(i+j+1)! into a plain product), accumulates the
+integer pair products keyed by packed exponents, and normalises once per
+output term.  Degree caps are checked on every axis before that loop.
+
 Everything is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
 """
@@ -24,6 +32,7 @@ so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from fractions import Fraction
 from typing import Iterator, Mapping, Union
 
@@ -84,6 +93,71 @@ def tpoly_eval(tp: TPoly, t: float) -> float:
     return float(acc)
 
 
+def _merge(out: dict, rate, poly: Mapping) -> None:
+    """Add ``poly`` into the rate group ``out[rate]``, pruning zeros."""
+    tgt = out.setdefault(rate, {})
+    for e, c in poly.items():
+        s = tgt.get(e, 0) + c
+        if s:
+            tgt[e] = s
+        else:
+            tgt.pop(e, None)
+    if not tgt:
+        del out[rate]
+
+
+def _numerators(poly: Mapping, shifts: list, borel: int) -> tuple[list, int]:
+    """Packed keys and numerators over one denominator, times i! on Borel axes."""
+    den = math.lcm(*(c.denominator for c in poly.values()))
+    rows = []
+    for e, c in poly.items():
+        num = c.numerator * (den // c.denominator)
+        for i in e[:borel]:
+            num *= math.factorial(i)
+        rows.append((sum(i << s for i, s in zip(e, shifts)), num))
+    return rows, den
+
+
+def _group_product(pa: Mapping, pb: Mapping, borel: int = 0) -> dict:
+    """Exact product of two rate groups, computed fraction-free.
+
+    Monomials multiply pairwise and their exponents add, except on the
+    first ``borel`` axes, which are convolved on [0, x]: there x^i against
+    x^j gives i! j!/(i+j+1)! x^{i+j+1}.  With numerators pre-scaled by i!
+    and j! that weight is 1/(i+j+1)!, so the pair loop is one integer
+    multiply-add and each output term is normalised once, as
+    sum / (La Lb prod (i+j+1)!).  Every axis is checked against MAX_EXPONENT
+    before any pair is formed; checked sums fit the packed fields.
+    """
+    if not pa or not pb:
+        return {}
+    nvars = len(next(iter(pa)))
+    for axis in range(nvars):
+        _check_exponent(
+            max(e[axis] for e in pa) + max(e[axis] for e in pb) + int(axis < borel)
+        )
+    width = MAX_EXPONENT.bit_length()
+    shifts = [width * axis for axis in range(nvars)]
+    rows_a, den_a = _numerators(pa, shifts, borel)
+    rows_b, den_b = _numerators(pb, shifts, borel)
+    acc: defaultdict = defaultdict(int)
+    for ka, na in rows_a:
+        for kb, nb in rows_b:
+            acc[ka + kb] += na * nb
+    offset = sum(1 << s for s in shifts[:borel])
+    mask = (1 << width) - 1
+    out = {}
+    for key, total in acc.items():
+        if total:
+            key += offset
+            exps = tuple((key >> s) & mask for s in shifts)
+            den = den_a * den_b
+            for i in exps[:borel]:
+                den *= math.factorial(i)
+            out[exps] = Fraction(total, den)
+    return out
+
+
 class _PolyExpBase:
     """Shared canonicalisation and linear structure of the 1-D/2-D classes."""
 
@@ -94,22 +168,18 @@ class _PolyExpBase:
     def __init__(self, terms: Mapping) -> None:
         canon: dict = {}
         for rate, poly in terms.items():
-            key = self._canon_rate(rate)
-            group = canon.setdefault(key, {})
-            for exps, coeff in poly.items():
-                exps = tuple(_check_exponent(p) for p in exps)
-                if len(exps) != self._NVARS:
-                    raise OutOfClassError(
-                        f"expected {self._NVARS} exponents per monomial, got {exps}"
-                    )
-                c = group.get(exps, Fraction(0)) + as_fraction(coeff)
-                if c == 0:
-                    group.pop(exps, None)
-                else:
-                    group[exps] = c
-            if not group:
-                del canon[key]
+            group = {self._canon_exps(e): as_fraction(c) for e, c in poly.items()}
+            _merge(canon, self._canon_rate(rate), group)
         object.__setattr__(self, "_terms", canon)
+
+    @classmethod
+    def _canon_exps(cls, exps) -> tuple:
+        exps = tuple(_check_exponent(p) for p in exps)
+        if len(exps) != cls._NVARS:
+            raise OutOfClassError(
+                f"expected {cls._NVARS} exponents per monomial, got {exps}"
+            )
+        return exps
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -158,15 +228,7 @@ class _PolyExpBase:
             return NotImplemented
         merged: dict = {r: dict(p) for r, p in self._terms.items()}
         for r, p in other._terms.items():
-            tgt = merged.setdefault(r, {})
-            for e, c in p.items():
-                s = tgt.get(e, Fraction(0)) + c
-                if s == 0:
-                    tgt.pop(e, None)
-                else:
-                    tgt[e] = s
-            if not tgt:
-                del merged[r]
+            _merge(merged, r, p)
         return self._wrap(merged)
 
     def __sub__(self, other):
@@ -191,41 +253,34 @@ class _PolyExpBase:
         out: dict = {}
         for ra, pa in self._terms.items():
             for rb, pb in other._terms.items():
-                rate = self._rate_sum(ra, rb)
-                tgt = out.setdefault(rate, {})
-                for ea, ca in pa.items():
-                    for eb, cb in pb.items():
-                        e = tuple(_check_exponent(i + j) for i, j in zip(ea, eb))
-                        s = tgt.get(e, Fraction(0)) + ca * cb
-                        if s == 0:
-                            tgt.pop(e, None)
-                        else:
-                            tgt[e] = s
-                if not tgt:
-                    out.pop(rate, None)
+                _merge(out, self._rate_sum(ra, rb), _group_product(pa, pb))
         return self._wrap(out)
 
     __rmul__ = __mul__
 
     def mul_tpoly(self, tp: TPoly):
         """Multiply by a polynomial in t (rates are unchanged)."""
-        out: dict = {}
-        t_axis = self._NVARS - 1
-        for r, p in self._terms.items():
-            tgt = out.setdefault(r, {})
-            for e, c in p.items():
-                for j, k in tp.items():
-                    ee = list(e)
-                    ee[t_axis] = _check_exponent(ee[t_axis] + j)
-                    ee = tuple(ee)
-                    s = tgt.get(ee, Fraction(0)) + c * k
-                    if s == 0:
-                        tgt.pop(ee, None)
-                    else:
-                        tgt[ee] = s
-            if not tgt:
-                out.pop(r, None)
-        return self._wrap(out)
+        lead = (0,) * (self._NVARS - 1)
+        tgroup = {lead + (_check_exponent(j),): k for j, k in tp.items()}
+        return self._wrap_groups(
+            (r, _group_product(p, tgroup)) for r, p in self._terms.items()
+        )
+
+    def _convolve(self, other):
+        """Convolution on every size axis; all rates must be one and the same."""
+        for ra in self._terms:
+            for rb in other._terms:
+                if ra != rb:
+                    raise MixedRatesError(
+                        f"convolution of distinct rates {ra} and {rb} is outside "
+                        "the supported closed form"
+                    )
+        borel = self._NVARS - 1
+        return self._wrap_groups(
+            (r, _group_product(p, other._terms[r], borel))
+            for r, p in self._terms.items()
+            if r in other._terms
+        )
 
     def time_antiderivative(self):
         """Integrate from 0 in time: each t^j becomes t^{j+1}/(j+1).
@@ -252,6 +307,11 @@ class _PolyExpBase:
         obj = object.__new__(cls)
         object.__setattr__(obj, "_terms", canonical)
         return obj
+
+    @classmethod
+    def _wrap_groups(cls, groups):
+        """Wrap (rate, group) pairs, dropping empty groups."""
+        return cls._wrap({r: p for r, p in groups if p})
 
     @classmethod
     def zero(cls):
@@ -309,31 +369,7 @@ class PolyExp1D(_PolyExpBase):
         pairs meet; for x^i e^{-ax} against x^j e^{-ax} the closed form is
         i! j! / (i+j+1)! * x^{i+j+1} e^{-ax} and t-exponents add.
         """
-        out: dict = {}
-        for ra, pa in self._terms.items():
-            for rb, pb in other._terms.items():
-                if ra != rb:
-                    raise MixedRatesError(
-                        f"convolution of distinct rates {ra} and {rb} is outside "
-                        "the supported closed form"
-                    )
-                tgt = out.setdefault(ra, {})
-                for (ia, ja), ca in pa.items():
-                    for (ib, jb), cb in pb.items():
-                        i = _check_exponent(ia + ib + 1)
-                        e = (i, ja + jb)
-                        w = Fraction(
-                            math.factorial(ia) * math.factorial(ib),
-                            math.factorial(ia + ib + 1),
-                        )
-                        s = tgt.get(e, Fraction(0)) + ca * cb * w
-                        if s == 0:
-                            tgt.pop(e, None)
-                        else:
-                            tgt[e] = s
-                if not tgt:
-                    out.pop(ra, None)
-        return self._wrap(out)
+        return self._convolve(other)
 
     def moment(self, j: int = 0) -> TPoly:
         """Full-line moment int_0^inf x^j f(x, t) dx, exact in t.
@@ -370,18 +406,11 @@ class PolyExp1D(_PolyExpBase):
                 raise OutOfClassError(
                     f"tail integral with power {p} drives x^{m} below degree 0"
                 )
-            tgt = out.setdefault(a, {})
             nfac = math.factorial(n)
-            for k in range(n + 1):
-                e = (k, jt)
-                val = c * Fraction(nfac, math.factorial(k)) / a ** (n - k + 1)
-                s = tgt.get(e, Fraction(0)) + val
-                if s == 0:
-                    tgt.pop(e, None)
-                else:
-                    tgt[e] = s
-            if not tgt:
-                out.pop(a, None)
+            _merge(out, a, {
+                (k, jt): c * Fraction(nfac, math.factorial(k)) / a ** (n - k + 1)
+                for k in range(n + 1)
+            })
         return self._wrap(out)
 
     def collapse_t(self, t: RationalLike) -> dict[Fraction, list[Fraction]]:
@@ -480,37 +509,7 @@ class PolyExp2D(_PolyExpBase):
         term pair maps to x^{i+i'+1} y^{k+k'+1} with two beta-function
         weights.  Rate pairs must match exactly.
         """
-        out: dict = {}
-        for ra, pa in self._terms.items():
-            for rb, pb in other._terms.items():
-                if ra != rb:
-                    raise MixedRatesError(
-                        f"convolution of distinct rate pairs {ra} and {rb} is "
-                        "outside the supported closed form"
-                    )
-                tgt = out.setdefault(ra, {})
-                for (ia, ka, ja), ca in pa.items():
-                    for (ib, kb, jb), cb in pb.items():
-                        e = (
-                            _check_exponent(ia + ib + 1),
-                            _check_exponent(ka + kb + 1),
-                            ja + jb,
-                        )
-                        w = Fraction(
-                            math.factorial(ia) * math.factorial(ib),
-                            math.factorial(ia + ib + 1),
-                        ) * Fraction(
-                            math.factorial(ka) * math.factorial(kb),
-                            math.factorial(ka + kb + 1),
-                        )
-                        s = tgt.get(e, Fraction(0)) + ca * cb * w
-                        if s == 0:
-                            tgt.pop(e, None)
-                        else:
-                            tgt[e] = s
-                if not tgt:
-                    out.pop(ra, None)
-        return self._wrap(out)
+        return self._convolve(other)
 
     def moment(self, jx: int = 0, jy: int = 0) -> TPoly:
         """Moment int int x^jx y^jy f dx dy, exact polynomial in t."""

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
-from .polyexp import PolyExp1D, PolyExp2D, PolyExpError
+from .polyexp import (
+    MAX_EXPONENT,
+    DegreeOverflowError,
+    PolyExp1D,
+    PolyExp2D,
+    PolyExpError,
+)
 from .problems import (
     Coag1D,
     Coag2D,
@@ -83,12 +89,28 @@ def _check_budget(value, budget: int) -> None:
         )
 
 
+def _check_accelerated_degree(problem: Problem, n: int) -> None:
+    """Coagulation squares Psi_k, so Psi_n has t-degree 2^n - 1: check it up front.
+
+    Breakage is linear and raises the t-degree by one per order.
+    """
+    if isinstance(problem, Frag):
+        return
+    if n > MAX_EXPONENT.bit_length() or 2**n - 1 > MAX_EXPONENT:
+        raise DegreeOverflowError(
+            f"ahpetm with coagulation reaches t-degree 2^{n} - 1 at {n} terms, over "
+            f"the exponent cap {MAX_EXPONENT}; lower the number of terms or use "
+            "the classical method"
+        )
+
+
 def iterate_accelerated(
     problem: Problem, n: int, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> SeriesSolution:
     """Run the accelerated recursion up to component v_n."""
     if n < 0:
         raise ValueError("number of components must be nonnegative")
+    _check_accelerated_degree(problem, n)
     components = [problem.u0]
     psi = problem.u0
     prev_rhs = _zero_like(problem)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
+from hypothesis import settings
 
 from pbeseries.polyexp import PolyExp1D, PolyExp2D
 from pbeseries.problems import (
@@ -21,6 +22,13 @@ from pbeseries.problems import (
 )
 
 X, Y, T = sp.symbols("x y t")
+
+# Property tests draw the same examples on every run and stay within a few
+# seconds, so tier-1 remains deterministic.
+settings.register_profile(
+    "pbeseries", derandomize=True, max_examples=40, deadline=None, database=None
+)
+settings.load_profile("pbeseries")
 
 
 def to_sympy(f):

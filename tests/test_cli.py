@@ -260,6 +260,21 @@ class TestErrorPaths:
         assert code == 3
         assert "exceeds cap" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kernel", ["constant", "product"])
+    def test_ahpetm_degree_overflow_is_exit_3_before_any_convolution(
+        self, capsys, monkeypatch, kernel
+    ):
+        def refuse(self, other):
+            raise AssertionError("convolve ran before the degree check")
+
+        monkeypatch.setattr(PolyExp1D, "convolve", refuse)
+        code, out, err = run(
+            capsys, "density", "--model", "coag", "--kernel", kernel,
+            "--u0", "exp:1", "--terms", "12", "--t", "0.5", "--x", "1",
+        )
+        assert code == 3 and out == ""
+        assert "exponent cap 512" in err and err.count("\n") == 1
+
     def test_io_error_is_exit_4(self, capsys, tmp_path):
         code, _, err = run(
             capsys, *DENSITY_61, "--out", str(tmp_path / "no" / "such" / "dir" / "f.csv")

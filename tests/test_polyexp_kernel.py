@@ -1,0 +1,201 @@
+"""Property tests of the fraction-free product kernel against the Fraction oracle."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import fraction_oracle as oracle
+import pbeseries.polyexp as pe
+from pbeseries.polyexp import DegreeOverflowError, MixedRatesError, PolyExp1D, PolyExp2D
+
+# Denominators include large primes so common denominators grow wide;
+# numerators run from single digits to 128 bits and take both signs.
+DENOMINATORS = [1, 2, 3, 7, 1_000_003, 2**61 - 1, 2**89 - 1]
+COEFFS = st.builds(
+    F,
+    st.one_of(st.integers(-9, 9), st.integers(-(2**128), 2**128)).filter(bool),
+    st.sampled_from(DENOMINATORS),
+)
+# 0 + 2 = 1 + 1, so products meet one output rate from two pairs.
+RATES_1D = [F(0), F(1), F(2), F(1, 2), F(1_000_003, 7)]
+RATES_2D = [(F(1), F(1)), (F(1), F(2)), (F(50), F(50)), (F(2), F(1))]
+
+
+def groups(nvars, max_exp=6):
+    exps = st.tuples(*[st.integers(0, max_exp)] * nvars)
+    return st.dictionaries(exps, COEFFS, min_size=1, max_size=6)
+
+
+def values(cls, rates):
+    rate_groups = st.dictionaries(
+        st.sampled_from(rates), groups(cls._NVARS), min_size=1, max_size=3
+    )
+    return rate_groups.map(cls)
+
+
+def same_rate_pairs(cls, rates, count=2):
+    """``count`` values sharing one rate, as convolution needs."""
+    return st.sampled_from(rates).flatmap(
+        lambda r: st.tuples(*[groups(cls._NVARS).map(lambda g: cls({r: g}))] * count)
+    )
+
+
+TPOLYS = st.dictionaries(st.integers(0, 5), COEFFS, max_size=4)
+
+
+def assert_same(new, ref):
+    """Equal as exact rationals and with rate groups in the same order."""
+    assert new == ref
+    assert list(new._terms) == list(ref._terms)
+
+
+# -- agreement with the oracle -------------------------------------------------
+
+
+@given(same_rate_pairs(PolyExp1D, RATES_1D))
+def test_convolve_1d_matches_oracle(pair):
+    f, g = pair
+    assert_same(f.convolve(g), oracle.convolve(f, g))
+
+
+@given(same_rate_pairs(PolyExp2D, RATES_2D))
+def test_convolve_2d_matches_oracle(pair):
+    f, g = pair
+    assert_same(f.convolve(g), oracle.convolve(f, g))
+
+
+@given(values(PolyExp1D, RATES_1D), values(PolyExp1D, RATES_1D))
+def test_mul_1d_matches_oracle(f, g):
+    assert_same(f * g, oracle.mul(f, g))
+
+
+@given(values(PolyExp2D, RATES_2D), values(PolyExp2D, RATES_2D))
+def test_mul_2d_matches_oracle(f, g):
+    assert_same(f * g, oracle.mul(f, g))
+
+
+@given(values(PolyExp1D, RATES_1D), values(PolyExp2D, RATES_2D), TPOLYS)
+def test_mul_tpoly_matches_oracle(f, h, tp):
+    assert_same(f.mul_tpoly(tp), oracle.mul_tpoly(f, tp))
+    assert_same(h.mul_tpoly(tp), oracle.mul_tpoly(h, tp))
+
+
+@given(values(PolyExp1D, RATES_1D), values(PolyExp1D, RATES_1D))
+def test_mixed_rates_still_rejected(f, g):
+    if len(f.rates()) == len(g.rates()) == 1 and f.rates() == g.rates():
+        return
+    with pytest.raises(MixedRatesError):
+        oracle.convolve(f, g)
+    with pytest.raises(MixedRatesError):
+        f.convolve(g)
+
+
+# -- exact cancellation --------------------------------------------------------
+
+
+def test_convolution_cancels_a_coefficient_exactly():
+    # (1 + x) * (x - 1): the x^2 coefficient is 1/2 - 1/2
+    f = PolyExp1D({1: {(0, 0): 1, (1, 0): 1}})
+    g = PolyExp1D({1: {(1, 0): 1, (0, 0): -1}})
+    out = f.convolve(g)
+    assert out == PolyExp1D({1: {(1, 0): -1, (3, 0): F(1, 6)}})
+    assert_same(out, oracle.convolve(f, g))
+
+
+def test_product_drops_a_cancelled_rate_group():
+    # rate 2 collects +1 from (1, 1) and -1 from (0, 2), and vanishes
+    f = PolyExp1D({0: {(0, 0): 1}, 1: {(0, 0): 1}})
+    g = PolyExp1D({1: {(0, 0): 1}, 2: {(0, 0): -1}})
+    out = f * g
+    assert out == PolyExp1D({1: {(0, 0): 1}, 3: {(0, 0): -1}})
+    assert out.rates() == [1, 3]
+    assert_same(out, oracle.mul(f, g))
+
+
+@given(same_rate_pairs(PolyExp1D, RATES_1D))
+def test_difference_of_squares(pair):
+    a, b = pair
+    assert (a + b) * (a - b) == a * a - b * b
+
+
+def test_mul_tpoly_by_zero_is_zero():
+    f = PolyExp1D.monomial(3, xpow=2, rate=1)
+    assert f.mul_tpoly({}).is_zero()
+    assert f.mul_tpoly({1: F(0)}).is_zero()
+
+
+# -- degree caps ---------------------------------------------------------------
+
+
+@given(st.integers(0, pe.MAX_EXPONENT - 1), st.integers(0, pe.MAX_EXPONENT))
+def test_exponents_at_the_cap(i, j):
+    cap = pe.MAX_EXPONENT
+    f = PolyExp1D({1: {(i, j): F(1, 3), (0, 0): -1}})
+    for op, ref, shift in (
+        (PolyExp1D.convolve, oracle.convolve, 1),
+        (PolyExp1D.__mul__, oracle.mul, 0),
+    ):
+        g = PolyExp1D({1: {(cap - shift - i, cap - j): F(2, 2**61 - 1)}})
+        out = op(f, g)
+        assert max(e for _, e, _ in out.terms()) == (cap, cap)
+        assert_same(out, ref(f, g))
+        for over in ((cap - shift - i + 1, cap - j), (cap - shift - i, cap - j + 1)):
+            if max(over) <= cap:
+                with pytest.raises(DegreeOverflowError):
+                    op(f, PolyExp1D({1: {over: 1}}))
+
+
+@pytest.mark.parametrize(
+    "mono",
+    [
+        lambda: PolyExp1D.monomial(1, tpow=300, rate=1),
+        lambda: PolyExp2D.monomial(1, tpow=300, xrate=1, yrate=1),
+    ],
+    ids=["1d", "2d"],
+)
+def test_convolve_checks_the_t_degree(mono):
+    f = mono()
+    with pytest.raises(DegreeOverflowError, match="exponent 600 exceeds cap 512"):
+        f.convolve(f)
+
+
+def test_convolve_checks_the_y_degree():
+    f = PolyExp2D.monomial(1, ypow=300, xrate=1, yrate=1)
+    with pytest.raises(DegreeOverflowError, match="exponent 601 exceeds cap"):
+        f.convolve(f)
+
+
+# -- laws ----------------------------------------------------------------------
+
+
+@given(same_rate_pairs(PolyExp1D, RATES_1D), same_rate_pairs(PolyExp2D, RATES_2D))
+def test_commutative(pair1, pair2):
+    for f, g in (pair1, pair2):
+        assert f.convolve(g) == g.convolve(f)
+        assert f * g == g * f
+
+
+@given(same_rate_pairs(PolyExp1D, RATES_1D, count=3), COEFFS)
+def test_bilinear(triple, c):
+    f, g, h = triple
+    assert f.convolve(g + h.scale(c)) == f.convolve(g) + f.convolve(h).scale(c)
+    assert (g + h.scale(c)).convolve(f) == g.convolve(f) + h.convolve(f).scale(c)
+    assert f * (g + h.scale(c)) == f * g + (f * h).scale(c)
+
+
+def tpoly_mul(p, q):
+    out: dict = {}
+    for i, a in p.items():
+        for j, b in q.items():
+            out[i + j] = out.get(i + j, 0) + a * b
+    return {k: v for k, v in out.items() if v}
+
+
+@given(same_rate_pairs(PolyExp1D, RATES_1D[1:]), same_rate_pairs(PolyExp2D, RATES_2D))
+def test_mass_of_convolution_is_product_of_masses(pair1, pair2):
+    f, g = pair1
+    assert f.convolve(g).moment(0) == tpoly_mul(f.moment(0), g.moment(0))
+    f, g = pair2
+    assert f.convolve(g).moment(0, 0) == tpoly_mul(f.moment(0, 0), g.moment(0, 0))

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 import pytest
 import sympy as sp
 
+import pbeseries.series as series
+from pbeseries.polyexp import DegreeOverflowError
 from pbeseries.problems import rhs
 from pbeseries.series import (
     Method,
@@ -211,6 +213,33 @@ class TestSeriesStructure:
     def test_term_budget(self, product_kernel_problem):
         with pytest.raises(TermBudgetError):
             iterate_accelerated(product_kernel_problem, 4, term_budget=50)
+
+    @pytest.mark.parametrize(
+        "fixture", ["constant_kernel_problem", "coupled_halfx_problem", "bivariate_problem"]
+    )
+    def test_accelerated_degree_checked_before_first_step(self, fixture, request, monkeypatch):
+        # Psi_n has t-degree 2^n - 1 with coagulation: n = 9 fits the cap of
+        # 512 and reaches the first right-hand side, n = 10 is refused before it
+        class Reached(Exception):
+            pass
+
+        def stop(problem, u):
+            raise Reached
+
+        monkeypatch.setattr(series, "rhs", stop)
+        problem = request.getfixturevalue(fixture)
+        with pytest.raises(Reached):
+            iterate_accelerated(problem, 9)
+        for n in (10, 10**9):
+            with pytest.raises(DegreeOverflowError, match="exponent cap"):
+                iterate_accelerated(problem, n)
+
+    def test_linear_breakage_degree_not_checked_up_front(
+        self, binary_breakage_problem, monkeypatch
+    ):
+        monkeypatch.setattr(series, "rhs", lambda problem, u: 1 / 0)
+        with pytest.raises(ZeroDivisionError):
+            iterate_accelerated(binary_breakage_problem, 20)
 
     def test_negative_order_rejected(self, constant_kernel_problem):
         with pytest.raises(ValueError):
