@@ -18,12 +18,9 @@ from .polyexp import (
     from_obj,
 )
 from .problems import (
-    Coag1D,
-    Coag2D,
-    CoagFrag,
     CoagKernel,
-    Frag,
     FragSpec,
+    Model,
     coag2d_bilinear,
     coag_bilinear,
     exponential_ic,
@@ -41,15 +38,12 @@ from .series import (
 )
 
 __all__ = [
-    "Coag1D",
-    "Coag2D",
-    "CoagFrag",
     "CoagKernel",
     "DegreeOverflowError",
-    "Frag",
     "FragSpec",
     "Method",
     "MixedRatesError",
+    "Model",
     "OutOfClassError",
     "PolyExp1D",
     "PolyExp2D",

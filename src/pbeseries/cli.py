@@ -38,7 +38,7 @@ import numpy as np
 
 from . import analysis, exact, refsolver
 from .polyexp import PolyExp1D, PolyExp2D, PolyExpError
-from .problems import Coag1D, Coag2D, CoagFrag, CoagKernel, Frag, FragSpec, Problem
+from .problems import CoagKernel, FragSpec, Model
 from .series import Method, SeriesSolution, iterate
 
 
@@ -137,8 +137,8 @@ def parse_frag(text: str) -> FragSpec:
         raise ConfigError(f"bad --frag spec {text!r}: {exc}") from exc
 
 
-def parse_moment_orders(text: str, dim: int) -> list:
-    """1-D: '0,1,2'; 2-D: semicolon-separated pairs '0,0;1,0;2,0'."""
+def parse_moment_orders(text: str, dim: int) -> list[tuple]:
+    """1-D: '0,1,2'; 2-D: semicolon-separated pairs '0,0;1,0;2,0'; as dim-tuples."""
     try:
         if dim == 2:
             orders = []
@@ -146,10 +146,10 @@ def parse_moment_orders(text: str, dim: int) -> list:
                 jx, jy = (int(p) for p in chunk.split(","))
                 orders.append((jx, jy))
         else:
-            orders = [int(p) for p in text.split(",") if p.strip()]
+            orders = [(int(p),) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad moment orders {text!r}") from exc
-    if any(min(j) < 0 if dim == 2 else j < 0 for j in orders):
+    if any(min(j) < 0 for j in orders):
         raise ConfigError(f"moment orders must be nonnegative, got {text!r}")
     return orders
 
@@ -198,23 +198,25 @@ class _Settings:
         return val
 
 
-def build_problem(s: _Settings) -> Problem:
-    model = s.require("model")
+def build_problem(s: _Settings) -> Model:
+    name = s.require("model")
     u0 = parse_u0(s.require("u0"))
+    if name not in ("coag", "frag", "ccfe", "coag2d"):
+        raise ConfigError(f"unknown model {name!r}")
     try:
-        if model == "coag":
-            return Coag1D(CoagKernel(s.require("kernel")), u0)
-        if model == "frag":
-            return Frag(parse_frag(s.require("frag")), u0)
-        if model == "ccfe":
-            return CoagFrag(
-                CoagKernel(s.require("kernel")), parse_frag(s.require("frag")), u0
-            )
-        if model == "coag2d":
-            return Coag2D(u0)
-    except (ValueError, TypeError) as exc:
+        kernel = None
+        if name == "coag2d":
+            kernel = CoagKernel(s.get("kernel", "constant"))
+        elif name != "frag":
+            kernel = CoagKernel(s.require("kernel"))
+        frag = parse_frag(s.require("frag")) if name in ("frag", "ccfe") else None
+        problem = Model(u0, kernel, frag)
+    except ValueError as exc:
         raise ConfigError(f"invalid problem: {exc}") from exc
-    raise ConfigError(f"unknown model {model!r}")
+    if (problem.dim == 2) != (name == "coag2d"):
+        want = "a monoexp2: u0" if name == "coag2d" else "an exp: or monoexp: u0"
+        raise ConfigError(f"--model {name} takes {want}, got a {problem.dim}-D one")
+    return problem
 
 
 def _as_int(s: _Settings, key: str, default: int) -> int:
@@ -240,18 +242,29 @@ def _method(s: _Settings) -> Method:
         raise ConfigError(str(exc)) from exc
 
 
-def run_series(s: _Settings, problem: Problem, min_terms: int = 0) -> SeriesSolution:
+def run_series(s: _Settings, problem: Model, min_terms: int = 0) -> SeriesSolution:
     n = _as_int(s, "terms", 3)
     if n < 0:
         raise ConfigError("--terms must be nonnegative")
     return iterate(problem, _method(s), max(n, min_terms))
 
 
-def require_exact(problem: Problem):
+def require_exact(problem: Model):
     sol = exact.matching_exact_solution(problem)
     if sol is None:
         raise ConfigError("no closed-form exact solution is known for this problem")
     return sol
+
+
+def compared_solution(s: _Settings, problem: Model, command: str):
+    """The exact solution if --compare asks for it, else None."""
+    compare = s.get("compare")
+    if compare is None:
+        return None
+    if compare != "exact":
+        raise ConfigError(f"{command} supports --compare exact only; "
+                          "use the reference-check subcommand for the grid oracle")
+    return require_exact(problem)
 
 
 # ---------------------------------------------------------------------------
@@ -299,51 +312,37 @@ def _write(text: str, out: str | None):
 
 def cmd_density(s: _Settings) -> None:
     problem = build_problem(s)
+    sol = compared_solution(s, problem, "density")
     series = run_series(s, problem)
     psi = series.truncated(series.n)
     ts = parse_values(s.require("t"))
     xs = parse_values(s.require("x"))
-    compare = s.get("compare")
-    if compare not in (None, "exact"):
-        raise ConfigError("density supports --compare exact only; "
-                          "use the reference-check subcommand for the grid oracle")
-    sol = require_exact(problem) if compare == "exact" else None
     name = f"psi_{series.n}"
     header = [f"model = {s.require('model')}", f"method = {series.method.value}",
               f"terms = {series.n}"]
+    ys = parse_values(s.require("y")) if problem.dim == 2 else None
+    points = [(x, y) for x in xs for y in ys] if ys else [(x,) for x in xs]
+    columns = ["x", "y"][: problem.dim] + ["t", name]
+    if sol is not None:
+        columns += ["exact", "abs_error"]
     rows: list[tuple] = []
-    if isinstance(problem, Coag2D):
-        ys = parse_values(s.require("y"))
-        columns = ["x", "y", "t", name]
-        if sol is not None:
-            columns += ["exact", "abs_error"]
-        for t in ts:
-            for x in xs:
-                for y in ys:
-                    val = psi.evaluate(x, y, t)
-                    row: tuple = (x, y, t, val)
-                    if sol is not None:
-                        ex = sol.evaluate(x, y, t)
-                        row += (ex, abs(val - ex))
-                    rows.append(row)
-    else:
-        columns = ["x", "t", name]
-        if sol is not None:
-            columns += ["exact", "abs_error"]
-        for t in ts:
+    for t in ts:
+        if ys:
+            vals = [psi.evaluate(x, y, t) for x, y in points]
+        else:
             vals = psi.eval_grid(np.array(xs), t)
-            for x, val in zip(xs, vals):
-                row = (x, t, float(val))
-                if sol is not None:
-                    ex = sol.evaluate(x, t)
-                    row += (ex, abs(float(val) - ex))
-                rows.append(row)
+        for point, val in zip(points, vals):
+            row = (*point, t, float(val))
+            if sol is not None:
+                ex = sol.evaluate(*point, t)
+                row += (ex, abs(float(val) - ex))
+            rows.append(row)
     emit_rows(columns, rows, s, header)
 
 
 def cmd_error_table(s: _Settings) -> None:
     problem = build_problem(s)
-    if isinstance(problem, Coag2D):
+    if problem.dim == 2:
         raise ConfigError("error tables cover the 1-D models only")
     sol = require_exact(problem)
     ts = parse_values(s.require("t"))
@@ -368,38 +367,24 @@ def cmd_error_table(s: _Settings) -> None:
 
 def cmd_moments(s: _Settings) -> None:
     problem = build_problem(s)
+    sol = compared_solution(s, problem, "moments")
     series = run_series(s, problem)
-    dim = 2 if isinstance(problem, Coag2D) else 1
-    js = parse_moment_orders(s.require("j"), dim)
+    js = parse_moment_orders(s.require("j"), problem.dim)
     if not js:
         raise ConfigError("empty moment order list")
     ts = parse_values(s.require("t"))
-    compare = s.get("compare")
-    sol = require_exact(problem) if compare == "exact" else None
     header = [f"model = {s.require('model')}", f"terms = {series.n}"]
+    columns = ["t", *(["jx", "jy"] if problem.dim == 2 else ["j"]), "mu_approx"]
+    if sol is not None:
+        columns.append("mu_exact")
     rows = []
-    if dim == 2:
-        columns = ["t", "jx", "jy", "mu_approx"]
-        if sol is not None:
-            columns.append("mu_exact")
-        for t in ts:
-            for j in js:
-                tp = analysis.series_moment(series, series.n, j)
-                row: tuple = (t, j[0], j[1], analysis.tpoly_eval(tp, t))
-                if sol is not None:
-                    row += (sol.moment(*j)(t),)
-                rows.append(row)
-    else:
-        columns = ["t", "j", "mu_approx"]
-        if sol is not None:
-            columns.append("mu_exact")
-        for t in ts:
-            for j in js:
-                tp = analysis.series_moment(series, series.n, j)
-                row = (t, j, analysis.tpoly_eval(tp, t))
-                if sol is not None:
-                    row += (sol.moment(j)(t),)
-                rows.append(row)
+    for t in ts:
+        for j in js:
+            tp = analysis.series_moment(series, series.n, j)
+            row = (t, *j, analysis.tpoly_eval(tp, t))
+            if sol is not None:
+                row += (sol.moment(*j)(t),)
+            rows.append(row)
     emit_rows(columns, rows, s, header)
 
 
@@ -408,7 +393,7 @@ def cmd_bounds(s: _Settings) -> None:
     series = run_series(s, problem, min_terms=1)
     t0 = _as_float(s, "t0")
     m = _as_int(s, "m", 3)
-    if isinstance(problem, Coag2D):
+    if problem.dim == 2:
         u0_norm = analysis.tpoly_eval(problem.u0.moment(0, 0), 0.0)
         v1 = series.components[1]
         v1_norm = max(
@@ -424,7 +409,7 @@ def cmd_bounds(s: _Settings) -> None:
                 (f"contractive_{label}", str(b.contractive).lower()),
                 (f"bound_{label}", b.bound),
             ]
-    elif isinstance(problem, Frag):
+    elif problem.kernel is None:
         lam = _as_float(s, "lam")
         v1_norm = analysis.sup_l1_norm(series.components[1], t0)
         b = analysis.frag_bound(problem.frag.k, lam, t0, m, v1_norm)
@@ -448,7 +433,7 @@ def cmd_bounds(s: _Settings) -> None:
 
 def cmd_reference_check(s: _Settings) -> None:
     problem = build_problem(s)
-    if isinstance(problem, Coag2D):
+    if problem.dim == 2:
         raise ConfigError("reference-check covers the 1-D models only")
     series = run_series(s, problem)
     psi = series.truncated(series.n)
@@ -506,7 +491,7 @@ def build_parser() -> _Parser:
         p.add_argument("--t", help="time list 0.5,1,2 or range start:stop:step")
         p.add_argument("--x", help="size list or range")
         p.add_argument("--y", help="second size coordinate (2-D)")
-        p.add_argument("--compare", choices=["exact", "reference", "both"])
+        p.add_argument("--compare", help="exact: add the closed-form solution")
         p.add_argument("--format", choices=["csv", "json"])
         p.add_argument("--out", help="output path (default: stdout)")
         p.add_argument("--config", help="flat key = value configuration file")

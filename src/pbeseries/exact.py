@@ -16,7 +16,7 @@ from typing import Callable, Optional, Union
 from scipy import integrate
 
 from .polyexp import as_fraction
-from .problems import Coag1D, Coag2D, CoagKernel, Frag, Problem
+from .problems import CoagKernel, Model
 
 REL_TOL = 1e-16
 MAX_SERIES_TERMS = 200      # published cap for the Bessel evaluator
@@ -262,25 +262,9 @@ def _numeric_moment(sol, j: int, xmax: float = 60.0) -> Callable[[float], float]
     return mom
 
 
-def matching_exact_solution(problem: Problem) -> Optional[ExactSolution]:
+def matching_exact_solution(problem: Model) -> Optional[ExactSolution]:
     """Map a problem spec to its known closed-form solution, if any."""
-    if isinstance(problem, Coag1D):
-        if problem.u0 != _unit_exponential():
-            return None
-        return {
-            CoagKernel.CONSTANT: ConstantKernelSolution(),
-            CoagKernel.SUM: SumKernelSolution(),
-            CoagKernel.PRODUCT: ProductKernelSolution(),
-        }[problem.kernel]
-    if isinstance(problem, Frag):
-        f = problem.frag
-        if (
-            problem.u0 == _unit_exponential()
-            and (f.c, f.r, f.s, f.k) == (2, 1, 1, 1)
-        ):
-            return LinearBreakageSolution()
-        return None
-    if isinstance(problem, Coag2D):
+    if problem.dim == 2:
         terms = list(problem.u0.terms())
         if len(terms) != 1:
             return None
@@ -291,6 +275,17 @@ def matching_exact_solution(problem: Problem) -> Optional[ExactSolution]:
         m2 = 2 / as_fraction(b)
         n0 = c * m1**2 * m2**2 / 16
         return BivariateConstantSolution(N0=n0, m1=m1, m2=m2, p1=1, p2=1)
+    if problem.u0 != _unit_exponential():
+        return None
+    if problem.frag is None:
+        return {
+            CoagKernel.CONSTANT: ConstantKernelSolution(),
+            CoagKernel.SUM: SumKernelSolution(),
+            CoagKernel.PRODUCT: ProductKernelSolution(),
+        }[problem.kernel]
+    f = problem.frag
+    if problem.kernel is None and (f.c, f.r, f.s, f.k) == (2, 1, 1, 1):
+        return LinearBreakageSolution()
     return None
 
 

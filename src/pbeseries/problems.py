@@ -1,13 +1,15 @@
 """Population balance models and their right-hand sides on the symbolic class.
 
-Four model variants are supported, matching the governing equations the
-series engines solve:
+One ``Model(u0, kernel=None, frag=None)`` covers the paper's four
+variants; its right-hand side is the sum of the operators it carries:
 
-  * 1-D coagulation      du/dt = 1/2 int_0^x K(x-y,y) u(x-y) u(y) dy
+  * coagulation (kernel)  du/dt = 1/2 int_0^x K(x-y,y) u(x-y) u(y) dy
                                   - int_0^inf K(x,y) u(x) u(y) dy
-  * pure fragmentation   du/dt = int_x^inf B(x,y) S(y) u(y) dy - S(x) u(x)
-  * coupled model        sum of the two right-hand sides above
-  * 2-D coagulation      constant-kernel bivariate analogue
+  * breakage (frag)       du/dt = int_x^inf B(x,y) S(y) u(y) dy - S(x) u(x)
+
+so pure coagulation sets ``kernel``, pure fragmentation sets ``frag``, the
+coupled model sets both, and bivariate coagulation is the constant kernel
+on a 2-D ``u0`` (the dimension follows from the type of ``u0``).
 
 Coagulation kernels form a closed enum (constant, sum, product): each
 carries a closed-form reduction of its gain and loss integrals to the
@@ -22,10 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Union
 
 from .polyexp import (
     OutOfClassError,
+    PolyExp,
     PolyExp1D,
     PolyExp2D,
     RationalLike,
@@ -64,59 +66,31 @@ class FragSpec:
         return self.c == self.r + 1
 
 
-def _check_u0_1d(u0: PolyExp1D) -> None:
-    if u0.is_zero():
-        raise ValueError("initial condition must be nonzero")
-    if any(a == 0 for a in u0.rates()):
-        raise ValueError("initial condition needs strictly positive rates")
-    if u0.t_degree() > 0:
-        raise ValueError("initial condition must not depend on t")
-
-
 @dataclass(frozen=True)
-class Coag1D:
-    kernel: CoagKernel
-    u0: PolyExp1D
+class Model:
+    """A population balance model: coagulation, breakage or both, from u0."""
+
+    u0: PolyExp
+    kernel: CoagKernel | None = None
+    frag: FragSpec | None = None
 
     def __post_init__(self):
-        _check_u0_1d(self.u0)
-
-
-@dataclass(frozen=True)
-class Frag:
-    frag: FragSpec
-    u0: PolyExp1D
-
-    def __post_init__(self):
-        _check_u0_1d(self.u0)
-
-
-@dataclass(frozen=True)
-class CoagFrag:
-    kernel: CoagKernel
-    frag: FragSpec
-    u0: PolyExp1D
-
-    def __post_init__(self):
-        _check_u0_1d(self.u0)
-
-
-@dataclass(frozen=True)
-class Coag2D:
-    """Bivariate coagulation with the constant kernel."""
-
-    u0: PolyExp2D
-
-    def __post_init__(self):
+        if self.kernel is None and self.frag is None:
+            raise ValueError("a model needs a coagulation kernel, a breakage family or both")
+        if self.dim == 2 and (self.kernel is not CoagKernel.CONSTANT or self.frag is not None):
+            raise ValueError("a bivariate u0 takes constant-kernel coagulation only")
         if self.u0.is_zero():
             raise ValueError("initial condition must be nonzero")
-        if any(a == 0 or b == 0 for a, b in self.u0.rates()):
+        rates = self.u0.rates() if self.dim == 2 else [(a,) for a in self.u0.rates()]
+        if any(0 in r for r in rates):
             raise ValueError("initial condition needs strictly positive rates")
         if self.u0.t_degree() > 0:
             raise ValueError("initial condition must not depend on t")
 
-
-Problem = Union[Coag1D, Frag, CoagFrag, Coag2D]
+    @property
+    def dim(self) -> int:
+        """Number of size variables, 1 or 2, read off the type of u0."""
+        return 2 if isinstance(self.u0, PolyExp2D) else 1
 
 
 def coag_bilinear(kernel: CoagKernel, u: PolyExp1D, w: PolyExp1D) -> PolyExp1D:
@@ -161,17 +135,19 @@ def coag2d_bilinear(u: PolyExp2D, w: PolyExp2D) -> PolyExp2D:
     return u.convolve(w).scale(Fraction(1, 2)) - u.mul_tpoly(w.moment(0, 0))
 
 
-def rhs(problem: Problem, u):
+def bilinear(model: Model, u, w):
+    """The model's coagulation form Q(u, w); its right-hand side uses Q(u, u)."""
+    if model.dim == 2:
+        return coag2d_bilinear(u, w)
+    return coag_bilinear(model.kernel, u, w)
+
+
+def rhs(model: Model, u):
     """Model right-hand side applied to a symbolic state."""
-    if isinstance(problem, Coag1D):
-        return coag_bilinear(problem.kernel, u, u)
-    if isinstance(problem, Frag):
-        return frag_rhs(problem.frag, u)
-    if isinstance(problem, CoagFrag):
-        return coag_bilinear(problem.kernel, u, u) + frag_rhs(problem.frag, u)
-    if isinstance(problem, Coag2D):
-        return coag2d_bilinear(u, u)
-    raise TypeError(f"unsupported problem {problem!r}")
+    if model.kernel is None:
+        return frag_rhs(model.frag, u)
+    out = bilinear(model, u, u)
+    return out if model.frag is None else out + frag_rhs(model.frag, u)
 
 
 def exponential_ic(rate: RationalLike = 1) -> PolyExp1D:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import Coag1D, Coag2D, CoagFrag, CoagKernel, Frag, Problem
+from .problems import CoagKernel, Model
 
 VALUE_BLOWUP_LIMIT = 1e6
 
@@ -92,8 +92,8 @@ class GridFunction:
         return "\n".join(lines) + "\n"
 
 
-def _require_1d(problem: Problem) -> None:
-    if isinstance(problem, Coag2D):
+def _require_1d(problem: Model) -> None:
+    if problem.dim == 2:
         raise Unsupported2DError("the reference solver does not handle 2-D problems")
 
 
@@ -130,30 +130,30 @@ def _frag_rhs(frag, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
     return birth - death
 
 
-def _rhs_values(problem: Problem, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
+def _rhs_values(problem: Model, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
     """Right-hand side on bare node values: the one path RK4 and discrete_rhs share."""
     out = np.zeros_like(u)
-    if isinstance(problem, (Coag1D, CoagFrag)):
+    if problem.kernel is not None:
         out += _coag_rhs(problem.kernel, u, xs, h)
-    if isinstance(problem, (Frag, CoagFrag)):
+    if problem.frag is not None:
         out += _frag_rhs(problem.frag, u, xs, h)
     return out
 
 
-def discrete_rhs(problem: Problem, u: GridFunction) -> GridFunction:
+def discrete_rhs(problem: Model, u: GridFunction) -> GridFunction:
     """Trapezoid discretisation of the model right-hand side."""
     _require_1d(problem)
     return GridFunction(u.spec, _rhs_values(problem, u.values, u.spec.nodes(), u.spec.h), u.time)
 
 
-def sample_initial(problem: Problem, spec: GridSpec) -> GridFunction:
+def sample_initial(problem: Model, spec: GridSpec) -> GridFunction:
     _require_1d(problem)
     xs = spec.nodes()
     vals = problem.u0.eval_grid(xs, 0.0)
     return GridFunction(spec, vals, 0.0)
 
 
-def integrate(problem: Problem, spec: GridSpec) -> GridFunction:
+def integrate(problem: Model, spec: GridSpec) -> GridFunction:
     """March the sampled initial state to t_end with classical RK4."""
     _require_1d(problem)
     state = sample_initial(problem, spec)

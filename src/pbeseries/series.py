@@ -25,24 +25,8 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import reduce
 
-from .polyexp import (
-    MAX_EXPONENT,
-    DegreeOverflowError,
-    PolyExp1D,
-    PolyExp2D,
-    PolyExpError,
-)
-from .problems import (
-    Coag1D,
-    Coag2D,
-    CoagFrag,
-    Frag,
-    Problem,
-    coag2d_bilinear,
-    coag_bilinear,
-    frag_rhs,
-    rhs,
-)
+from .polyexp import MAX_EXPONENT, DegreeOverflowError, PolyExpError
+from .problems import CoagKernel, Model, bilinear, frag_rhs, rhs
 
 DEFAULT_TERM_BUDGET = 200_000
 
@@ -60,7 +44,7 @@ class Method(Enum):
 class SeriesSolution:
     """Ordered components of a truncated series solution."""
 
-    problem: Problem
+    problem: Model
     method: Method
     components: tuple
 
@@ -76,10 +60,6 @@ class SeriesSolution:
         return reduce(lambda a, b: a + b, self.components[: k + 1])
 
 
-def _zero_like(problem: Problem):
-    return PolyExp2D.zero() if isinstance(problem, Coag2D) else PolyExp1D.zero()
-
-
 def _check_budget(value, budget: int) -> None:
     n = value.term_count()
     if n > budget:
@@ -89,23 +69,38 @@ def _check_budget(value, budget: int) -> None:
         )
 
 
-def _check_accelerated_degree(problem: Problem, n: int) -> None:
-    """Coagulation squares Psi_k, so Psi_n has t-degree 2^n - 1: check it up front.
+# 1 + e, where the gain term raises each size degree D to 2 D + 1 + e
+_SIZE_DEGREE_STEP = {CoagKernel.CONSTANT: 1, CoagKernel.SUM: 2, CoagKernel.PRODUCT: 3}
 
-    Breakage is linear and raises the t-degree by one per order.
+
+def _check_accelerated_degree(problem: Model, n: int) -> None:
+    """Coagulation squares Psi_k, so its degrees double per order: check Psi_n up front.
+
+    Each degree follows D_{k+1} = 2 D_k + step, i.e. D_n = 2^n (D_0 + step) - step.
+    The t-degree has step 1.  Without breakage each size axis has step 1 + e
+    exactly, since the gain term always outgrows the loss; breakage moves the
+    size degrees, so only t is checked then.
     """
-    if isinstance(problem, Frag):
+    if problem.kernel is None:
         return
-    if n > MAX_EXPONENT.bit_length() or 2**n - 1 > MAX_EXPONENT:
-        raise DegreeOverflowError(
-            f"ahpetm with coagulation reaches t-degree 2^{n} - 1 at {n} terms, over "
-            f"the exponent cap {MAX_EXPONENT}; lower the number of terms or use "
-            "the classical method"
-        )
+    degrees, steps = {"t": 0}, {"t": 1}
+    if problem.frag is None:
+        for axis, name in enumerate("xy"[: problem.dim]):
+            degrees[name] = max(e[axis] for _, e, _ in problem.u0.terms())
+            steps[name] = _SIZE_DEGREE_STEP[problem.kernel]
+    for k in range(1, n + 1):
+        for name, step in steps.items():
+            d = degrees[name] = 2 * degrees[name] + step
+            if d > MAX_EXPONENT:
+                raise DegreeOverflowError(
+                    f"{name}-degree {d} of Psi_{k} exceeds cap {MAX_EXPONENT}: ahpetm with "
+                    f"coagulation fits at most {k - 1} terms under the exponent cap "
+                    f"{MAX_EXPONENT}; lower the number of terms or use the classical method"
+                )
 
 
 def iterate_accelerated(
-    problem: Problem, n: int, term_budget: int = DEFAULT_TERM_BUDGET
+    problem: Model, n: int, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> SeriesSolution:
     """Run the accelerated recursion up to component v_n."""
     if n < 0:
@@ -113,7 +108,7 @@ def iterate_accelerated(
     _check_accelerated_degree(problem, n)
     components = [problem.u0]
     psi = problem.u0
-    prev_rhs = _zero_like(problem)
+    prev_rhs = problem.u0.zero()
     for _ in range(n):
         cur_rhs = rhs(problem, psi)
         _check_budget(cur_rhs, term_budget)
@@ -125,22 +120,19 @@ def iterate_accelerated(
     return SeriesSolution(problem, Method.ACCELERATED, tuple(components))
 
 
-def _bilinear_block(problem: Problem, components, k: int):
+def _bilinear_block(problem: Model, components, k: int):
     """A_k = sum_{i+j=k} Q(v_i, v_j) (+ linear breakage of v_k)."""
-    acc = _zero_like(problem)
-    if isinstance(problem, (Coag1D, CoagFrag)):
+    acc = problem.u0.zero()
+    if problem.kernel is not None:
         for i in range(k + 1):
-            acc = acc + coag_bilinear(problem.kernel, components[i], components[k - i])
-    elif isinstance(problem, Coag2D):
-        for i in range(k + 1):
-            acc = acc + coag2d_bilinear(components[i], components[k - i])
-    if isinstance(problem, (Frag, CoagFrag)):
+            acc = acc + bilinear(problem, components[i], components[k - i])
+    if problem.frag is not None:
         acc = acc + frag_rhs(problem.frag, components[k])
     return acc
 
 
 def iterate_classical(
-    problem: Problem, n: int, term_budget: int = DEFAULT_TERM_BUDGET
+    problem: Model, n: int, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> SeriesSolution:
     """Run the classical decomposition recursion up to component v_n."""
     if n < 0:
@@ -154,7 +146,7 @@ def iterate_classical(
 
 
 def iterate(
-    problem: Problem,
+    problem: Model,
     method: Method,
     n: int,
     term_budget: int = DEFAULT_TERM_BUDGET,

@@ -11,12 +11,9 @@ from hypothesis import settings
 
 from pbeseries.polyexp import PolyExp1D, PolyExp2D
 from pbeseries.problems import (
-    Coag1D,
-    Coag2D,
-    CoagFrag,
     CoagKernel,
-    Frag,
     FragSpec,
+    Model,
     exponential_ic,
     mono_exponential_ic,
 )
@@ -81,46 +78,48 @@ def random_polyexp(
 
 @pytest.fixture(scope="session")
 def constant_kernel_problem():
-    return Coag1D(CoagKernel.CONSTANT, exponential_ic(1))
+    return Model(exponential_ic(1), CoagKernel.CONSTANT)
 
 
 @pytest.fixture(scope="session")
 def sum_kernel_problem():
-    return Coag1D(CoagKernel.SUM, exponential_ic(1))
+    return Model(exponential_ic(1), CoagKernel.SUM)
 
 
 @pytest.fixture(scope="session")
 def product_kernel_problem():
-    return Coag1D(CoagKernel.PRODUCT, exponential_ic(1))
+    return Model(exponential_ic(1), CoagKernel.PRODUCT)
 
 
 @pytest.fixture(scope="session")
 def binary_breakage_problem():
     """Binary breakage with S(x) = x on e^{-x}: the linear oracle case."""
-    return Frag(FragSpec(Fraction(2), 1, Fraction(1), 1), exponential_ic(1))
+    return Model(exponential_ic(1), frag=FragSpec(Fraction(2), 1, Fraction(1), 1))
 
 
 @pytest.fixture(scope="session")
 def coupled_halfx_problem():
     """Constant coagulation plus binary breakage, S = x/2, u0 = 4x e^{-2x}."""
-    return CoagFrag(
+    return Model(
+        mono_exponential_ic(4, 1, 2),
         CoagKernel.CONSTANT,
         FragSpec(Fraction(2), 1, Fraction(1, 2), 1),
-        mono_exponential_ic(4, 1, 2),
     )
 
 
 @pytest.fixture(scope="session")
 def coupled_twox_problem():
     """Constant coagulation plus binary breakage, S = 2x, u0 = 32x e^{-4x}."""
-    return CoagFrag(
+    return Model(
+        mono_exponential_ic(32, 1, 4),
         CoagKernel.CONSTANT,
         FragSpec(Fraction(2), 1, Fraction(2), 1),
-        mono_exponential_ic(32, 1, 4),
     )
 
 
 @pytest.fixture(scope="session")
 def bivariate_problem():
     """Constant-kernel 2-D coagulation, u0 = 6.25e6 x y e^{-50x-50y}."""
-    return Coag2D(PolyExp2D.monomial(6250000, xpow=1, ypow=1, xrate=50, yrate=50))
+    return Model(
+        PolyExp2D.monomial(6250000, xpow=1, ypow=1, xrate=50, yrate=50), CoagKernel.CONSTANT
+    )

@@ -230,10 +230,11 @@ class TestDumpSymbolic:
         assert code == 0
         obj = json.loads(out)
         from pbeseries.series import iterate_accelerated
-        from pbeseries.problems import CoagFrag, CoagKernel, FragSpec, mono_exponential_ic
+        from pbeseries.problems import CoagKernel, FragSpec, Model, mono_exponential_ic
 
-        problem = CoagFrag(CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1),
-                           mono_exponential_ic(4, 1, 2))
+        problem = Model(
+            mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1)
+        )
         series = iterate_accelerated(problem, 2)
         rebuilt = [from_obj(c) for c in obj["components"]]
         assert tuple(rebuilt) == series.components
@@ -251,8 +252,8 @@ class TestErrorPaths:
         assert err.startswith("error:")
 
     def test_engine_error_is_exit_3(self, capsys):
-        # a very high initial degree overflows the exponent cap in the
-        # first convolution
+        # a very high initial degree overflows the exponent cap at the
+        # first order
         code, _, err = run(
             capsys, "density", "--model", "coag", "--kernel", "constant",
             "--u0", "monoexp:1,500,1", "--terms", "1", "--t", "0.5", "--x", "1",
@@ -260,9 +261,14 @@ class TestErrorPaths:
         assert code == 3
         assert "exceeds cap" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("kernel", ["constant", "product"])
+    @pytest.mark.parametrize("kernel, terms", [
+        pytest.param("constant", 12, id="constant"),
+        pytest.param("product", 12, id="product"),
+        pytest.param("product", 8, id="product-x-degree"),
+        pytest.param("sum", 9, id="sum-x-degree"),
+    ])
     def test_ahpetm_degree_overflow_is_exit_3_before_any_convolution(
-        self, capsys, monkeypatch, kernel
+        self, capsys, monkeypatch, kernel, terms
     ):
         def refuse(self, other):
             raise AssertionError("convolve ran before the degree check")
@@ -270,7 +276,7 @@ class TestErrorPaths:
         monkeypatch.setattr(PolyExp1D, "convolve", refuse)
         code, out, err = run(
             capsys, "density", "--model", "coag", "--kernel", kernel,
-            "--u0", "exp:1", "--terms", "12", "--t", "0.5", "--x", "1",
+            "--u0", "exp:1", "--terms", str(terms), "--t", "0.5", "--x", "1",
         )
         assert code == 3 and out == ""
         assert "exponent cap 512" in err and err.count("\n") == 1
@@ -307,6 +313,42 @@ class TestErrorPaths:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, extra", [
+        ("density", ["--x", "1"]),
+        ("moments", ["--j", "0"]),
+    ])
+    @pytest.mark.parametrize("value", ["reference", "both"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_compare_takes_exact_only(self, capsys, tmp_path, command, extra, value, via_config):
+        compare = ["--compare", value]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"compare = {value}\n")
+            compare = ["--config", str(cfg)]
+        code, out, err = run(
+            capsys, command, "--model", "coag", "--kernel", "constant",
+            "--u0", "exp:1", "--terms", "1", "--t", "1", *extra, *compare,
+        )
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {command} supports --compare exact only")
+        assert "reference-check" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--model", "coag", "--kernel", "constant"], "--model coag takes an exp:"),
+        (["--model", "frag", "--frag", "2,1,1,1"], "constant-kernel coagulation only"),
+        (["--model", "ccfe", "--kernel", "constant", "--frag", "2,1,1,1"],
+         "constant-kernel coagulation only"),
+        (["--model", "coag2d", "--kernel", "product"], "constant-kernel coagulation only"),
+        (["--model", "coag2d", "--u0", "exp:1"], "--model coag2d takes a monoexp2:"),
+    ])
+    def test_model_must_match_u0_dimension(self, capsys, flags, message):
+        u0 = [] if "--u0" in flags else ["--u0", "monoexp2:1,1,1,1,1"]
+        code, out, err = run(
+            capsys, "density", *flags, *u0, "--terms", "1", "--t", "1", "--x", "1", "--y", "1",
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and message in err and err.count("\n") == 1
 
     def test_unknown_exact_solution(self, capsys):
         code, _, err = run(

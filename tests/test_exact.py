@@ -18,11 +18,9 @@ from pbeseries.exact import (
     matching_exact_solution,
 )
 from pbeseries.problems import (
-    Coag1D,
-    CoagFrag,
     CoagKernel,
-    Frag,
     FragSpec,
+    Model,
     exponential_ic,
     mono_exponential_ic,
 )
@@ -176,19 +174,19 @@ class TestBivariate:
 class TestMatching:
     def test_known_problems(self, bivariate_problem):
         assert isinstance(
-            matching_exact_solution(Coag1D(CoagKernel.CONSTANT, exponential_ic(1))),
+            matching_exact_solution(Model(exponential_ic(1), CoagKernel.CONSTANT)),
             ConstantKernelSolution,
         )
         assert isinstance(
-            matching_exact_solution(Coag1D(CoagKernel.SUM, exponential_ic(1))),
+            matching_exact_solution(Model(exponential_ic(1), CoagKernel.SUM)),
             SumKernelSolution,
         )
         assert isinstance(
-            matching_exact_solution(Coag1D(CoagKernel.PRODUCT, exponential_ic(1))),
+            matching_exact_solution(Model(exponential_ic(1), CoagKernel.PRODUCT)),
             ProductKernelSolution,
         )
         assert isinstance(
-            matching_exact_solution(Frag(FragSpec(F(2), 1, F(1), 1), exponential_ic(1))),
+            matching_exact_solution(Model(exponential_ic(1), frag=FragSpec(F(2), 1, F(1), 1))),
             LinearBreakageSolution,
         )
         sol = matching_exact_solution(bivariate_problem)
@@ -196,15 +194,22 @@ class TestMatching:
         assert (sol.N0, sol.m1, sol.m2) == (1, F(1, 25), F(1, 25))
 
     def test_unknown_problems(self):
-        assert matching_exact_solution(Coag1D(CoagKernel.CONSTANT, exponential_ic(2))) is None
+        assert matching_exact_solution(Model(exponential_ic(2), CoagKernel.CONSTANT)) is None
         assert (
             matching_exact_solution(
-                CoagFrag(CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1),
-                         mono_exponential_ic(4, 1, 2))
+                Model(mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT,
+                      FragSpec(F(2), 1, F(1, 2), 1))
             )
             is None
         )
         assert (
-            matching_exact_solution(Frag(FragSpec(F(2), 1, F(2), 1), exponential_ic(1)))
+            matching_exact_solution(Model(exponential_ic(1), frag=FragSpec(F(2), 1, F(2), 1)))
+            is None
+        )
+        # the breakage solution does not hold once coagulation is added
+        assert (
+            matching_exact_solution(
+                Model(exponential_ic(1), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1), 1))
+            )
             is None
         )

@@ -1,0 +1,94 @@
+"""Golden CLI outputs: every listed command must reproduce its stored bytes.
+
+``golden_stdout.json`` holds, per command, the sha256 of stdout, the exit
+status and the stderr text.  It covers the README commands, a
+``dump-symbolic`` of each benchmark problem under both engines, the 2-D
+``density``/``moments`` comparisons and each branch of ``bounds``.  A
+refactor that claims unchanged behaviour must pass this file unchanged.
+
+Regenerate the data only for an intended output change, from the commit
+whose outputs are the new contract:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+from __future__ import annotations
+
+import contextlib
+import hashlib
+import io
+import json
+import shlex
+from pathlib import Path
+
+import pytest
+
+from pbeseries.cli import main
+
+GOLDEN = Path(__file__).with_name("golden_stdout.json")
+
+_PROBLEMS = {
+    "constant": "--model coag --kernel constant --u0 exp:1",
+    "sum": "--model coag --kernel sum --u0 exp:1",
+    "product": "--model coag --kernel product --u0 exp:1",
+    "breakage": "--model frag --frag 2,1,1,1 --u0 exp:1",
+    "halfx": "--model ccfe --kernel constant --frag 2,1,1/2,1 --u0 monoexp:4,1,2",
+    "twox": "--model ccfe --kernel constant --frag 2,1,2,1 --u0 monoexp:32,1,4",
+    "coag2d": "--model coag2d --u0 monoexp2:6250000,1,1,50,50",
+}
+
+COMMANDS = {
+    "readme-density": "density --model coag --kernel constant --u0 exp:1 "
+                      "--terms 3 --t 2 --x 0:10:0.1 --compare exact",
+    "readme-l1": "error-table --model coag --kernel constant --u0 exp:1 "
+                 "--terms 3:6 --t 0.5,1,1.5,2",
+    "readme-pointwise": "error-table --model coag --kernel sum --u0 exp:1 "
+                        "--terms 4 --x 5 --t 0.2:1.6:0.2",
+    "readme-moments": "moments --model ccfe --kernel constant --frag 2,1,1/2,1 "
+                      "--u0 monoexp:4,1,2 --terms 3 --j 0,1 --t 0:2:0.1",
+    "readme-bounds": "bounds --model coag --kernel constant --u0 exp:1 "
+                     "--t0 0.05 --T 1 --m 3",
+    "readme-reference-check": "reference-check --model coag --kernel constant --u0 exp:1 "
+                              "--terms 4 --t-end 0.25 --cells 2000 --dt 1e-3",
+    "readme-dump": "dump-symbolic --model coag --kernel product --u0 exp:1 --terms 2",
+    **{f"dump-{method}-{name}": f"dump-symbolic {flags} --method {method} --terms {n}"
+       for name, flags in _PROBLEMS.items()
+       for method, n in (("ahpetm", 4), ("classical", 8))},
+    # unequal rates, so that swapping the two size axes shows
+    "density-coag2d": "density --model coag2d --u0 monoexp2:4000000,1,1,40,50 --terms 3 "
+                      "--t 0.005,0.01 --x 0:0.1:0.02 --y 0.01,0.05 --compare exact",
+    "moments-coag2d": "moments --model coag2d --u0 monoexp2:4000000,1,1,40,50 --terms 3 "
+                      "--j 0,0;1,0;0,1;2,1 --t 0:0.02:0.005 --compare exact",
+    "bounds-frag": f"bounds {_PROBLEMS['breakage']} --t0 0.25 --lam 1 --m 3",
+    "bounds-coag2d": f"bounds {_PROBLEMS['coag2d']} --t0 0.01 --T 1 --m 3",
+}
+
+
+def run_command(command: str) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(shlex.split(command))
+    return {
+        "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
+        "exit": code,
+        "stderr": err.getvalue(),
+    }
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_command():
+    assert set(_golden()) == set(COMMANDS)
+
+
+@pytest.mark.parametrize("cid", sorted(COMMANDS))
+def test_output_is_byte_identical(cid):
+    assert run_command(COMMANDS[cid]) == _golden()[cid]
+
+
+if __name__ == "__main__":
+    captured = {cid: run_command(cmd) for cid, cmd in sorted(COMMANDS.items())}
+    GOLDEN.write_text(json.dumps(captured, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(captured)} commands to {GOLDEN}")

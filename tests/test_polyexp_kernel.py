@@ -1,5 +1,6 @@
 """Property tests of the fraction-free product kernel against the Fraction oracle."""
 
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -199,3 +200,27 @@ def test_mass_of_convolution_is_product_of_masses(pair1, pair2):
     assert f.convolve(g).moment(0) == tpoly_mul(f.moment(0), g.moment(0))
     f, g = pair2
     assert f.convolve(g).moment(0, 0) == tpoly_mul(f.moment(0, 0), g.moment(0, 0))
+
+
+def time_derivative(f):
+    """Termwise d/dt: c t^j becomes j c t^(j-1)."""
+    out: dict = {}
+    for rate, exps, c in f.terms():
+        if exps[-1]:
+            out.setdefault(rate, {})[exps[:-1] + (exps[-1] - 1,)] = exps[-1] * c
+    return type(f)(out)
+
+
+@given(values(PolyExp1D, RATES_1D), values(PolyExp2D, RATES_2D))
+def test_time_antiderivative_inverts_the_derivative(f, h):
+    for v in (f, h):
+        integral = v.time_antiderivative()
+        assert all(exps[-1] >= 1 for _, exps, _ in integral.terms())
+        assert time_derivative(integral) == v
+
+
+@given(values(PolyExp1D, RATES_1D), values(PolyExp2D, RATES_2D))
+def test_serialised_form_round_trips(f, h):
+    for v in (f, h):
+        assert pe.from_obj(v.to_obj()) == v
+        assert pe.from_obj(json.loads(json.dumps(v.to_obj()))) == v

@@ -7,12 +7,9 @@ import pytest
 
 from pbeseries.polyexp import OutOfClassError, PolyExp1D, PolyExp2D
 from pbeseries.problems import (
-    Coag1D,
-    Coag2D,
-    CoagFrag,
     CoagKernel,
-    Frag,
     FragSpec,
+    Model,
     coag2d_bilinear,
     coag_bilinear,
     exponential_ic,
@@ -143,13 +140,13 @@ class TestRhsDispatch:
     def test_coupled_is_sum_of_parts(self):
         spec = FragSpec(F(2), 1, F(1, 2), 1)
         u0 = mono_exponential_ic(4, 1, 2)
-        problem = CoagFrag(CoagKernel.CONSTANT, spec, u0)
+        problem = Model(u0, CoagKernel.CONSTANT, spec)
         u = u0 + mono(F(1, 3), xpow=2, tpow=1, rate=2)
         assert rhs(problem, u) == coag_bilinear(CoagKernel.CONSTANT, u, u) + frag_rhs(spec, u)
 
     def test_coupled_example_value(self):
-        problem = CoagFrag(
-            CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1), mono_exponential_ic(4, 1, 2)
+        problem = Model(
+            mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1)
         )
         expected = (
             mono(F(4, 3), xpow=3, rate=2)
@@ -159,8 +156,12 @@ class TestRhsDispatch:
         )
         assert rhs(problem, problem.u0) == expected
 
+    def test_bivariate_is_constant_kernel_form(self):
+        problem = Model(TestCoag2D.U0, CoagKernel.CONSTANT)
+        assert rhs(problem, problem.u0) == coag2d_bilinear(problem.u0, problem.u0)
+
     def test_frag_of_zero(self):
-        problem = Frag(FragSpec(F(2), 1, F(1), 1), E)
+        problem = Model(E, frag=FragSpec(F(2), 1, F(1), 1))
         assert rhs(problem, PolyExp1D.zero()).is_zero()
 
 
@@ -181,12 +182,33 @@ class TestValidation:
 
     def test_u0_needs_positive_rates(self):
         with pytest.raises(ValueError):
-            Coag1D(CoagKernel.CONSTANT, mono(1, xpow=1))
+            Model(mono(1, xpow=1), CoagKernel.CONSTANT)
 
     def test_u0_must_be_time_independent(self):
         with pytest.raises(ValueError):
-            Coag1D(CoagKernel.CONSTANT, mono(1, tpow=1, rate=1))
+            Model(mono(1, tpow=1, rate=1), CoagKernel.CONSTANT)
 
     def test_u0_nonzero(self):
         with pytest.raises(ValueError):
-            Coag2D(PolyExp2D.zero())
+            Model(PolyExp2D.zero(), CoagKernel.CONSTANT)
+
+    def test_2d_u0_needs_positive_rates(self):
+        with pytest.raises(ValueError, match="positive rates"):
+            Model(PolyExp2D.monomial(1, xpow=1, xrate=1), CoagKernel.CONSTANT)
+
+    def test_model_needs_an_operator(self):
+        with pytest.raises(ValueError, match="kernel, a breakage family or both"):
+            Model(E)
+
+    @pytest.mark.parametrize("kernel, frag", [
+        (CoagKernel.SUM, None),
+        (CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1), 1)),
+        (None, FragSpec(F(2), 1, F(1), 1)),
+    ])
+    def test_bivariate_model_is_constant_kernel_coagulation(self, kernel, frag):
+        with pytest.raises(ValueError, match="bivariate"):
+            Model(TestCoag2D.U0, kernel, frag)
+
+    def test_dimension_follows_u0(self):
+        assert Model(E, CoagKernel.SUM).dim == 1
+        assert Model(TestCoag2D.U0, CoagKernel.CONSTANT).dim == 2

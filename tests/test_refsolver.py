@@ -8,10 +8,9 @@ import pytest
 
 from pbeseries.exact import ConstantKernelSolution
 from pbeseries.problems import (
-    Coag1D,
-    CoagFrag,
     CoagKernel,
     FragSpec,
+    Model,
     exponential_ic,
     mono_exponential_ic,
 )
@@ -32,11 +31,11 @@ SPEC = GridSpec(xmax=50.0, n_cells=2000, dt=1e-3, t_end=0.5)
 
 def all_problems():
     return [
-        Coag1D(CoagKernel.CONSTANT, exponential_ic(1)),
-        Coag1D(CoagKernel.SUM, exponential_ic(1)),
-        Coag1D(CoagKernel.PRODUCT, exponential_ic(1)),
-        CoagFrag(CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1), mono_exponential_ic(4, 1, 2)),
-        CoagFrag(CoagKernel.CONSTANT, FragSpec(F(2), 1, F(2), 1), mono_exponential_ic(32, 1, 4)),
+        Model(exponential_ic(1), CoagKernel.CONSTANT),
+        Model(exponential_ic(1), CoagKernel.SUM),
+        Model(exponential_ic(1), CoagKernel.PRODUCT),
+        Model(mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1)),
+        Model(mono_exponential_ic(32, 1, 4), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(2), 1)),
     ]
 
 
@@ -62,14 +61,14 @@ class TestDiscreteRhs:
     def test_symbolic_consistency_at_unit_size(self):
         # trapezoid loss carries an h^2/12 floor (~1.9e-5 at h = 0.025),
         # so agreement with the exact operator sits just above it
-        problem = Coag1D(CoagKernel.CONSTANT, exponential_ic(1))
+        problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
         r = discrete_rhs(problem, sample_initial(problem, SPEC))
         i = round(1.0 / SPEC.h)
         target = math.exp(-1.0) * (0.5 - 1.0)
         assert abs(r.values[i] - target) <= 5e-5
 
     def test_zero_state(self):
-        problem = Coag1D(CoagKernel.SUM, exponential_ic(1))
+        problem = Model(exponential_ic(1), CoagKernel.SUM)
         zero = GridFunction(SPEC, np.zeros(SPEC.n_cells + 1), 0.0)
         assert np.all(discrete_rhs(problem, zero).values == 0.0)
 
@@ -86,7 +85,7 @@ class TestDiscreteRhs:
 
 class TestIntegrate:
     def test_zero_horizon_returns_sample(self):
-        problem = Coag1D(CoagKernel.CONSTANT, exponential_ic(1))
+        problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
         spec = GridSpec(50.0, 500, 1e-2, 0.0)
         gf = integrate(problem, spec)
         assert np.array_equal(gf.values, sample_initial(problem, spec).values)
@@ -108,15 +107,15 @@ class TestIntegrate:
         assert np.array_equal(integrate(problem, spec).values, by_hand)
 
     def test_against_exact_solution(self):
-        problem = Coag1D(CoagKernel.CONSTANT, exponential_ic(1))
+        problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
         gf = integrate(problem, SPEC)
         sol = ConstantKernelSolution()
         exact = np.array([sol.evaluate(float(x), 0.5) for x in SPEC.nodes()])
         assert np.max(np.abs(gf.values - exact)) <= 1e-4
 
     def test_steady_count_coupled(self):
-        problem = CoagFrag(
-            CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1), mono_exponential_ic(4, 1, 2)
+        problem = Model(
+            mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1)
         )
         gf = integrate(problem, SPEC)
         assert abs(gf.moment(0) - 1.0) <= 1e-3
@@ -125,14 +124,14 @@ class TestIntegrate:
     def test_mass_drift(self, problem):
         # the product kernel transports mass toward large sizes quickly,
         # so its box is widened to keep the truncation flux out of the test
-        wide = isinstance(problem, Coag1D) and problem.kernel is CoagKernel.PRODUCT
+        wide = problem.kernel is CoagKernel.PRODUCT
         spec = GridSpec(100.0 if wide else 50.0, 4000 if wide else 2000, 1e-3, 0.2)
         g0 = sample_initial(problem, spec)
         gf = integrate(problem, spec)
         assert abs(gf.moment(1) - g0.moment(1)) / g0.moment(1) <= 1e-4
 
     def test_refinement_improves_accuracy(self):
-        problem = Coag1D(CoagKernel.CONSTANT, exponential_ic(1))
+        problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
         sol = ConstantKernelSolution()
         devs = {}
         for cells, dt in ((500, 4e-3), (1000, 2e-3)):
@@ -143,7 +142,7 @@ class TestIntegrate:
         assert devs[500] / devs[1000] >= 2.0
 
     def test_series_agreement(self):
-        problem = Coag1D(CoagKernel.CONSTANT, exponential_ic(1))
+        problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
         psi = iterate_accelerated(problem, 4).truncated(4)
         spec = GridSpec(50.0, 2000, 1e-3, 0.25)
         gf = integrate(problem, spec)
@@ -151,7 +150,7 @@ class TestIntegrate:
         assert np.max(dev) <= 5e-4
 
     def test_instability_guard(self):
-        problem = Coag1D(CoagKernel.SUM, mono_exponential_ic(100000, 0, 1))
+        problem = Model(mono_exponential_ic(100000, 0, 1), CoagKernel.SUM)
         with pytest.raises(InstabilityError):
             integrate(problem, GridSpec(50.0, 64, 0.5, 5.0))
 

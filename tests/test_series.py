@@ -215,11 +215,17 @@ class TestSeriesStructure:
             iterate_accelerated(product_kernel_problem, 4, term_budget=50)
 
     @pytest.mark.parametrize(
-        "fixture", ["constant_kernel_problem", "coupled_halfx_problem", "bivariate_problem"]
+        "fixture, fits",
+        [("constant_kernel_problem", 9), ("coupled_halfx_problem", 9), ("bivariate_problem", 8)],
+        ids=["constant_kernel_problem", "coupled_halfx_problem", "bivariate_problem"],
     )
-    def test_accelerated_degree_checked_before_first_step(self, fixture, request, monkeypatch):
-        # Psi_n has t-degree 2^n - 1 with coagulation: n = 9 fits the cap of
-        # 512 and reaches the first right-hand side, n = 10 is refused before it
+    def test_accelerated_degree_checked_before_first_step(
+        self, fixture, fits, request, monkeypatch
+    ):
+        # Psi_n has t-degree 2^n - 1 with coagulation, and the bivariate
+        # x y u0 gives x- and y-degree 2^(n+1) - 1: the largest n that fits
+        # the cap of 512 reaches the first right-hand side, the next is
+        # refused before it
         class Reached(Exception):
             pass
 
@@ -229,8 +235,8 @@ class TestSeriesStructure:
         monkeypatch.setattr(series, "rhs", stop)
         problem = request.getfixturevalue(fixture)
         with pytest.raises(Reached):
-            iterate_accelerated(problem, 9)
-        for n in (10, 10**9):
+            iterate_accelerated(problem, fits)
+        for n in (fits + 1, 10, 10**9):
             with pytest.raises(DegreeOverflowError, match="exponent cap"):
                 iterate_accelerated(problem, n)
 
