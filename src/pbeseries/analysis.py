@@ -77,15 +77,12 @@ def pointwise(f: PolyExp1D, sol, x: float, t: float) -> tuple[float, float, floa
     return approx, ex, abs(approx - ex)
 
 
-def series_moment(series: SeriesSolution, k: int, j) -> TPoly:
+def series_moment(series: SeriesSolution, k: int, *j: int) -> TPoly:
     """Exact moment polynomial of the partial sum Psi_k.
 
-    ``j`` is a single order for 1-D series and an (jx, jy) pair for 2-D.
+    ``j`` is one order per size axis: ``j`` in 1-D, ``jx, jy`` in 2-D.
     """
-    psi = series.truncated(k)
-    if isinstance(j, tuple):
-        return psi.moment(*j)
-    return psi.moment(j)
+    return series.truncated(k).moment(*j)
 
 
 # ---------------------------------------------------------------------------
@@ -281,12 +278,8 @@ def sup_l1_norm(f: PolyExp1D, t0: float, samples: int = 101) -> float:
 class ConvergenceBound:
     """Geometric error bound (contraction)^m / (1 - contraction) * ||v1||."""
 
-    model: str
-    t0: float
     lipschitz: float
     contraction: float
-    m: int
-    v1_norm: float
     bound: float
 
     @property
@@ -294,10 +287,10 @@ class ConvergenceBound:
         return self.contraction < 1.0
 
 
-def _geometric_bound(contraction: float, m: int, v1_norm: float) -> float:
-    if contraction >= 1.0:
-        return math.inf
-    return contraction**m / (1.0 - contraction) * v1_norm
+def _geometric_bound(lipschitz: float, contraction: float, m: int,
+                     v1_norm: float) -> ConvergenceBound:
+    bound = math.inf if contraction >= 1.0 else contraction**m / (1.0 - contraction) * v1_norm
+    return ConvergenceBound(lipschitz, contraction, bound)
 
 
 def coag_bound(
@@ -312,15 +305,7 @@ def coag_bound(
         raise InvalidSpecError("bound inputs must be positive (m, v1_norm >= 0)")
     L = u0_norm * (T + 1.0)
     delta = t0**2 * math.exp(2.0 * t0 * L) * (u0_norm + 2.0 * t0 * L**2 + 2.0 * t0 * L)
-    return ConvergenceBound(
-        model="coag",
-        t0=t0,
-        lipschitz=L,
-        contraction=delta,
-        m=m,
-        v1_norm=v1_norm,
-        bound=_geometric_bound(delta, m, v1_norm),
-    )
+    return _geometric_bound(L, delta, m, v1_norm)
 
 
 def frag_bound(
@@ -330,15 +315,7 @@ def frag_bound(
     if k < 1 or lam <= 0 or t0 <= 0 or m < 0 or v1_norm < 0:
         raise InvalidSpecError("bound inputs out of range")
     theta = math.factorial(k) * t0**2 / lam ** (k + 1)
-    return ConvergenceBound(
-        model="frag",
-        t0=t0,
-        lipschitz=lam,
-        contraction=theta,
-        m=m,
-        v1_norm=v1_norm,
-        bound=_geometric_bound(theta, m, v1_norm),
-    )
+    return _geometric_bound(lam, theta, m, v1_norm)
 
 
 def coag2d_bounds(
@@ -351,25 +328,8 @@ def coag2d_bounds(
     see the discrepancy instead of having it silently resolved.
     """
     base = coag_bound(u0_norm, T, t0, m, v1_norm)
-    statement = ConvergenceBound(
-        model="coag2d",
-        t0=t0,
-        lipschitz=base.lipschitz,
-        contraction=2.0 * base.contraction,
-        m=m,
-        v1_norm=v1_norm,
-        bound=_geometric_bound(2.0 * base.contraction, m, v1_norm),
-    )
-    derived = ConvergenceBound(
-        model="coag2d",
-        t0=t0,
-        lipschitz=base.lipschitz,
-        contraction=base.contraction,
-        m=m,
-        v1_norm=v1_norm,
-        bound=base.bound,
-    )
-    return {"statement": statement, "derived": derived}
+    return {label: _geometric_bound(base.lipschitz, factor * base.contraction, m, v1_norm)
+            for label, factor in (("statement", 2.0), ("derived", 1.0))}
 
 
 # ---------------------------------------------------------------------------

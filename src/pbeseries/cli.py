@@ -203,6 +203,9 @@ def build_problem(s: _Settings) -> Model:
     u0 = parse_u0(s.require("u0"))
     if name not in ("coag", "frag", "ccfe", "coag2d"):
         raise ConfigError(f"unknown model {name!r}")
+    unused = {"coag": "frag", "coag2d": "frag", "frag": "kernel"}.get(name)
+    if unused and s.get(unused) is not None:
+        raise ConfigError(f"--model {name} takes no --{unused}")
     try:
         kernel = None
         if name == "coag2d":
@@ -283,18 +286,22 @@ def _json_safe(v):
     return v
 
 
-def emit_rows(columns: list[str], rows: list[tuple], s: _Settings, header: list[str]):
+def _format(s: _Settings) -> str:
     fmt = s.get("format", "csv")
-    if fmt == "json":
+    if fmt not in ("csv", "json"):
+        raise ConfigError(f"unknown format {fmt!r}")
+    return fmt
+
+
+def emit_rows(columns: list[str], rows: list[tuple], s: _Settings, header: list[str]):
+    if _format(s) == "json":
         arrays = {c: [_json_safe(r[i]) for r in rows] for i, c in enumerate(columns)}
         text = json.dumps({"columns": columns, **arrays}, indent=1) + "\n"
-    elif fmt == "csv":
+    else:
         lines = [f"# {h}" for h in header]
         lines.append(",".join(columns))
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
-    else:
-        raise ConfigError(f"unknown format {fmt!r}")
     _write(text, s.get("out"))
 
 
@@ -344,6 +351,7 @@ def cmd_error_table(s: _Settings) -> None:
     problem = build_problem(s)
     if problem.dim == 2:
         raise ConfigError("error tables cover the 1-D models only")
+    fmt = _format(s)
     sol = require_exact(problem)
     ts = parse_values(s.require("t"))
     x = s.get("x")
@@ -359,7 +367,7 @@ def cmd_error_table(s: _Settings) -> None:
             raise ConfigError("--terms gave an empty order list")
         series = iterate(problem, _method(s), max(orders))
         table = analysis.error_table_l1(series, sol, orders, ts)
-    if s.get("format", "csv") == "json":
+    if fmt == "json":
         _write(json.dumps(table.to_json_obj(), indent=1) + "\n", s.get("out"))
     else:
         _write(table.to_csv(), s.get("out"))
@@ -377,15 +385,20 @@ def cmd_moments(s: _Settings) -> None:
     columns = ["t", *(["jx", "jy"] if problem.dim == 2 else ["j"]), "mu_approx"]
     if sol is not None:
         columns.append("mu_exact")
+    tps = {j: analysis.series_moment(series, series.n, *j) for j in js}
     rows = []
     for t in ts:
         for j in js:
-            tp = analysis.series_moment(series, series.n, j)
-            row = (t, *j, analysis.tpoly_eval(tp, t))
+            row = (t, *j, analysis.tpoly_eval(tps[j], t))
             if sol is not None:
                 row += (sol.moment(*j)(t),)
             rows.append(row)
     emit_rows(columns, rows, s, header)
+
+
+def _bound_rows(b: analysis.ConvergenceBound, label: str = "") -> list[tuple]:
+    return [(f"contraction{label}", b.contraction),
+            (f"contractive{label}", str(b.contractive).lower()), (f"bound{label}", b.bound)]
 
 
 def cmd_bounds(s: _Settings) -> None:
@@ -395,39 +408,26 @@ def cmd_bounds(s: _Settings) -> None:
     m = _as_int(s, "m", 3)
     if problem.dim == 2:
         u0_norm = analysis.tpoly_eval(problem.u0.moment(0, 0), 0.0)
-        v1 = series.components[1]
+        mu00 = series.components[1].moment(0, 0)
         v1_norm = max(
-            abs(analysis.tpoly_eval(v1.moment(0, 0), float(ss)))
-            for ss in np.linspace(0.0, t0, 101)
+            abs(analysis.tpoly_eval(mu00, float(ss))) for ss in np.linspace(0.0, t0, 101)
         )
         T = _as_float(s, "T", max(1.0, t0))
         pair = analysis.coag2d_bounds(u0_norm, T, t0, m, v1_norm)
         rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm), ("L", pair["statement"].lipschitz)]
         for label, b in pair.items():
-            rows += [
-                (f"contraction_{label}", b.contraction),
-                (f"contractive_{label}", str(b.contractive).lower()),
-                (f"bound_{label}", b.bound),
-            ]
+            rows += _bound_rows(b, f"_{label}")
     elif problem.kernel is None:
         lam = _as_float(s, "lam")
         v1_norm = analysis.sup_l1_norm(series.components[1], t0)
         b = analysis.frag_bound(problem.frag.k, lam, t0, m, v1_norm)
-        rows = [
-            ("v1_norm", v1_norm), ("lambda", lam),
-            ("contraction", b.contraction),
-            ("contractive", str(b.contractive).lower()), ("bound", b.bound),
-        ]
+        rows = [("v1_norm", v1_norm), ("lambda", lam), *_bound_rows(b)]
     else:
         u0_norm = analysis.sup_l1_norm(problem.u0, t0)
         T = _as_float(s, "T", max(1.0, t0))
         v1_norm = analysis.sup_l1_norm(series.components[1], t0)
         b = analysis.coag_bound(u0_norm, T, t0, m, v1_norm)
-        rows = [
-            ("u0_norm", u0_norm), ("v1_norm", v1_norm), ("L", b.lipschitz),
-            ("contraction", b.contraction),
-            ("contractive", str(b.contractive).lower()), ("bound", b.bound),
-        ]
+        rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm), ("L", b.lipschitz), *_bound_rows(b)]
     emit_rows(["quantity", "value"], rows, s, [f"t0 = {t0:g}", f"m = {m}"])
 
 

@@ -11,11 +11,14 @@ multiplication, the size convolution on [0, x], the tail integral on
 [x, inf), full-line moments, and time integration from 0 -- which is all
 the iteration engines ever apply.
 
-Representation: a PolyExp stores ``{rate: {exponent_tuple: Fraction}}``.
-Exponent tuples are ``(xpow, tpow)`` in 1-D and ``(xpow, ypow, tpow)`` in
-2-D.  Zero coefficients and empty rate groups are pruned on construction,
-so two values are mathematically equal exactly when their term maps are
-equal; the zero function is the empty map.
+Representation: a PolyExp stores ``{rate: {exponent_tuple: Fraction}}``,
+with exponents ``(xpow, tpow)`` and one rate in 1-D, ``(xpow, ypow, tpow)``
+and a rate pair in 2-D.  Zero coefficients and empty rate groups are pruned
+on construction, so two values are mathematically equal exactly when their
+term maps are equal; the zero function is the empty map.  Every operation
+is written once, in ``_PolyExpBase``, over the size axes: a class declares
+only its axis count, its exponent and rate names, and how a stored rate
+maps to its tuple of per-axis rates.
 
 Products and convolutions run fraction-free.  Coefficients are exact
 Fractions at the API, but ``_group_product`` takes each operand's rate
@@ -24,6 +27,7 @@ by i! on every size axis that is convolved (the Borel/Laplace trick, which
 turns the weight i! j!/(i+j+1)! into a plain product), accumulates the
 integer pair products keyed by packed exponents, and normalises once per
 output term.  Degree caps are checked on every axis before that loop.
+Moments and point values likewise sum each rate group as integers.
 
 Everything is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -34,6 +38,8 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
+from operator import add, mul
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -48,6 +54,9 @@ MAX_EXPONENT = 512
 # Polynomial in t alone: t-exponent -> coefficient.  Moments of PolyExp
 # values live here (the x dependence integrates out exactly).
 TPoly = dict[int, Fraction]
+
+# n! for every exponent the cap admits.
+_FACTORIAL = list(accumulate(range(1, MAX_EXPONENT + 1), mul, initial=1))
 
 
 class PolyExpError(Exception):
@@ -106,15 +115,19 @@ def _merge(out: dict, rate, poly: Mapping) -> None:
         del out[rate]
 
 
-def _numerators(poly: Mapping, shifts: list, borel: int) -> tuple[list, int]:
-    """Packed keys and numerators over one denominator, times i! on Borel axes."""
+def _numerators(poly: Mapping, tables: list) -> tuple[list, int]:
+    """(exponents, numerator) rows of a rate group over one common denominator.
+
+    Each numerator is also multiplied by ``tables[axis][e[axis]]`` on every
+    leading axis that has a table.
+    """
     den = math.lcm(*(c.denominator for c in poly.values()))
     rows = []
     for e, c in poly.items():
         num = c.numerator * (den // c.denominator)
-        for i in e[:borel]:
-            num *= math.factorial(i)
-        rows.append((sum(i << s for i, s in zip(e, shifts)), num))
+        for table, i in zip(tables, e):
+            num *= table[i]
+        rows.append((e, num))
     return rows, den
 
 
@@ -138,11 +151,13 @@ def _group_product(pa: Mapping, pb: Mapping, borel: int = 0) -> dict:
         )
     width = MAX_EXPONENT.bit_length()
     shifts = [width * axis for axis in range(nvars)]
-    rows_a, den_a = _numerators(pa, shifts, borel)
-    rows_b, den_b = _numerators(pb, shifts, borel)
+    rows_a, den_a = _numerators(pa, [_FACTORIAL] * borel)
+    rows_b, den_b = _numerators(pb, [_FACTORIAL] * borel)
+    packed_b = [(sum(i << s for i, s in zip(e, shifts)), nb) for e, nb in rows_b]
     acc: defaultdict = defaultdict(int)
-    for ka, na in rows_a:
-        for kb, nb in rows_b:
+    for ea, na in rows_a:
+        ka = sum(i << s for i, s in zip(ea, shifts))
+        for kb, nb in packed_b:
             acc[ka + kb] += na * nb
     offset = sum(1 << s for s in shifts[:borel])
     mask = (1 << width) - 1
@@ -153,15 +168,26 @@ def _group_product(pa: Mapping, pb: Mapping, borel: int = 0) -> dict:
             exps = tuple((key >> s) & mask for s in shifts)
             den = den_a * den_b
             for i in exps[:borel]:
-                den *= math.factorial(i)
+                den *= _FACTORIAL[i]
             out[exps] = Fraction(total, den)
     return out
 
 
 class _PolyExpBase:
-    """Shared canonicalisation and linear structure of the 1-D/2-D classes."""
+    """The algebra, written once over the size axes a subclass declares.
 
-    _NVARS = 0  # length of the exponent tuple, set by subclasses
+    A subclass sets ``dim``, its exponent names (size axes, then t) and its
+    per-axis rate names; a stored rate is the tuple of per-axis rates unless
+    ``_axis_rates``/``_stored_rate`` map it otherwise.  Names that
+    ``bench/spans.py`` wraps through a class ``__dict__`` stay defined on
+    their class, as one-line delegations to the bodies here.
+    """
+
+    dim = 0
+    _EXPONENTS: tuple = ()
+    _RATES: tuple = ()
+    _axis_rates = staticmethod(tuple)
+    _stored_rate = staticmethod(tuple)
 
     __slots__ = ("_terms",)
 
@@ -175,11 +201,21 @@ class _PolyExpBase:
     @classmethod
     def _canon_exps(cls, exps) -> tuple:
         exps = tuple(_check_exponent(p) for p in exps)
-        if len(exps) != cls._NVARS:
-            raise OutOfClassError(
-                f"expected {cls._NVARS} exponents per monomial, got {exps}"
-            )
+        if len(exps) != cls.dim + 1:
+            raise OutOfClassError(f"expected {cls.dim + 1} exponents per monomial, got {exps}")
         return exps
+
+    @classmethod
+    def _canon_rate(cls, rate):
+        axes = tuple(as_fraction(a) for a in cls._axis_rates(rate))
+        if len(axes) != cls.dim or min(axes) < 0:
+            got = ", ".join(map(str, axes))
+            raise OutOfClassError(f"exponential rates must be >= 0, got {got}")
+        return cls._stored_rate(axes)
+
+    @classmethod
+    def _rate_sum(cls, a, b):
+        return cls._stored_rate(tuple(map(add, cls._axis_rates(a), cls._axis_rates(b))))
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -194,6 +230,10 @@ class _PolyExpBase:
 
     def rates(self):
         return sorted(self._terms)
+
+    def has_zero_rate(self) -> bool:
+        """True when some rate group does not decay along some size axis."""
+        return any(0 in self._axis_rates(r) for r in self._terms)
 
     def terms(self) -> Iterator:
         """Yield (rate, exponents, coefficient) in canonical order."""
@@ -241,9 +281,7 @@ class _PolyExpBase:
         c = as_fraction(c)
         if c == 0:
             return self._wrap({})
-        return self._wrap(
-            {r: {e: k * c for e, k in p.items()} for r, p in self._terms.items()}
-        )
+        return self._wrap({r: {e: k * c for e, k in p.items()} for r, p in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -260,47 +298,84 @@ class _PolyExpBase:
 
     def mul_tpoly(self, tp: TPoly):
         """Multiply by a polynomial in t (rates are unchanged)."""
-        lead = (0,) * (self._NVARS - 1)
-        tgroup = {lead + (_check_exponent(j),): k for j, k in tp.items()}
-        return self._wrap_groups(
-            (r, _group_product(p, tgroup)) for r, p in self._terms.items()
-        )
+        tgroup = {(0,) * self.dim + (_check_exponent(j),): k for j, k in tp.items()}
+        return self._wrap_groups((r, _group_product(p, tgroup)) for r, p in self._terms.items())
 
     def _convolve(self, other):
         """Convolution on every size axis; all rates must be one and the same."""
         for ra in self._terms:
             for rb in other._terms:
                 if ra != rb:
-                    raise MixedRatesError(
-                        f"convolution of distinct rates {ra} and {rb} is outside "
-                        "the supported closed form"
-                    )
-        borel = self._NVARS - 1
-        return self._wrap_groups(
-            (r, _group_product(p, other._terms[r], borel))
-            for r, p in self._terms.items()
-            if r in other._terms
-        )
+                    raise MixedRatesError(f"convolution of distinct rates {ra} and {rb} "
+                                          "is outside the supported closed form")
+        return self._wrap_groups((r, _group_product(p, other._terms[r], self.dim))
+                                 for r, p in self._terms.items() if r in other._terms)
 
     def time_antiderivative(self):
-        """Integrate from 0 in time: each t^j becomes t^{j+1}/(j+1).
+        """Integrate from 0 in time, t^j to t^{j+1}/(j+1); the result is 0 at t = 0."""
+        return self._wrap({
+            r: {e[:-1] + (_check_exponent(e[-1] + 1),): c / (e[-1] + 1) for e, c in p.items()}
+            for r, p in self._terms.items()
+        })
 
-        The result vanishes identically at t = 0.
+    # -- integrals, values and the serialised form ---------------------------
+
+    def _moment(self, orders: tuple) -> TPoly:
+        """Moment of x^jx [y^jy] f over the size axes, exact in t.
+
+        Each axis gives int_0^inf x^n e^{-ax} dx = n! / a^{n+1}, so every rate
+        must be positive.  With a = p/q and D the group's top degree on the
+        axis, x^i weighs (i+j)! q^{i+j+1} p^{D-i} over p^{D+j+1}.
         """
-        out: dict = {}
-        t_axis = self._NVARS - 1
-        for r, p in self._terms.items():
-            tgt = {}
-            for e, c in p.items():
-                j = e[t_axis]
-                _check_exponent(j + 1)
-                ee = list(e)
-                ee[t_axis] = j + 1
-                tgt[tuple(ee)] = c / (j + 1)
-            out[r] = tgt
-        return self._wrap(out)
+        if min(orders) < 0:
+            raise OutOfClassError("moment orders must be nonnegative")
+        if self.has_zero_rate():
+            raise ZeroRateError("moment of a rate-0 term diverges")
+        out: dict = {}  # one group under key 0, so that _merge prunes zeros
+        for rate in sorted(self._terms):
+            poly, tables, den = self._terms[rate], [], 1
+            for axis, (j, a) in enumerate(zip(orders, self._axis_rates(rate))):
+                top, (p, q) = max(e[axis] for e in poly), a.as_integer_ratio()
+                tables.append([math.factorial(i + j) * q ** (i + j + 1) * p ** (top - i)
+                               for i in range(top + 1)])
+                den *= p ** (top + j + 1)
+            rows, cden = _numerators(poly, tables)
+            sums: defaultdict = defaultdict(int)
+            for e, num in sorted(rows):  # t-exponents in order of first appearance
+                sums[e[-1]] += num
+            _merge(out, 0, {jt: Fraction(num, cden * den) for jt, num in sums.items()})
+        return out.get(0, {})
 
-    # -- subclass hooks -------------------------------------------------------
+    def _evaluate(self, *coords: float) -> float:
+        """Float value at (size coordinates..., t).
+
+        The float inputs convert exactly, and each rate group's polynomial is
+        summed exactly as one integer numerator over one denominator, so the
+        only rounding is one division, one exp and one multiply per group:
+        relative error is a few ulp per group for |x| <= 100, degree <= 60.
+        """
+        total, ratios = 0.0, [Fraction(v).as_integer_ratio() for v in coords]
+        for rate, poly in self._terms.items():
+            tables, den = [], 1
+            for axis, (p, q) in enumerate(ratios):
+                top = max(e[axis] for e in poly)
+                tables.append([p**i * q ** (top - i) for i in range(top + 1)])
+                den *= q**top
+            rows, cden = _numerators(poly, tables)
+            arg = sum(float(a) * v for a, v in zip(self._axis_rates(rate), coords))
+            total += sum(num for _, num in rows) / (cden * den) * math.exp(-arg)
+        return total
+
+    def _to_obj(self) -> dict:
+        """Stable-ordered structured form used by the CLI symbolic dump."""
+        groups, keys = [], ("coeff", *self._EXPONENTS)
+        for rate in sorted(self._terms):
+            monos = [dict(zip(keys, (str(c), *e))) for e, c in sorted(self._terms[rate].items())]
+            axes = map(str, self._axis_rates(rate))
+            groups.append({**dict(zip(self._RATES, axes)), "monomials": monos})
+        return {"dim": self.dim, "terms": groups}
+
+    # -- construction and subclass hooks --------------------------------------
 
     @classmethod
     def _wrap(cls, canonical: dict):
@@ -317,50 +392,32 @@ class _PolyExpBase:
     def zero(cls):
         return cls._wrap({})
 
-    @staticmethod
-    def _canon_rate(rate):
-        raise NotImplementedError
-
-    @staticmethod
-    def _rate_sum(a, b):
-        raise NotImplementedError
-
 
 class PolyExp1D(_PolyExpBase):
     """Finite sum of terms coeff * x^i * t^j * e^{-a x} with exact coefficients."""
 
-    _NVARS = 2
+    dim = 1
+    _EXPONENTS = ("xpow", "tpow")
+    _RATES = ("rate",)
     __slots__ = ()
 
     @staticmethod
-    def _canon_rate(rate) -> Fraction:
-        a = as_fraction(rate)
-        if a < 0:
-            raise OutOfClassError(f"exponential rate must be >= 0, got {a}")
-        return a
+    def _axis_rates(rate) -> tuple:
+        return (rate,)
 
     @staticmethod
-    def _rate_sum(a: Fraction, b: Fraction) -> Fraction:
-        return a + b
+    def _stored_rate(axes: tuple) -> Fraction:
+        return axes[0]
 
     @classmethod
-    def monomial(
-        cls,
-        coeff: RationalLike,
-        xpow: int = 0,
-        tpow: int = 0,
-        rate: RationalLike = 0,
-    ) -> "PolyExp1D":
+    def monomial(cls, coeff: RationalLike, xpow: int = 0, tpow: int = 0,
+                 rate: RationalLike = 0) -> "PolyExp1D":
         return cls({rate: {(xpow, tpow): coeff}})
 
     def mul_x(self, k: int = 1) -> "PolyExp1D":
         """Multiply by x^k."""
-        return self._wrap(
-            {
-                r: {(_check_exponent(i + k), j): c for (i, j), c in p.items()}
-                for r, p in self._terms.items()
-            }
-        )
+        return self._wrap({r: {(_check_exponent(i + k), j): c for (i, j), c in p.items()}
+                           for r, p in self._terms.items()})
 
     def convolve(self, other: "PolyExp1D") -> "PolyExp1D":
         """Size convolution int_0^x f(x-y, t) g(y, t) dy.
@@ -372,24 +429,8 @@ class PolyExp1D(_PolyExpBase):
         return self._convolve(other)
 
     def moment(self, j: int = 0) -> TPoly:
-        """Full-line moment int_0^inf x^j f(x, t) dx, exact in t.
-
-        Uses int_0^inf x^n e^{-ax} dx = n! / a^{n+1}; every rate must be
-        strictly positive or the integral diverges.
-        """
-        if j < 0:
-            raise OutOfClassError("moment order must be nonnegative")
-        out: TPoly = {}
-        for a, (i, jt), c in self.terms():
-            if a == 0:
-                raise ZeroRateError("moment of a rate-0 term diverges")
-            val = c * Fraction(math.factorial(i + j)) / a ** (i + j + 1)
-            s = out.get(jt, Fraction(0)) + val
-            if s == 0:
-                out.pop(jt, None)
-            else:
-                out[jt] = s
-        return out
+        """Full-line moment int_0^inf x^j f(x, t) dx, exact in t."""
+        return self._moment((j,))
 
     def tail_integral(self, p: int = 0) -> "PolyExp1D":
         """Tail integral int_x^inf y^p f(y, t) dy as a function of x.
@@ -397,10 +438,10 @@ class PolyExp1D(_PolyExpBase):
         For x^m e^{-ax} with n = m + p >= 0 the closed form is
         e^{-ax} * sum_{k=0}^{n} (n!/k!) x^k / a^{n-k+1}.
         """
+        if self.has_zero_rate():
+            raise ZeroRateError("tail integral of a rate-0 term diverges")
         out: dict = {}
         for a, (m, jt), c in self.terms():
-            if a == 0:
-                raise ZeroRateError("tail integral of a rate-0 term diverges")
             n = m + p
             if n < 0:
                 raise OutOfClassError(
@@ -426,22 +467,8 @@ class PolyExp1D(_PolyExpBase):
         return out
 
     def evaluate(self, x: float, t: float) -> float:
-        """Float value at (x, t).
-
-        The polynomial part is accumulated exactly in rational arithmetic
-        (the float inputs convert exactly), so the only rounding is one
-        float conversion, one exp and one multiply per rate group:
-        relative error is a few ulp per group for |x| <= 100, degree <= 60.
-        """
-        xf = Fraction(x)
-        tf = Fraction(t)
-        total = 0.0
-        for a, p in self._terms.items():
-            acc = Fraction(0)
-            for (i, j), c in p.items():
-                acc += c * xf**i * tf**j
-            total += float(acc) * math.exp(-float(a) * x)
-        return total
+        """Float value at (x, t); see ``_PolyExpBase._evaluate``."""
+        return self._evaluate(x, t)
 
     def eval_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         """Vectorised float evaluation at many x for one t.
@@ -460,46 +487,20 @@ class PolyExp1D(_PolyExpBase):
         return total
 
     def to_obj(self) -> dict:
-        """Stable-ordered structured form used by the CLI symbolic dump."""
-        groups = []
-        for a in sorted(self._terms):
-            monos = [
-                {"coeff": str(c), "xpow": i, "tpow": j}
-                for (i, j), c in sorted(self._terms[a].items())
-            ]
-            groups.append({"rate": str(a), "monomials": monos})
-        return {"dim": 1, "terms": groups}
+        return self._to_obj()
 
 
 class PolyExp2D(_PolyExpBase):
     """Finite sum of terms coeff * x^i y^k t^j * e^{-a x - b y}."""
 
-    _NVARS = 3
+    dim = 2
+    _EXPONENTS = ("xpow", "ypow", "tpow")
+    _RATES = ("rate", "yrate")
     __slots__ = ()
 
-    @staticmethod
-    def _canon_rate(rate) -> tuple[Fraction, Fraction]:
-        a, b = rate
-        a = as_fraction(a)
-        b = as_fraction(b)
-        if a < 0 or b < 0:
-            raise OutOfClassError(f"exponential rates must be >= 0, got ({a}, {b})")
-        return (a, b)
-
-    @staticmethod
-    def _rate_sum(a, b):
-        return (a[0] + b[0], a[1] + b[1])
-
     @classmethod
-    def monomial(
-        cls,
-        coeff: RationalLike,
-        xpow: int = 0,
-        ypow: int = 0,
-        tpow: int = 0,
-        xrate: RationalLike = 0,
-        yrate: RationalLike = 0,
-    ) -> "PolyExp2D":
+    def monomial(cls, coeff: RationalLike, xpow: int = 0, ypow: int = 0, tpow: int = 0,
+                 xrate: RationalLike = 0, yrate: RationalLike = 0) -> "PolyExp2D":
         return cls({(xrate, yrate): {(xpow, ypow, tpow): coeff}})
 
     def convolve(self, other: "PolyExp2D") -> "PolyExp2D":
@@ -513,45 +514,13 @@ class PolyExp2D(_PolyExpBase):
 
     def moment(self, jx: int = 0, jy: int = 0) -> TPoly:
         """Moment int int x^jx y^jy f dx dy, exact polynomial in t."""
-        if jx < 0 or jy < 0:
-            raise OutOfClassError("moment orders must be nonnegative")
-        out: TPoly = {}
-        for (a, b), (i, k, jt), c in self.terms():
-            if a == 0 or b == 0:
-                raise ZeroRateError("moment of a rate-0 term diverges")
-            val = (
-                c
-                * Fraction(math.factorial(i + jx))
-                / a ** (i + jx + 1)
-                * Fraction(math.factorial(k + jy))
-                / b ** (k + jy + 1)
-            )
-            s = out.get(jt, Fraction(0)) + val
-            if s == 0:
-                out.pop(jt, None)
-            else:
-                out[jt] = s
-        return out
+        return self._moment((jx, jy))
 
     def evaluate(self, x: float, y: float, t: float) -> float:
-        xf, yf, tf = Fraction(x), Fraction(y), Fraction(t)
-        total = 0.0
-        for (a, b), p in self._terms.items():
-            acc = Fraction(0)
-            for (i, k, j), c in p.items():
-                acc += c * xf**i * yf**k * tf**j
-            total += float(acc) * math.exp(-float(a) * x - float(b) * y)
-        return total
+        return self._evaluate(x, y, t)
 
     def to_obj(self) -> dict:
-        groups = []
-        for (a, b) in sorted(self._terms):
-            monos = [
-                {"coeff": str(c), "xpow": i, "ypow": k, "tpow": j}
-                for (i, k, j), c in sorted(self._terms[(a, b)].items())
-            ]
-            groups.append({"rate": str(a), "yrate": str(b), "monomials": monos})
-        return {"dim": 2, "terms": groups}
+        return self._to_obj()
 
 
 PolyExp = Union[PolyExp1D, PolyExp2D]
@@ -560,20 +529,13 @@ PolyExp = Union[PolyExp1D, PolyExp2D]
 def from_obj(obj: Mapping) -> PolyExp:
     """Rebuild a PolyExp from the structured form emitted by ``to_obj``."""
     dim = obj.get("dim")
-    if dim == 1:
-        terms: dict = {}
-        for group in obj["terms"]:
-            rate = Fraction(group["rate"])
-            poly = terms.setdefault(rate, {})
-            for m in group["monomials"]:
-                poly[(m["xpow"], m["tpow"])] = Fraction(m["coeff"])
-        return PolyExp1D(terms)
-    if dim == 2:
-        terms2: dict = {}
-        for group in obj["terms"]:
-            rate = (Fraction(group["rate"]), Fraction(group["yrate"]))
-            poly = terms2.setdefault(rate, {})
-            for m in group["monomials"]:
-                poly[(m["xpow"], m["ypow"], m["tpow"])] = Fraction(m["coeff"])
-        return PolyExp2D(terms2)
-    raise OutOfClassError(f"unsupported dim {dim!r} in serialized form")
+    cls = next((c for c in (PolyExp1D, PolyExp2D) if c.dim == dim), None)
+    if cls is None:
+        raise OutOfClassError(f"unsupported dim {dim!r} in serialized form")
+    terms: dict = {}
+    for group in obj["terms"]:
+        rate = cls._stored_rate(tuple(Fraction(group[k]) for k in cls._RATES))
+        poly = terms.setdefault(rate, {})
+        for m in group["monomials"]:
+            poly[tuple(m[k] for k in cls._EXPONENTS)] = Fraction(m["coeff"])
+    return cls(terms)

@@ -9,7 +9,7 @@ variants; its right-hand side is the sum of the operators it carries:
 
 so pure coagulation sets ``kernel``, pure fragmentation sets ``frag``, the
 coupled model sets both, and bivariate coagulation is the constant kernel
-on a 2-D ``u0`` (the dimension follows from the type of ``u0``).
+on a 2-D ``u0`` (the dimension is ``u0.dim``).
 
 Coagulation kernels form a closed enum (constant, sum, product): each
 carries a closed-form reduction of its gain and loss integrals to the
@@ -21,6 +21,7 @@ c = r + 1.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -53,11 +54,13 @@ class FragSpec:
     def __post_init__(self):
         object.__setattr__(self, "c", as_fraction(self.c))
         object.__setattr__(self, "s", as_fraction(self.s))
+        object.__setattr__(self, "r", operator.index(self.r))
+        object.__setattr__(self, "k", operator.index(self.k))
         if self.c <= 0 or self.s <= 0:
             raise ValueError("breakage constants c and s must be positive")
-        if not isinstance(self.r, int) or self.r < 1:
+        if self.r < 1:
             raise ValueError("breakage exponent r must be a positive integer")
-        if not isinstance(self.k, int) or self.k < 0:
+        if self.k < 0:
             raise ValueError("selection exponent k must be a nonnegative integer")
 
     @property
@@ -81,16 +84,15 @@ class Model:
             raise ValueError("a bivariate u0 takes constant-kernel coagulation only")
         if self.u0.is_zero():
             raise ValueError("initial condition must be nonzero")
-        rates = self.u0.rates() if self.dim == 2 else [(a,) for a in self.u0.rates()]
-        if any(0 in r for r in rates):
+        if self.u0.has_zero_rate():
             raise ValueError("initial condition needs strictly positive rates")
         if self.u0.t_degree() > 0:
             raise ValueError("initial condition must not depend on t")
 
     @property
     def dim(self) -> int:
-        """Number of size variables, 1 or 2, read off the type of u0."""
-        return 2 if isinstance(self.u0, PolyExp2D) else 1
+        """Number of size variables, 1 or 2, as declared by u0's class."""
+        return self.u0.dim
 
 
 def coag_bilinear(kernel: CoagKernel, u: PolyExp1D, w: PolyExp1D) -> PolyExp1D:

@@ -1,10 +1,11 @@
-"""Per-pair Fraction reference for the products of the polynomial-exponential algebra.
+"""Per-term Fraction reference for the polynomial-exponential algebra.
 
-These are the straightforward loops the fraction-free kernel in
+These are the straightforward loops the fraction-free code in
 ``pbeseries.polyexp`` replaced: every term pair costs a Fraction multiply,
-a Fraction add and, for convolutions, a beta-function weight.  They are
-slow and obviously right, which is what a differential oracle needs.  Each
-returns a value built in the same rate order as the kernel's.
+a Fraction add and, for convolutions, a beta-function weight, and moments
+and point values take one Fraction product per term.  They are slow and
+obviously right, which is what a differential oracle needs.  Each returns
+a value built in the same order as the code under test.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ def _beta(i: int, j: int) -> Fraction:
 
 def convolve(f, g):
     """Size convolution on every size axis (1-D or 2-D), pair by pair."""
-    nsize = f._NVARS - 1
+    nsize = f.dim
     out: dict = {}
     for ra, pa in f._terms.items():
         for rb, pb in g._terms.items():
@@ -76,3 +77,31 @@ def mul_tpoly(f, tp: dict):
         if not tgt:
             out.pop(r, None)
     return type(f)(out)
+
+
+def moment(f, *orders) -> dict:
+    """Moment over the size axes, n!/a^{n+1} per axis, summed term by term."""
+    out: dict = {}
+    for rate, e, c in f.terms():
+        for i, j, a in zip(e, orders, f._axis_rates(rate)):
+            c = c * Fraction(math.factorial(i + j)) / a ** (i + j + 1)
+        _add_to(out, e[-1], c)
+    return out
+
+
+def evaluate(f, *coords) -> float:
+    """Float value: exact Fraction sum per rate group, then one float and one exp."""
+    exact = [Fraction(v) for v in coords]
+    total = 0.0
+    for rate, poly in f._terms.items():
+        acc = Fraction(0)
+        for e, c in poly.items():
+            for v, i in zip(exact, e):
+                c = c * v**i
+            acc += c
+        rates = f._axis_rates(rate)
+        arg = -float(rates[0]) * coords[0]
+        for a, v in zip(rates[1:], coords[1:]):
+            arg -= float(a) * v
+        total += float(acc) * math.exp(arg)
+    return total

@@ -91,8 +91,8 @@ class TestSeriesMoment:
 
     def test_2d_orders(self, bivariate_problem):
         s = iterate_accelerated(bivariate_problem, 2)
-        assert series_moment(s, 2, (1, 0)) == {0: F(1, 25)}
-        assert series_moment(s, 2, (0, 1)) == {0: F(1, 25)}
+        assert series_moment(s, 2, 1, 0) == {0: F(1, 25)}
+        assert series_moment(s, 2, 0, 1) == {0: F(1, 25)}
 
 
 class TestBounds:

@@ -7,6 +7,7 @@ import pytest
 
 from pbeseries.cli import main, parse_orders, parse_u0, parse_values
 from pbeseries.polyexp import PolyExp1D, PolyExp2D, from_obj
+from pbeseries.series import SeriesSolution
 from fractions import Fraction as F
 
 
@@ -139,6 +140,30 @@ class TestMoments:
                 assert float(approx) == 1.0 and float(exact) == 1.0
             elif float(t) == 1.0:
                 assert abs(float(approx) - (1 - 0.5 + 0.25 - 0.125 + 1/24. - 1/96. + 1/576. - 1/8064.)) <= 1e-12
+
+    def test_one_moment_polynomial_per_order(self, capsys, monkeypatch):
+        partial_sums, moments_of_sums = [], []
+        truncated, moment = SeriesSolution.truncated, PolyExp1D.moment
+
+        def counting_truncated(self, k):
+            partial_sums.append(truncated(self, k))
+            return partial_sums[-1]
+
+        def counting_moment(self, j=0):
+            moments_of_sums.append(any(self is psi for psi in partial_sums))
+            return moment(self, j)
+
+        monkeypatch.setattr(SeriesSolution, "truncated", counting_truncated)
+        monkeypatch.setattr(PolyExp1D, "moment", counting_moment)
+        code, out, _ = run(
+            capsys, "moments", "--model", "ccfe", "--kernel", "constant",
+            "--frag", "2,1,1/2,1", "--u0", "monoexp:4,1,2", "--terms", "3",
+            "--j", "0,1", "--t", "0:2:0.1",
+        )
+        assert code == 0 and out.count("\n") == 2 + 1 + 21 * 2
+        # one partial sum and one moment polynomial per order, not per row
+        assert len(partial_sums) == 2
+        assert moments_of_sums.count(True) == 2
 
     def test_2d_moment_orders(self, capsys):
         code, out, _ = run(
@@ -349,6 +374,48 @@ class TestErrorPaths:
         )
         assert code == 2 and out == ""
         assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("flags, unused", [
+        (["--model", "coag", "--kernel", "constant", "--u0", "exp:1"], "frag = 2,1,1,1"),
+        (["--model", "coag2d", "--u0", "monoexp2:1,1,1,1,1"], "frag = 2,1,1,1"),
+        (["--model", "frag", "--frag", "2,1,1,1", "--u0", "exp:1"], "kernel = sum"),
+    ], ids=["coag", "coag2d", "frag"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_flag_the_model_does_not_take_is_exit_2(self, capsys, tmp_path, flags,
+                                                    unused, via_config):
+        key, _, value = unused.partition(" = ")
+        extra = [f"--{key}", value]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(unused + "\n")
+            extra = ["--config", str(cfg)]
+        code, out, err = run(
+            capsys, "density", *flags, *extra, "--terms", "1", "--t", "1", "--x", "1",
+            "--y", "1",
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: --model {flags[1]} takes no --{key}\n"
+
+    def test_coag2d_accepts_the_constant_kernel(self, capsys):
+        code, out, err = run(
+            capsys, "density", "--model", "coag2d", "--kernel", "constant",
+            "--u0", "monoexp2:1,1,1,1,1", "--terms", "1", "--t", "1", "--x", "1", "--y", "1",
+        )
+        assert code == 0 and err == "" and "psi_1" in out
+
+    @pytest.mark.parametrize("command, extra", [
+        ("error-table", ["--terms", "1:2"]),
+        ("moments", ["--terms", "1", "--j", "0"]),
+    ])
+    def test_unknown_format_in_config_is_exit_2(self, capsys, tmp_path, command, extra):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run(
+            capsys, command, "--model", "coag", "--kernel", "constant", "--u0", "exp:1",
+            "--t", "0.5", *extra, "--config", str(cfg),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: unknown format 'xml'\n"
 
     def test_unknown_exact_solution(self, capsys):
         code, _, err = run(

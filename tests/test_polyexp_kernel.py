@@ -1,6 +1,8 @@
 """Property tests of the fraction-free product kernel against the Fraction oracle."""
 
+import itertools
 import json
+import math
 from fractions import Fraction as F
 
 import pytest
@@ -31,7 +33,7 @@ def groups(nvars, max_exp=6):
 
 def values(cls, rates):
     rate_groups = st.dictionaries(
-        st.sampled_from(rates), groups(cls._NVARS), min_size=1, max_size=3
+        st.sampled_from(rates), groups(cls.dim + 1), min_size=1, max_size=3
     )
     return rate_groups.map(cls)
 
@@ -39,7 +41,7 @@ def values(cls, rates):
 def same_rate_pairs(cls, rates, count=2):
     """``count`` values sharing one rate, as convolution needs."""
     return st.sampled_from(rates).flatmap(
-        lambda r: st.tuples(*[groups(cls._NVARS).map(lambda g: cls({r: g}))] * count)
+        lambda r: st.tuples(*[groups(cls.dim + 1).map(lambda g: cls({r: g}))] * count)
     )
 
 
@@ -81,6 +83,27 @@ def test_mul_2d_matches_oracle(f, g):
 def test_mul_tpoly_matches_oracle(f, h, tp):
     assert_same(f.mul_tpoly(tp), oracle.mul_tpoly(f, tp))
     assert_same(h.mul_tpoly(tp), oracle.mul_tpoly(h, tp))
+
+
+ORDERS = st.integers(0, 2)
+
+
+@given(values(PolyExp1D, RATES_1D[1:]), values(PolyExp2D, RATES_2D), ORDERS, ORDERS)
+def test_moment_matches_oracle(f, h, jx, jy):
+    # equal as exact rationals and with the t-exponents in the same order
+    for value, orders in ((f, (jx,)), (h, (jx, jy))):
+        new, ref = value.moment(*orders), oracle.moment(value, *orders)
+        assert new == ref and list(new) == list(ref)
+
+
+COORDS = st.floats(0, 20, allow_subnormal=False)
+
+
+@given(values(PolyExp1D, RATES_1D), values(PolyExp2D, RATES_2D), COORDS, COORDS,
+       st.floats(0, 3, allow_subnormal=False))
+def test_evaluate_matches_oracle_bit_for_bit(f, h, x, y, t):
+    assert f.evaluate(x, t) == oracle.evaluate(f, x, t)
+    assert h.evaluate(x, y, t) == oracle.evaluate(h, x, y, t)
 
 
 @given(values(PolyExp1D, RATES_1D), values(PolyExp1D, RATES_1D))
@@ -194,12 +217,31 @@ def tpoly_mul(p, q):
     return {k: v for k, v in out.items() if v}
 
 
+def binomial_moment(f, g, orders):
+    """sum over k <= j (per axis) of prod C(j, k) * mu_k(f) * mu_{j-k}(g)."""
+    out: dict = {}
+    for ks in itertools.product(*(range(j + 1) for j in orders)):
+        weight = math.prod(math.comb(j, k) for j, k in zip(orders, ks))
+        rest = [j - k for j, k in zip(orders, ks)]
+        for i, c in tpoly_mul(f.moment(*ks), g.moment(*rest)).items():
+            out[i] = out.get(i, 0) + weight * c
+    return {k: v for k, v in out.items() if v}
+
+
 @given(same_rate_pairs(PolyExp1D, RATES_1D[1:]), same_rate_pairs(PolyExp2D, RATES_2D))
 def test_mass_of_convolution_is_product_of_masses(pair1, pair2):
+    # the binomial moment law mu_j(f*g) = sum_k C(j,k) mu_k(f) mu_{j-k}(g),
+    # whose j = 0 case is the product of the masses
     f, g = pair1
-    assert f.convolve(g).moment(0) == tpoly_mul(f.moment(0), g.moment(0))
+    fg = f.convolve(g)
+    assert fg.moment(0) == tpoly_mul(f.moment(0), g.moment(0))
+    for j in range(3):
+        assert fg.moment(j) == binomial_moment(f, g, (j,))
     f, g = pair2
-    assert f.convolve(g).moment(0, 0) == tpoly_mul(f.moment(0, 0), g.moment(0, 0))
+    fg = f.convolve(g)
+    assert fg.moment(0, 0) == tpoly_mul(f.moment(0, 0), g.moment(0, 0))
+    for orders in itertools.product(range(3), repeat=2):
+        assert fg.moment(*orders) == binomial_moment(f, g, orders)
 
 
 def time_derivative(f):
