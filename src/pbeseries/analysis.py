@@ -411,13 +411,11 @@ def error_table_pointwise(
     sol,
     x: float,
     times: Sequence[float],
-    order: int | None = None,
 ) -> ErrorTable:
     """Pointwise table at fixed x: rows are times, columns exact/approx/error."""
     if not times:
         raise InvalidSpecError("error table needs a nonempty time list")
-    n = series.n if order is None else order
-    psi = series.truncated(n)
+    psi = series.truncated(series.n)
     cells = []
     for t in times:
         approx, ex, err = pointwise(psi, sol, x, t)

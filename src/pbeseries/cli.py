@@ -12,12 +12,22 @@ bounds           contraction constants and geometric error bound
 reference-check  grid-solver cross-validation (x, series, grid, deviation)
 dump-symbolic    exact rational dump of the series components as JSON
 
-Problem selection is shared: --model {coag|frag|ccfe|coag2d} with
---kernel, --frag c,r,s,k and --u0.  The u0 grammar accepts
-``exp:a`` for e^{-ax}, ``monoexp:c,p,a`` for c x^p e^{-ax} and
-``monoexp2:c,px,py,ax,ay`` for the bivariate analogue; every number may
-be a rational like 1/2.  Flags override an optional ``--config`` file of
-flat ``key = value`` lines (same names as the long flags).
+Every subcommand takes the problem and series flags --model
+{coag|frag|ccfe|coag2d}, --kernel, --frag c,r,s,k, --u0, --method and
+--terms, plus --out and --config; all but dump-symbolic, which always
+writes JSON, take --format csv|json.  Their own flags: density --t --x --y
+--compare; error-table --t --x; moments --t --j --compare; bounds --t0 --T
+--m --lam; reference-check --t-end --cells --dt --xmax.  Any other flag is
+a usage error.  The u0 grammar accepts ``exp:a`` for e^{-ax},
+``monoexp:c,p,a`` for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the
+bivariate analogue; every number may be a rational like 1/2.
+
+``--config`` names a file of flat ``key = value`` lines with the long flag
+names as keys.  A flag overrides its config value, which overrides the
+default.  Keys the subcommand does not take are ignored, so one file can
+serve several subcommands; a key no subcommand takes is an error.  Config
+values are checked like flags, and every setting is checked before any
+work starts.
 
 Exit status: 0 success, 2 configuration error, 3 engine error
 (mixed rates, out-of-class breakage, degree/term overflow, instability),
@@ -39,7 +49,7 @@ import numpy as np
 from . import analysis, exact, refsolver
 from .polyexp import PolyExp1D, PolyExp2D, PolyExpError
 from .problems import CoagKernel, FragSpec, Model
-from .series import Method, SeriesSolution, iterate
+from .series import Method, iterate
 
 
 class ConfigError(ValueError):
@@ -155,7 +165,38 @@ def parse_moment_orders(text: str, dim: int) -> list[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# configuration plumbing
+# settings: one reader, flag over config value over default
+
+_REQUIRED, _TABLE = object(), object()
+
+# key: (parser, default, --help text or argparse choices).  The reader
+# checks choices and the int/float grammar itself and the other parsers
+# raise ConfigError, so a flag and a config line of the same key take the
+# same path.
+_KEYS = {
+    "model": (str, _REQUIRED, ["coag", "frag", "ccfe", "coag2d"]),
+    "kernel": (CoagKernel, _REQUIRED, [k.value for k in CoagKernel]),
+    "frag": (parse_frag, _REQUIRED, "breakage parameters c,r,s,k"),
+    "u0": (parse_u0, _REQUIRED, "exp:a | monoexp:c,p,a | monoexp2:c,px,py,ax,ay"),
+    "method": (Method, Method.ACCELERATED, [m.value for m in Method]),
+    "terms": (int, 3, "truncation order n (error-table: list or lo:hi)"),
+    "t": (parse_values, _REQUIRED, "time list 0.5,1,2 or range start:stop:step"),
+    "x": (parse_values, _REQUIRED, "size list or range"),
+    "y": (parse_values, _REQUIRED, "second size coordinate (2-D)"),
+    "compare": (str, None, "exact: add the closed-form solution"),
+    "j": (str, _REQUIRED, "moment orders: 0,1 (1-D) or 0,0;1,0 (2-D)"),
+    "t0": (float, _REQUIRED, "norm horizon t0"),
+    "T": (float, _REQUIRED, "problem horizon T (coagulation bound)"),
+    "m": (int, 3, "bound order m"),
+    "lam": (float, _REQUIRED, "exponential weight (fragmentation bound)"),
+    "t_end": (float, _REQUIRED, "final time"),
+    "cells": (int, 2000, "grid cells (default 2000)"),
+    "dt": (float, 1e-3, "time step (default 1e-3)"),
+    "xmax": (float, 50.0, "domain truncation (default 50)"),
+    "format": (str, "csv", ["csv", "json"]),
+    "out": (str, "-", "output path (default: stdout)"),
+    "config": (str, None, "flat key = value configuration file"),
+}
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -169,50 +210,63 @@ def _read_config(path: str) -> dict[str, str]:
                 if "=" not in line:
                     raise ConfigError(f"bad config line {line!r}")
                 key, _, value = line.partition("=")
-                cfg[key.strip().replace("-", "_")] = value.strip()
+                key = key.strip().replace("-", "_")
+                if not any(key in flags for *_, flags in _COMMANDS.values()):
+                    raise ConfigError(f"unknown config key {key!r}")
+                cfg[key] = value.strip()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     return cfg
 
 
 class _Settings:
-    """Flag values with config-file fallback and builtin defaults."""
+    """The settings of one subcommand; keys it does not take read as absent."""
 
     def __init__(self, args: argparse.Namespace):
+        self.command = args.command
         self._args = vars(args)
-        cfg_path = self._args.get("config")
-        self._cfg = _read_config(cfg_path) if cfg_path else {}
+        cfg = _read_config(args.config) if args.config else {}
+        self._cfg = {k: v for k, v in cfg.items() if k in self._args}
+        self.format = self.get("format")
 
-    def get(self, key: str, default=None):
-        val = self._args.get(key)
-        if val is not None:
-            return val
-        if key in self._cfg:
-            return self._cfg[key]
-        return default
-
-    def require(self, key: str):
-        val = self.get(key)
-        if val is None:
-            raise ConfigError(f"missing required option --{key.replace('_', '-')}")
-        return val
+    def get(self, key: str, default=_TABLE, parse=None):
+        """Flag over config value over default, checked; keywords override ``_KEYS``."""
+        table_parse, table_default, choices = _KEYS[key]
+        parse = parse or table_parse
+        flag = "--" + key.replace("_", "-")
+        raw = self._args.get(key)
+        if raw is None:
+            raw = self._cfg.get(key)
+        if raw is None:
+            default = table_default if default is _TABLE else default
+            if default is _REQUIRED:
+                raise ConfigError(f"missing required option {flag}")
+            return default
+        if isinstance(choices, list) and raw not in choices:
+            raise ConfigError(f"unknown {key} {raw!r}")
+        if parse not in (int, float):
+            return parse(raw)
+        try:
+            value = int(raw) if parse is int else float(Fraction(raw))
+        except (ValueError, ZeroDivisionError) as exc:
+            what = "an integer" if parse is int else "numeric"
+            raise ConfigError(f"{flag} must be {what}, got {raw!r}") from exc
+        if parse is int and value < 0:
+            raise ConfigError(f"{flag} must be nonnegative")
+        return value
 
 
 def build_problem(s: _Settings) -> Model:
-    name = s.require("model")
-    u0 = parse_u0(s.require("u0"))
-    if name not in ("coag", "frag", "ccfe", "coag2d"):
-        raise ConfigError(f"unknown model {name!r}")
+    name = s.get("model")
+    u0 = s.get("u0")
     unused = {"coag": "frag", "coag2d": "frag", "frag": "kernel"}.get(name)
-    if unused and s.get(unused) is not None:
+    if unused and s.get(unused, default=None, parse=str) is not None:
         raise ConfigError(f"--model {name} takes no --{unused}")
+    kernel = None
+    if name != "frag":
+        kernel = s.get("kernel", default=CoagKernel.CONSTANT if name == "coag2d" else _TABLE)
+    frag = s.get("frag") if name in ("frag", "ccfe") else None
     try:
-        kernel = None
-        if name == "coag2d":
-            kernel = CoagKernel(s.get("kernel", "constant"))
-        elif name != "frag":
-            kernel = CoagKernel(s.require("kernel"))
-        frag = parse_frag(s.require("frag")) if name in ("frag", "ccfe") else None
         problem = Model(u0, kernel, frag)
     except ValueError as exc:
         raise ConfigError(f"invalid problem: {exc}") from exc
@@ -222,36 +276,6 @@ def build_problem(s: _Settings) -> Model:
     return problem
 
 
-def _as_int(s: _Settings, key: str, default: int) -> int:
-    raw = s.get(key, default)
-    try:
-        return int(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"--{key.replace('_', '-')} must be an integer, got {raw!r}") from exc
-
-
-def _as_float(s: _Settings, key: str, default=None) -> float:
-    raw = s.require(key) if default is None else s.get(key, default)
-    try:
-        return float(Fraction(raw)) if isinstance(raw, str) else float(raw)
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ConfigError(f"--{key.replace('_', '-')} must be numeric, got {raw!r}") from exc
-
-
-def _method(s: _Settings) -> Method:
-    try:
-        return Method(s.get("method", "ahpetm"))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-
-def run_series(s: _Settings, problem: Model, min_terms: int = 0) -> SeriesSolution:
-    n = _as_int(s, "terms", 3)
-    if n < 0:
-        raise ConfigError("--terms must be nonnegative")
-    return iterate(problem, _method(s), max(n, min_terms))
-
-
 def require_exact(problem: Model):
     sol = exact.matching_exact_solution(problem)
     if sol is None:
@@ -259,13 +283,13 @@ def require_exact(problem: Model):
     return sol
 
 
-def compared_solution(s: _Settings, problem: Model, command: str):
+def compared_solution(s: _Settings, problem: Model):
     """The exact solution if --compare asks for it, else None."""
     compare = s.get("compare")
     if compare is None:
         return None
     if compare != "exact":
-        raise ConfigError(f"{command} supports --compare exact only; "
+        raise ConfigError(f"{s.command} supports --compare exact only; "
                           "use the reference-check subcommand for the grid oracle")
     return require_exact(problem)
 
@@ -275,59 +299,38 @@ def compared_solution(s: _Settings, problem: Model, command: str):
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
-        return f"{v:.17g}"
-    return str(v)
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def _json_safe(v):
-    if isinstance(v, float) and not math.isfinite(v):
-        return str(v)
-    return v
+    return str(v) if isinstance(v, float) and not math.isfinite(v) else v
 
 
-def _format(s: _Settings) -> str:
-    fmt = s.get("format", "csv")
-    if fmt not in ("csv", "json"):
-        raise ConfigError(f"unknown format {fmt!r}")
-    return fmt
-
-
-def emit_rows(columns: list[str], rows: list[tuple], s: _Settings, header: list[str]):
-    if _format(s) == "json":
+def format_rows(columns: list[str], rows: list[tuple], fmt: str, header: list[str]) -> str:
+    if fmt == "json":
         arrays = {c: [_json_safe(r[i]) for r in rows] for i, c in enumerate(columns)}
-        text = json.dumps({"columns": columns, **arrays}, indent=1) + "\n"
-    else:
-        lines = [f"# {h}" for h in header]
-        lines.append(",".join(columns))
-        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-        text = "\n".join(lines) + "\n"
-    _write(text, s.get("out"))
-
-
-def _write(text: str, out: str | None):
-    if out is None or out == "-":
-        sys.stdout.write(text)
-        return
-    with open(out, "w", encoding="utf-8") as fh:
-        fh.write(text)
+        return json.dumps({"columns": columns, **arrays}, indent=1) + "\n"
+    lines = [f"# {h}" for h in header]
+    lines.append(",".join(columns))
+    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each reads and checks all of its settings, then runs the
+# engine, and returns its text
 
 
-def cmd_density(s: _Settings) -> None:
+def cmd_density(s: _Settings) -> str:
     problem = build_problem(s)
-    sol = compared_solution(s, problem, "density")
-    series = run_series(s, problem)
+    sol = compared_solution(s, problem)
+    ts, xs = s.get("t"), s.get("x")
+    ys = s.get("y") if problem.dim == 2 else None
+    series = iterate(problem, s.get("method"), s.get("terms"))
     psi = series.truncated(series.n)
-    ts = parse_values(s.require("t"))
-    xs = parse_values(s.require("x"))
     name = f"psi_{series.n}"
-    header = [f"model = {s.require('model')}", f"method = {series.method.value}",
+    header = [f"model = {s.get('model')}", f"method = {series.method.value}",
               f"terms = {series.n}"]
-    ys = parse_values(s.require("y")) if problem.dim == 2 else None
     points = [(x, y) for x in xs for y in ys] if ys else [(x,) for x in xs]
     columns = ["x", "y"][: problem.dim] + ["t", name]
     if sol is not None:
@@ -344,44 +347,43 @@ def cmd_density(s: _Settings) -> None:
                 ex = sol.evaluate(*point, t)
                 row += (ex, abs(float(val) - ex))
             rows.append(row)
-    emit_rows(columns, rows, s, header)
+    return format_rows(columns, rows, s.format, header)
 
 
-def cmd_error_table(s: _Settings) -> None:
+def cmd_error_table(s: _Settings) -> str:
     problem = build_problem(s)
     if problem.dim == 2:
         raise ConfigError("error tables cover the 1-D models only")
-    fmt = _format(s)
     sol = require_exact(problem)
-    ts = parse_values(s.require("t"))
-    x = s.get("x")
-    if x is not None:
-        xvals = parse_values(x)
-        if len(xvals) != 1:
-            raise ConfigError("pointwise error table needs a single --x value")
-        series = run_series(s, problem)
+    ts = s.get("t")
+    xvals = s.get("x", default=None)
+    if xvals is not None and len(xvals) != 1:
+        raise ConfigError("pointwise error table needs a single --x value")
+    if xvals:
+        orders = [s.get("terms")]
+    else:
+        orders = s.get("terms", default=_REQUIRED, parse=parse_orders)
+    if not orders:
+        raise ConfigError("--terms gave an empty order list")
+    series = iterate(problem, s.get("method"), max(orders))
+    if xvals:
         table = analysis.error_table_pointwise(series, sol, xvals[0], ts)
     else:
-        orders = parse_orders(s.require("terms"))
-        if not orders:
-            raise ConfigError("--terms gave an empty order list")
-        series = iterate(problem, _method(s), max(orders))
         table = analysis.error_table_l1(series, sol, orders, ts)
-    if fmt == "json":
-        _write(json.dumps(table.to_json_obj(), indent=1) + "\n", s.get("out"))
-    else:
-        _write(table.to_csv(), s.get("out"))
+    if s.format == "json":
+        return json.dumps(table.to_json_obj(), indent=1) + "\n"
+    return table.to_csv()
 
 
-def cmd_moments(s: _Settings) -> None:
+def cmd_moments(s: _Settings) -> str:
     problem = build_problem(s)
-    sol = compared_solution(s, problem, "moments")
-    series = run_series(s, problem)
-    js = parse_moment_orders(s.require("j"), problem.dim)
+    sol = compared_solution(s, problem)
+    js = parse_moment_orders(s.get("j"), problem.dim)
     if not js:
         raise ConfigError("empty moment order list")
-    ts = parse_values(s.require("t"))
-    header = [f"model = {s.require('model')}", f"terms = {series.n}"]
+    ts = s.get("t")
+    series = iterate(problem, s.get("method"), s.get("terms"))
+    header = [f"model = {s.get('model')}", f"terms = {series.n}"]
     columns = ["t", *(["jx", "jy"] if problem.dim == 2 else ["j"]), "mu_approx"]
     if sol is not None:
         columns.append("mu_exact")
@@ -393,7 +395,7 @@ def cmd_moments(s: _Settings) -> None:
             if sol is not None:
                 row += (sol.moment(*j)(t),)
             rows.append(row)
-    emit_rows(columns, rows, s, header)
+    return format_rows(columns, rows, s.format, header)
 
 
 def _bound_rows(b: analysis.ConvergenceBound, label: str = "") -> list[tuple]:
@@ -401,51 +403,48 @@ def _bound_rows(b: analysis.ConvergenceBound, label: str = "") -> list[tuple]:
             (f"contractive{label}", str(b.contractive).lower()), (f"bound{label}", b.bound)]
 
 
-def cmd_bounds(s: _Settings) -> None:
+def cmd_bounds(s: _Settings) -> str:
     problem = build_problem(s)
-    series = run_series(s, problem, min_terms=1)
-    t0 = _as_float(s, "t0")
-    m = _as_int(s, "m", 3)
+    t0, m = s.get("t0"), s.get("m")
+    if problem.kernel is None:
+        lam = s.get("lam")
+    else:
+        T = s.get("T", default=max(1.0, t0))
+    series = iterate(problem, s.get("method"), max(s.get("terms"), 1))
     if problem.dim == 2:
         u0_norm = analysis.tpoly_eval(problem.u0.moment(0, 0), 0.0)
         mu00 = series.components[1].moment(0, 0)
         v1_norm = max(
             abs(analysis.tpoly_eval(mu00, float(ss))) for ss in np.linspace(0.0, t0, 101)
         )
-        T = _as_float(s, "T", max(1.0, t0))
         pair = analysis.coag2d_bounds(u0_norm, T, t0, m, v1_norm)
         rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm), ("L", pair["statement"].lipschitz)]
         for label, b in pair.items():
             rows += _bound_rows(b, f"_{label}")
     elif problem.kernel is None:
-        lam = _as_float(s, "lam")
         v1_norm = analysis.sup_l1_norm(series.components[1], t0)
         b = analysis.frag_bound(problem.frag.k, lam, t0, m, v1_norm)
         rows = [("v1_norm", v1_norm), ("lambda", lam), *_bound_rows(b)]
     else:
         u0_norm = analysis.sup_l1_norm(problem.u0, t0)
-        T = _as_float(s, "T", max(1.0, t0))
         v1_norm = analysis.sup_l1_norm(series.components[1], t0)
         b = analysis.coag_bound(u0_norm, T, t0, m, v1_norm)
         rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm), ("L", b.lipschitz), *_bound_rows(b)]
-    emit_rows(["quantity", "value"], rows, s, [f"t0 = {t0:g}", f"m = {m}"])
+    return format_rows(["quantity", "value"], rows, s.format, [f"t0 = {t0:g}", f"m = {m}"])
 
 
-def cmd_reference_check(s: _Settings) -> None:
+def cmd_reference_check(s: _Settings) -> str:
     problem = build_problem(s)
     if problem.dim == 2:
         raise ConfigError("reference-check covers the 1-D models only")
-    series = run_series(s, problem)
-    psi = series.truncated(series.n)
     try:
         spec = refsolver.GridSpec(
-            xmax=_as_float(s, "xmax", 50.0),
-            n_cells=_as_int(s, "cells", 2000),
-            dt=_as_float(s, "dt", 1e-3),
-            t_end=_as_float(s, "t_end"),
+            xmax=s.get("xmax"), n_cells=s.get("cells"), dt=s.get("dt"), t_end=s.get("t_end"),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    series = iterate(problem, s.get("method"), s.get("terms"))
+    psi = series.truncated(series.n)
     grid = refsolver.integrate(problem, spec)
     xs = spec.nodes()
     approx = psi.eval_grid(xs, spec.t_end)
@@ -455,79 +454,53 @@ def cmd_reference_check(s: _Settings) -> None:
         f"cells = {spec.n_cells}", f"dt = {spec.dt:g}",
         f"max_deviation = {float(np.max(dev)):.17g}",
     ]
-    rows = [
-        (float(x), float(a), float(g), float(d))
-        for x, a, g, d in zip(xs, approx, grid.values, dev)
-    ]
-    emit_rows(["x", "series", "grid", "deviation"], rows, s, header)
+    rows = [(float(x), float(a), float(g), float(d))
+            for x, a, g, d in zip(xs, approx, grid.values, dev)]
+    return format_rows(["x", "series", "grid", "deviation"], rows, s.format, header)
 
 
-def cmd_dump_symbolic(s: _Settings) -> None:
+def cmd_dump_symbolic(s: _Settings) -> str:
     problem = build_problem(s)
-    series = run_series(s, problem)
-    obj = {
-        "method": series.method.value,
-        "terms": series.n,
-        "components": [c.to_obj() for c in series.components],
-    }
-    _write(json.dumps(obj, indent=1) + "\n", s.get("out"))
+    series = iterate(problem, s.get("method"), s.get("terms"))
+    obj = {"method": series.method.value, "terms": series.n,
+           "components": [c.to_obj() for c in series.components]}
+    return json.dumps(obj, indent=1) + "\n"
 
 
 # ---------------------------------------------------------------------------
 # argument wiring
 
+_SERIES = ("model", "kernel", "frag", "u0", "method", "terms")
+
+# subcommand: (function, --help text, the keys it reads)
+_COMMANDS = {
+    "density": (cmd_density, "sampled series density",
+                (*_SERIES, "t", "x", "y", "compare", "format", "out", "config")),
+    "error-table": (cmd_error_table, "error tables against the exact solution",
+                    (*_SERIES, "t", "x", "format", "out", "config")),
+    "moments": (cmd_moments, "series moments",
+                (*_SERIES, "t", "compare", "format", "out", "config", "j")),
+    "bounds": (cmd_bounds, "contraction constants and error bound",
+               (*_SERIES, "format", "out", "config", "t0", "T", "m", "lam")),
+    "reference-check": (cmd_reference_check, "grid-oracle cross validation",
+                        (*_SERIES, "format", "out", "config", "t_end", "cells", "dt", "xmax")),
+    "dump-symbolic": (cmd_dump_symbolic, "exact rational component dump",
+                      (*_SERIES, "out", "config")),
+}
+
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="pbeseries", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: _Parser) -> None:
-        p.add_argument("--model", choices=["coag", "frag", "ccfe", "coag2d"])
-        p.add_argument("--kernel", choices=[k.value for k in CoagKernel])
-        p.add_argument("--frag", help="breakage parameters c,r,s,k")
-        p.add_argument("--u0", help="exp:a | monoexp:c,p,a | monoexp2:c,px,py,ax,ay")
-        p.add_argument("--method", choices=[m.value for m in Method])
-        p.add_argument("--terms", help="truncation order n (error-table: list or lo:hi)")
-        p.add_argument("--t", help="time list 0.5,1,2 or range start:stop:step")
-        p.add_argument("--x", help="size list or range")
-        p.add_argument("--y", help="second size coordinate (2-D)")
-        p.add_argument("--compare", help="exact: add the closed-form solution")
-        p.add_argument("--format", choices=["csv", "json"])
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--config", help="flat key = value configuration file")
-
-    p = sub.add_parser("density", help="sampled series density")
-    common(p)
-    p = sub.add_parser("error-table", help="error tables against the exact solution")
-    common(p)
-    p = sub.add_parser("moments", help="series moments")
-    common(p)
-    p.add_argument("--j", help="moment orders: 0,1 (1-D) or 0,0;1,0 (2-D)")
-    p = sub.add_parser("bounds", help="contraction constants and error bound")
-    common(p)
-    p.add_argument("--t0", help="norm horizon t0")
-    p.add_argument("--T", help="problem horizon T (coagulation bound)")
-    p.add_argument("--m", help="bound order m")
-    p.add_argument("--lam", help="exponential weight (fragmentation bound)")
-    p = sub.add_parser("reference-check", help="grid-oracle cross validation")
-    common(p)
-    p.add_argument("--t-end", dest="t_end", help="final time")
-    p.add_argument("--cells", help="grid cells (default 2000)")
-    p.add_argument("--dt", help="time step (default 1e-3)")
-    p.add_argument("--xmax", help="domain truncation (default 50)")
-    p = sub.add_parser("dump-symbolic", help="exact rational component dump")
-    common(p)
+    for command, (_, text, keys) in _COMMANDS.items():
+        # no abbreviations: a flag the subcommand does not take must not
+        # pass as the prefix of one it does (--t for --t0, --x for --xmax)
+        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        for key in keys:
+            hint = _KEYS[key][2]
+            choices, hint = (hint, None) if isinstance(hint, list) else (None, hint)
+            p.add_argument("--" + key.replace("_", "-"), dest=key, choices=choices, help=hint)
     return parser
-
-
-_COMMANDS = {
-    "density": cmd_density,
-    "error-table": cmd_error_table,
-    "moments": cmd_moments,
-    "bounds": cmd_bounds,
-    "reference-check": cmd_reference_check,
-    "dump-symbolic": cmd_dump_symbolic,
-}
 
 
 def main(argv=None) -> int:
@@ -538,7 +511,13 @@ def main(argv=None) -> int:
         return 2
     try:
         settings = _Settings(args)
-        _COMMANDS[args.command](settings)
+        text = _COMMANDS[args.command][0](settings)
+        out = settings.get("out")
+        if out == "-":
+            sys.stdout.write(text)
+        else:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
         return 0
     except (ConfigError, refsolver.Unsupported2DError, analysis.InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)

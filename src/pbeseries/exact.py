@@ -167,9 +167,6 @@ class BivariateConstantSolution:
     p1: int = 1
     p2: int = 1
 
-    def initial_condition(self, x: float, y: float) -> float:
-        return self.evaluate(x, y, 0.0)
-
     def evaluate(self, x: float, y: float, t: float) -> float:
         n0, m1, m2 = float(self.N0), float(self.m1), float(self.m2)
         q1, q2 = self.p1 + 1, self.p2 + 1

@@ -79,18 +79,6 @@ class GridFunction:
         xs = self.spec.nodes()
         return float(np.trapezoid(xs**j * self.values, dx=self.spec.h))
 
-    def to_csv(self) -> str:
-        lines = [
-            f"# xmax = {self.spec.xmax:.17g}",
-            f"# n_cells = {self.spec.n_cells}",
-            f"# dt = {self.spec.dt:.17g}",
-            f"# t = {self.time:.17g}",
-            "x,value",
-        ]
-        for x, v in zip(self.spec.nodes(), self.values):
-            lines.append(f"{x:.17g},{v:.17g}")
-        return "\n".join(lines) + "\n"
-
 
 def _require_1d(problem: Model) -> None:
     if problem.dim == 2:

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from pbeseries import cli
 from pbeseries.cli import main, parse_orders, parse_u0, parse_values
 from pbeseries.polyexp import PolyExp1D, PolyExp2D, from_obj
 from pbeseries.series import SeriesSolution
@@ -115,6 +116,14 @@ class TestErrorTable:
         lines = [l for l in out.splitlines() if not l.startswith("#")]
         assert lines[0] == "n,t=0.5,t=1"
         assert len(lines) == 3
+
+    def test_l1_grid_needs_terms(self, capsys):
+        code, out, err = run(
+            capsys, "error-table", "--model", "coag", "--kernel", "constant",
+            "--u0", "exp:1", "--t", "0.5",
+        )
+        assert code == 2 and out == ""
+        assert err == "error: missing required option --terms\n"
 
     def test_empty_times_rejected(self, capsys):
         code, _, err = run(
@@ -446,3 +455,70 @@ class TestConfigFile:
         code, out, _ = run(capsys, *DENSITY_61, "--out", str(out_path))
         assert code == 0 and out == ""
         assert out_path.read_text().startswith("# model = coag")
+
+
+COAG = ["--model", "coag", "--kernel", "constant", "--u0", "exp:1"]
+
+
+class TestSettingsPath:
+    """Each subcommand takes only its own flags and checks them all before the engine."""
+
+    @pytest.mark.parametrize("command, flags, foreign", [
+        ("bounds", ["--t0", "0.05", "--T", "1"], ["--compare", "exact"]),
+        ("reference-check", ["--t-end", "0", "--cells", "64"], ["--x", "1"]),
+        ("dump-symbolic", ["--terms", "1"], ["--t", "1"]),
+        ("dump-symbolic", ["--terms", "1"], ["--format", "csv"]),
+        ("error-table", ["--terms", "2:3", "--t", "0.5"], ["--compare", "exact"]),
+        ("moments", ["--terms", "1", "--j", "0", "--t", "1"], ["--x", "1"]),
+    ])
+    def test_flag_the_subcommand_does_not_read_is_exit_2(self, capsys, monkeypatch,
+                                                         command, flags, foreign):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        code, out, err = run(capsys, command, *COAG, *flags, *foreign)
+        assert code == 2 and out == ""
+        assert err.startswith("error: unrecognized arguments:") and err.count("\n") == 1
+        assert foreign[0] in err
+
+    @pytest.mark.parametrize("command, flags, config", [
+        ("density", ["--t", "bogus", "--x", "1"], ""),
+        ("moments", ["--j", "x", "--t", "1"], ""),
+        ("bounds", ["--t0", "0.05", "--m", "x"], ""),
+        ("reference-check", ["--t-end", "0.1", "--cells", "4"], ""),
+        ("density", ["--t", "1", "--x", "1"], "format = xml"),
+        ("bounds", ["--t0", "0.05"], "format = xml"),
+        ("reference-check", ["--t-end", "0.1"], "format = xml"),
+    ])
+    def test_bad_value_is_exit_2_before_the_engine(self, capsys, monkeypatch, tmp_path,
+                                                   command, flags, config):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        extra = []
+        if config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(config + "\n")
+            extra = ["--config", str(cfg)]
+        code, out, err = run(capsys, command, *COAG, "--terms", "7", *flags, *extra)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_config_typo_is_exit_2(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("tems = 5\n")
+        code, out, err = run(capsys, "density", *COAG, "--t", "1", "--x", "1",
+                             "--config", str(cfg))
+        assert code == 2 and out == ""
+        assert err == "error: unknown config key 'tems'\n"
+
+    def test_config_keys_of_other_subcommands_are_ignored(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("terms = 1\nt = 1\nx = 1\nj = 0\nt0 = 0.05\ncells = 64\ncompare = exact\n")
+        _, expected, _ = run(capsys, "density", *COAG, "--terms", "1", "--t", "1", "--x", "1",
+                             "--compare", "exact")
+        code, out, err = run(capsys, "density", *COAG, "--config", str(cfg))
+        assert code == 0 and err == "" and out == expected
+        code, out, err = run(capsys, "dump-symbolic", *COAG, "--config", str(cfg))
+        assert code == 0 and err == "" and json.loads(out)["terms"] == 1
+
+
+def _refuse_iterate(*args, **kwargs):
+    raise AssertionError("the engine ran before every setting was checked")

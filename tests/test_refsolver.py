@@ -160,14 +160,6 @@ class TestIntegrate:
 
 
 class TestGridFunction:
-    def test_csv_round_numbers(self):
-        spec = GridSpec(1.0, 16, 0.5, 1.0)
-        gf = GridFunction(spec, np.linspace(0, 1, 17), 0.25)
-        text = gf.to_csv()
-        assert text.startswith("# xmax = 1")
-        assert "# t = 0.25" in text
-        assert text.strip().splitlines()[4] == "x,value"
-
     def test_shape_check(self):
         spec = GridSpec(1.0, 16, 0.5, 1.0)
         with pytest.raises(ValueError):
