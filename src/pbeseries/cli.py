@@ -18,7 +18,9 @@ Every subcommand takes the problem and series flags --model
 writes JSON, take --format csv|json.  Their own flags: density --t --x --y
 --compare; error-table --t --x; moments --t --j --compare; bounds --t0 --T
 --m --lam; reference-check --t-end --cells --dt --xmax.  Any other flag is
-a usage error.  The u0 grammar accepts ``exp:a`` for e^{-ax},
+a usage error, and so is a setting the chosen model does not use: --y on
+a 1-D model, --lam with a coagulation kernel, --T on frag, --frag or
+--kernel on the wrong model.  The u0 grammar accepts ``exp:a`` for e^{-ax},
 ``monoexp:c,p,a`` for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the
 bivariate analogue; every number may be a rational like 1/2.
 
@@ -31,7 +33,8 @@ work starts.
 
 Exit status: 0 success, 2 configuration error, 3 engine error
 (mixed rates, out-of-class breakage, degree/term overflow, instability),
-4 I/O error.  Errors print one diagnostic line on stderr.  Output is
+4 I/O error, and an --out path whose directory is missing exits 4 before
+any work.  Errors print one diagnostic line on stderr.  Output is
 byte-deterministic for a fixed configuration: data values are printed
 with 17 significant digits and metadata lives in '#' comment lines.
 """
@@ -41,6 +44,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -256,12 +260,18 @@ class _Settings:
         return value
 
 
+def reject_unused(s: _Settings, key: str) -> None:
+    """A setting the chosen model does not use is an error, not ignored."""
+    if s.get(key, default=None, parse=str) is not None:
+        raise ConfigError(f"--model {s.get('model')} takes no --{key}")
+
+
 def build_problem(s: _Settings) -> Model:
     name = s.get("model")
     u0 = s.get("u0")
     unused = {"coag": "frag", "coag2d": "frag", "frag": "kernel"}.get(name)
-    if unused and s.get(unused, default=None, parse=str) is not None:
-        raise ConfigError(f"--model {name} takes no --{unused}")
+    if unused:
+        reject_unused(s, unused)
     kernel = None
     if name != "frag":
         kernel = s.get("kernel", default=CoagKernel.CONSTANT if name == "coag2d" else _TABLE)
@@ -325,7 +335,11 @@ def cmd_density(s: _Settings) -> str:
     problem = build_problem(s)
     sol = compared_solution(s, problem)
     ts, xs = s.get("t"), s.get("x")
-    ys = s.get("y") if problem.dim == 2 else None
+    if problem.dim == 2:
+        ys = s.get("y")
+    else:
+        reject_unused(s, "y")
+        ys = None
     series = iterate(problem, s.get("method"), s.get("terms"))
     psi = series.truncated(series.n)
     name = f"psi_{series.n}"
@@ -339,13 +353,14 @@ def cmd_density(s: _Settings) -> str:
     for t in ts:
         if ys:
             vals = [psi.evaluate(x, y, t) for x, y in points]
+            exs = [sol.evaluate(x, y, t) for x, y in points] if sol is not None else None
         else:
-            vals = psi.eval_grid(np.array(xs), t)
-        for point, val in zip(points, vals):
+            vals = psi.eval_grid(np.array(xs), t).tolist()
+            exs = sol.evaluate_grid(np.array(xs), t).tolist() if sol is not None else None
+        for i, (point, val) in enumerate(zip(points, vals)):
             row = (*point, t, float(val))
-            if sol is not None:
-                ex = sol.evaluate(*point, t)
-                row += (ex, abs(float(val) - ex))
+            if exs is not None:
+                row += (exs[i], abs(float(val) - exs[i]))
             rows.append(row)
     return format_rows(columns, rows, s.format, header)
 
@@ -407,8 +422,10 @@ def cmd_bounds(s: _Settings) -> str:
     problem = build_problem(s)
     t0, m = s.get("t0"), s.get("m")
     if problem.kernel is None:
+        reject_unused(s, "T")
         lam = s.get("lam")
     else:
+        reject_unused(s, "lam")
         T = s.get("T", default=max(1.0, t0))
     series = iterate(problem, s.get("method"), max(s.get("terms"), 1))
     if problem.dim == 2:
@@ -503,6 +520,15 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_writable(path: str) -> None:
+    """Fail before the work on an --out path that cannot be a file."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise OSError(f"cannot write --out {path}: no directory {parent}")
+    if os.path.isdir(path):
+        raise OSError(f"cannot write --out {path}: it is a directory")
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -511,8 +537,10 @@ def main(argv=None) -> int:
         return 2
     try:
         settings = _Settings(args)
-        text = _COMMANDS[args.command][0](settings)
         out = settings.get("out")
+        if out != "-":
+            _check_writable(out)
+        text = _COMMANDS[args.command][0](settings)
         if out == "-":
             sys.stdout.write(text)
         else:

@@ -4,15 +4,26 @@ Each solution evaluates the exact number density pointwise; the series
 variants (product-kernel and bivariate cases) are summed until a term
 falls below 1e-16 of the running partial sum, with a hard cap that turns
 silent truncation into an explicit NonConvergenceError.
+
+The 1-D solutions also evaluate a whole size grid at one time
+(``evaluate_grid``), which is what the error tables call once per time.
+The grid is bit-identical to the scalar ``evaluate``, which stays the
+reference: the arithmetic runs in numpy, whose ``+ - * /`` and ``sqrt``
+are correctly rounded like Python's, each exp/log is ``math``'s on every
+element (numpy's own may differ in the last bit), and every series runs
+under a per-lane mask so that each x stops at the same term as the
+scalar loop.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
 
+import numpy as np
 from scipy import integrate
 
 from .polyexp import as_fraction
@@ -46,12 +57,63 @@ def bessel_i1(z: float) -> float:
     raise NonConvergenceError(f"Bessel series did not converge at z={z}")
 
 
+def _math_map(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
+    """``fn`` (a ``math`` function) on each element of a 1-D array."""
+    return np.fromiter(map(fn, a.tolist()), dtype=float, count=a.size)
+
+
+def _float_semantics(grid):
+    """Run a grid evaluator as Python floats run: inf and nan arise silently.
+
+    Where any lane fails, the scalar reference runs over the lanes in
+    order instead, so the caller gets the error of the first failing x,
+    exactly as from a loop of ``evaluate`` calls.
+    """
+    @functools.wraps(grid)
+    def run(self, xs, t):
+        xs = np.asarray(xs, dtype=float)
+        try:
+            with np.errstate(all="ignore"):
+                return grid(self, xs, t)
+        except (ArithmeticError, ValueError, NonConvergenceError):
+            return np.array([self.evaluate(x, t) for x in xs.tolist()])
+
+    return run
+
+
+def _bessel_i1_grid(z: np.ndarray) -> np.ndarray:
+    """``bessel_i1`` on each element, bit for bit, with no term matrix."""
+    total = np.zeros(z.shape)
+    lanes = np.flatnonzero(z != 0.0)
+    half = z[lanes] / 2.0
+    step = half * half
+    term = half
+    acc = half
+    for k in range(1, MAX_SERIES_TERMS):
+        if not lanes.size:
+            return total
+        term = term * (step / (k * (k + 1)))
+        acc = acc + term
+        done = np.abs(term) < REL_TOL * np.abs(acc)
+        if done.any():
+            total[lanes[done]] = acc[done]
+            keep = ~done
+            lanes, step, term, acc = lanes[keep], step[keep], term[keep], acc[keep]
+    if lanes.size:
+        raise NonConvergenceError("Bessel series did not converge")
+    return total
+
+
 @dataclass(frozen=True)
 class ConstantKernelSolution:
     """Coagulation with K = 1 and u0 = e^{-x}: u = 4/(2+t)^2 e^{-2x/(2+t)}."""
 
     def evaluate(self, x: float, t: float) -> float:
         return 4.0 / (2.0 + t) ** 2 * math.exp(-2.0 * x / (2.0 + t))
+
+    @_float_semantics
+    def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
+        return 4.0 / (2.0 + t) ** 2 * _math_map(math.exp, -2.0 * xs / (2.0 + t))
 
     def moment(self, j: int) -> Callable[[float], float]:
         if j == 0:
@@ -79,6 +141,22 @@ class SumKernelSolution:
             return (1.0 - T)
         rt = math.sqrt(T)
         return (1.0 - T) * math.exp(-(1.0 + T) * x) * bessel_i1(2.0 * x * rt) / (x * rt)
+
+    @_float_semantics
+    def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
+        T = -math.expm1(-t)
+        if T == 0.0:
+            return _math_map(math.exp, -xs)
+        out = np.full(xs.shape, 1.0 - T)
+        lanes = np.flatnonzero(xs != 0.0)
+        x = xs[lanes]
+        rt = math.sqrt(T)
+        envelope = (1.0 - T) * _math_map(math.exp, -(1.0 + T) * x)
+        den = x * rt
+        if not den.all():
+            raise ZeroDivisionError("float division by zero")  # as the scalar does
+        out[lanes] = envelope * _bessel_i1_grid(2.0 * x * rt) / den
+        return out
 
     def moment(self, j: int) -> Callable[[float], float]:
         def mom(t: float) -> float:
@@ -122,9 +200,56 @@ class ProductKernelSolution:
             logs.append(log_term)
             peak = max(peak, log_term)
             if log_term < peak + math.log(REL_TOL):
-                total = sum(math.exp(l - peak) for l in logs)
+                # left to right: the builtin sum() compensates from Python 3.12
+                total = 0.0
+                for l in logs:
+                    total += math.exp(l - peak)
                 return math.exp(peak - (t + 1.0) * x) * total
         raise NonConvergenceError(f"product-kernel series stalled at x={x}, t={t}")
+
+    @_float_semantics
+    def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
+        if t == 0.0:
+            return _math_map(math.exp, -(t + 1.0) * xs)
+        out = np.ones(xs.shape)  # exp(-(t + 1) 0) at x = 0
+        lanes = np.flatnonzero(xs != 0.0)
+        x = xs[lanes]
+        log_ratio = np.array([math.log(t * v**3) for v in x.tolist()])
+        # Pass 1 finds each lane's final peak and last term, pass 2 repeats
+        # the recurrence and adds exp(l_k - peak) in k order from k = 0.
+        # Both keep O(lanes) state, never a terms-by-lanes matrix.
+        steps = []
+        peak, last = np.zeros(x.shape), np.zeros(x.shape, dtype=int)
+        live = np.arange(x.size)
+        lr, log_term, pk = log_ratio, np.zeros(x.shape), np.zeros(x.shape)
+        for k in range(1, MAX_DENSITY_TERMS):
+            if not live.size:
+                break
+            steps.append(math.log((k + 1) * (2 * k) * (2 * k + 1)))
+            log_term = log_term + (lr - steps[-1])
+            pk = np.maximum(pk, log_term)
+            done = log_term < pk + math.log(REL_TOL)
+            if done.any():
+                peak[live[done]], last[live[done]] = pk[done], k
+                keep = ~done
+                live, lr, log_term, pk = live[keep], lr[keep], log_term[keep], pk[keep]
+        if live.size:
+            raise NonConvergenceError("product-kernel series stalled")
+        total = np.empty(x.shape)
+        live = np.arange(x.size)
+        lr, log_term, pk = log_ratio, np.zeros(x.shape), peak
+        tot = _math_map(math.exp, 0.0 - peak)
+        for k, step in enumerate(steps, 1):
+            keep = last[live] >= k
+            if not keep.all():
+                total[live[~keep]] = tot[~keep]
+                live, lr, log_term, pk, tot = (
+                    live[keep], lr[keep], log_term[keep], pk[keep], tot[keep])
+            log_term = log_term + (lr - step)
+            tot = tot + _math_map(math.exp, log_term - pk)
+        total[live] = tot
+        out[lanes] = _math_map(math.exp, peak - (t + 1.0) * x) * total
+        return out
 
     def moment(self, j: int) -> Callable[[float], float]:
         # The tail decay rate 1 + t - 3 (t/4)^{1/3} vanishes at gelation,
@@ -142,6 +267,10 @@ class LinearBreakageSolution:
 
     def evaluate(self, x: float, t: float) -> float:
         return (1.0 + t) ** 2 * math.exp(-x * (1.0 + t))
+
+    @_float_semantics
+    def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
+        return (1.0 + t) ** 2 * _math_map(math.exp, -xs * (1.0 + t))
 
     def moment(self, j: int) -> Callable[[float], float]:
         if j == 0:

@@ -287,13 +287,13 @@ class TestStructure:
         calls = []
 
         class Counting:
-            def evaluate(self, x, t):
-                calls.append(t)
-                return ConstantKernelSolution().evaluate(x, t)
+            def evaluate_grid(self, xs, t):
+                calls.append((len(xs), t))
+                return ConstantKernelSolution().evaluate_grid(xs, t)
 
         times = [0.5, 1.0]
         table = error_table_l1(constant_series, Counting(), [1, 2, 3], times)
-        assert len(calls) == len(times) * 5001
+        assert calls == [(5001, t) for t in times]
         # the shared grids reproduce the per-cell l1_error exactly
         sol = ConstantKernelSolution()
         assert table.cells == tuple(

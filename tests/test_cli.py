@@ -295,6 +295,15 @@ class TestErrorPaths:
         assert code == 3
         assert "exceeds cap" in err and err.count("\n") == 1
 
+    def test_exact_series_past_its_cap_is_exit_3(self, capsys):
+        # at x = 200, t = 1 the Bessel argument 2 x sqrt(1 - e^-1) is 318
+        code, out, err = run(
+            capsys, "density", "--model", "coag", "--kernel", "sum", "--u0", "exp:1",
+            "--terms", "1", "--t", "1", "--x", "1,200", "--compare", "exact",
+        )
+        assert code == 3 and out == ""
+        assert err == "error: Bessel series did not converge at z=318.02403904826\n"
+
     @pytest.mark.parametrize("kernel, terms", [
         pytest.param("constant", 12, id="constant"),
         pytest.param("product", 12, id="product"),
@@ -518,6 +527,33 @@ class TestSettingsPath:
         assert code == 0 and err == "" and out == expected
         code, out, err = run(capsys, "dump-symbolic", *COAG, "--config", str(cfg))
         assert code == 0 and err == "" and json.loads(out)["terms"] == 1
+
+    @pytest.mark.parametrize("command, flags, unused", [
+        ("density", [*COAG, "--t", "1", "--x", "1"], ["--y", "bogus"]),
+        ("bounds", [*COAG, "--t0", "0.05"], ["--lam", "bogus"]),
+        ("bounds", ["--model", "ccfe", "--kernel", "constant", "--frag", "2,1,1,1",
+                    "--u0", "exp:1", "--t0", "0.05"], ["--lam", "1"]),
+        ("bounds", ["--model", "frag", "--frag", "2,1,1,1", "--u0", "exp:1",
+                    "--t0", "0.05", "--lam", "1"], ["--T", "bogus"]),
+    ], ids=["density-y-1d", "bounds-lam-coag", "bounds-lam-ccfe", "bounds-T-frag"])
+    def test_setting_the_model_does_not_use_is_exit_2(self, capsys, monkeypatch,
+                                                       command, flags, unused):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        code, out, err = run(capsys, command, *flags, *unused)
+        assert code == 2 and out == ""
+        assert err == f"error: --model {flags[1]} takes no {unused[0]}\n"
+
+    @pytest.mark.parametrize("path", ["missing/f.csv", "file.txt/f.csv", "."])
+    def test_unwritable_out_is_exit_4_before_the_engine(self, capsys, monkeypatch, tmp_path,
+                                                        path):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        (tmp_path / "file.txt").write_text("")
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(capsys, "density", *COAG, "--terms", "7", "--t", "1",
+                             "--x", "1", "--out", str(tmp_path / path))
+        assert code == 4 and out == ""
+        assert err.startswith("error: cannot write --out") and err.count("\n") == 1
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 def _refuse_iterate(*args, **kwargs):

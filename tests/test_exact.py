@@ -2,9 +2,11 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
+import numpy as np
 import pytest
 from scipy import integrate, special
 
@@ -12,6 +14,7 @@ from pbeseries.exact import (
     BivariateConstantSolution,
     ConstantKernelSolution,
     LinearBreakageSolution,
+    NonConvergenceError,
     ProductKernelSolution,
     SumKernelSolution,
     bessel_i1,
@@ -169,6 +172,69 @@ class TestBivariate:
         # d(mu20)/dt = mu10^2, so mu20(t) = 0.0024 + 0.0016 t
         got = self.SOL.moment(2, 0)(0.5)
         assert abs(got - (0.0024 + 0.0016 * 0.5)) <= 1e-7
+
+
+GRID_SOLUTIONS = [ConstantKernelSolution(), SumKernelSolution(), ProductKernelSolution(),
+                  LinearBreakageSolution()]
+GRID_IDS = ["constant", "sum", "product", "breakage"]
+SIMPSON_NODES = np.linspace(0.0, 50.0, 5001)
+
+
+def _scalar_grid(sol, xs, t):
+    return np.array([sol.evaluate(x, t) for x in xs.tolist()])
+
+
+def _refuse_scalar(self, x, t):
+    raise AssertionError("the grid fell back to the scalar evaluate")
+
+
+class TestEvaluateGrid:
+    """evaluate_grid is the scalar evaluate, bit for bit, without a term matrix."""
+
+    @pytest.mark.parametrize("sol", GRID_SOLUTIONS, ids=GRID_IDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_equals_scalar(self, sol, seed):
+        rng = random.Random(seed)
+        xs = np.array([0.0, 50.0, 1e-90, 1e-12, 1e-3]
+                      + [rng.uniform(0.0, 60.0) for _ in range(400)]
+                      + [rng.uniform(0.0, 0.01) for _ in range(50)])
+        # t = 0.45, 0.7 and 1.5 straddle the product kernel's gelation at 0.5
+        for t in (0.0, 1e-12, 0.45, 0.7, 1.5, rng.uniform(0.0, 3.0)):
+            assert np.array_equal(sol.evaluate_grid(xs, t), _scalar_grid(sol, xs, t))
+
+    @pytest.mark.parametrize("sol", GRID_SOLUTIONS, ids=GRID_IDS)
+    def test_simpson_nodes_without_scalar_fallback(self, sol, monkeypatch):
+        for t in (0.5, 1.5):
+            expected = _scalar_grid(sol, SIMPSON_NODES, t)
+            with monkeypatch.context() as m:
+                m.setattr(type(sol), "evaluate", _refuse_scalar)
+                got = sol.evaluate_grid(SIMPSON_NODES, t)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("sol", GRID_SOLUTIONS, ids=GRID_IDS)
+    def test_no_terms_by_nodes_array(self, sol):
+        # the sum and product series run 88 and 69 terms at x = 50, t = 1.5,
+        # so a terms-by-nodes matrix alone would take 2.7-3.5 MB here
+        tracemalloc.start()
+        try:
+            sol.evaluate_grid(SIMPSON_NODES, 1.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * SIMPSON_NODES.nbytes
+
+    @pytest.mark.parametrize("sol, xs, t", [
+        # the Bessel argument 2 x sqrt(T) passes ~257 and trips the 200-term cap
+        (SumKernelSolution(), [1.0, 200.0, 300.0], 1.0),
+        (ProductKernelSolution(), [1.0, 1e5, 1e6], 0.5),
+    ], ids=["sum", "product"])
+    def test_raises_where_scalar_does(self, sol, xs, t):
+        xs = np.array(xs)
+        with pytest.raises(NonConvergenceError) as scalar:
+            _scalar_grid(sol, xs, t)
+        with pytest.raises(NonConvergenceError) as grid:
+            sol.evaluate_grid(xs, t)
+        assert str(grid.value) == str(scalar.value)
 
 
 class TestMatching:
