@@ -18,10 +18,11 @@ cannot be certified.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy import integrate
@@ -225,13 +226,14 @@ def _exact_abs_integral(a: Fraction, coeffs: list[Fraction], roots: list[float])
     return sum(abs(u - v) for u, v in zip(ends, ends[1:]))
 
 
-def _l1_at_time(f: PolyExp1D, s: float) -> float:
+def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly]) -> float:
+    """int_0^inf |f(x, s)| dx; ``mass()`` gives f's exact moment polynomial."""
     collapsed = f.collapse_t(Fraction(s))
     coeffs = [c for poly in collapsed.values() for c in poly]
     if all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs):
         # Single-signed coefficients make f single-signed on x > 0, so the
         # absolute integral is the absolute value of the exact moment.
-        return abs(tpoly_eval(f.moment(0), s))
+        return abs(tpoly_eval(mass(), s))
     if len(collapsed) == 1:
         (a, poly), = collapsed.items()
         roots = _sign_changes(poly) if a > 0 else None
@@ -266,9 +268,11 @@ def sup_l1_norm(f: PolyExp1D, t0: float, samples: int = 101) -> float:
     """
     if t0 < 0 or samples < 2:
         raise InvalidSpecError("sup norm needs t0 >= 0 and at least two samples")
+    # the mass polynomial is built on first use, then shared by every sample
+    mass = functools.cache(lambda: f.moment(0))
     if t0 == 0:
-        return _l1_at_time(f, 0.0)
-    return max(_l1_at_time(f, float(s)) for s in np.linspace(0.0, t0, samples))
+        return _l1_at_time(f, 0.0, mass)
+    return max(_l1_at_time(f, float(s), mass) for s in np.linspace(0.0, t0, samples))
 
 
 @dataclass(frozen=True)

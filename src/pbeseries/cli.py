@@ -20,9 +20,10 @@ writes JSON, take --format csv|json.  Their own flags: density --t --x --y
 --m --lam; reference-check --t-end --cells --dt --xmax.  Any other flag is
 a usage error, and so is a setting the chosen model does not use: --y on
 a 1-D model, --lam with a coagulation kernel, --T on frag, --frag or
---kernel on the wrong model.  The u0 grammar accepts ``exp:a`` for e^{-ax},
-``monoexp:c,p,a`` for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the
-bivariate analogue; every number may be a rational like 1/2.
+--kernel on the wrong model.  A negative time in --t is a configuration
+error.  The u0 grammar accepts ``exp:a`` for e^{-ax}, ``monoexp:c,p,a``
+for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the bivariate
+analogue; every number may be a rational like 1/2.
 
 ``--config`` names a file of flat ``key = value`` lines with the long flag
 names as keys.  A flag overrides its config value, which overrides the
@@ -127,6 +128,14 @@ def parse_values(text: str) -> list[float]:
     return vals
 
 
+def parse_times(text: str) -> list[float]:
+    """A --t list or range as ``parse_values`` reads it; no time may be negative."""
+    ts = parse_values(text)
+    if min(ts) < 0:
+        raise ConfigError(f"times must be nonnegative, got {text!r}")
+    return ts
+
+
 def parse_orders(text: str) -> list[int]:
     """Comma list '3,4,5' or inclusive integer range '3:6'."""
     text = text.strip()
@@ -184,7 +193,7 @@ _KEYS = {
     "u0": (parse_u0, _REQUIRED, "exp:a | monoexp:c,p,a | monoexp2:c,px,py,ax,ay"),
     "method": (Method, Method.ACCELERATED, [m.value for m in Method]),
     "terms": (int, 3, "truncation order n (error-table: list or lo:hi)"),
-    "t": (parse_values, _REQUIRED, "time list 0.5,1,2 or range start:stop:step"),
+    "t": (parse_times, _REQUIRED, "time list 0.5,1,2 or range start:stop:step"),
     "x": (parse_values, _REQUIRED, "size list or range"),
     "y": (parse_values, _REQUIRED, "second size coordinate (2-D)"),
     "compare": (str, None, "exact: add the closed-form solution"),

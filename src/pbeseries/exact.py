@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Union
@@ -136,10 +137,11 @@ class SumKernelSolution:
         T = -math.expm1(-t)
         if T == 0.0:
             return math.exp(-x)
-        if x == 0.0:
-            # I_1(z)/z -> 1/2 as z -> 0, so the x factors cancel to 1.
-            return (1.0 - T)
         rt = math.sqrt(T)
+        if abs(x * rt) < sys.float_info.min:
+            # I_1(z)/z -> 1/2 as z -> 0, so the x factors cancel to 1; this
+            # also holds where x sqrt(T) underflows (e^{-(1+T)x} is then 1).
+            return (1.0 - T)
         return (1.0 - T) * math.exp(-(1.0 + T) * x) * bessel_i1(2.0 * x * rt) / (x * rt)
 
     @_float_semantics
@@ -147,15 +149,12 @@ class SumKernelSolution:
         T = -math.expm1(-t)
         if T == 0.0:
             return _math_map(math.exp, -xs)
-        out = np.full(xs.shape, 1.0 - T)
-        lanes = np.flatnonzero(xs != 0.0)
-        x = xs[lanes]
         rt = math.sqrt(T)
+        out = np.full(xs.shape, 1.0 - T)
+        lanes = np.flatnonzero(~(np.abs(xs * rt) < sys.float_info.min))
+        x = xs[lanes]
         envelope = (1.0 - T) * _math_map(math.exp, -(1.0 + T) * x)
-        den = x * rt
-        if not den.all():
-            raise ZeroDivisionError("float division by zero")  # as the scalar does
-        out[lanes] = envelope * _bessel_i1_grid(2.0 * x * rt) / den
+        out[lanes] = envelope * _bessel_i1_grid(2.0 * x * rt) / (x * rt)
         return out
 
     def moment(self, j: int) -> Callable[[float], float]:
@@ -187,7 +186,8 @@ class ProductKernelSolution:
     """
 
     def evaluate(self, x: float, t: float) -> float:
-        if t == 0.0 or x == 0.0:
+        # Where t x^3 is 0 or underflows to 0, only the k = 0 term is left.
+        if t == 0.0 or x == 0.0 or t * x**3 == 0.0:
             return math.exp(-(t + 1.0) * x)
         # Summed in log space: for large t x^3 the terms overflow floats
         # long before the e^{-(t+1)x} envelope is applied.
@@ -211,10 +211,13 @@ class ProductKernelSolution:
     def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         if t == 0.0:
             return _math_map(math.exp, -(t + 1.0) * xs)
-        out = np.ones(xs.shape)  # exp(-(t + 1) 0) at x = 0
-        lanes = np.flatnonzero(xs != 0.0)
+        ratio = np.array([t * v**3 for v in xs.tolist()])
+        out = np.empty(xs.shape)
+        only_k0 = ratio == 0.0  # x = 0, or t x^3 underflows
+        out[only_k0] = _math_map(math.exp, -(t + 1.0) * xs[only_k0])
+        lanes = np.flatnonzero(~only_k0)
         x = xs[lanes]
-        log_ratio = np.array([math.log(t * v**3) for v in x.tolist()])
+        log_ratio = _math_map(math.log, ratio[lanes])
         # Pass 1 finds each lane's final peak and last term, pass 2 repeats
         # the recurrence and adds exp(l_k - peak) in k order from k = 0.
         # Both keep O(lanes) state, never a terms-by-lanes matrix.

@@ -26,8 +26,16 @@ group over one common denominator as integer numerators, pre-scales them
 by i! on every size axis that is convolved (the Borel/Laplace trick, which
 turns the weight i! j!/(i+j+1)! into a plain product), accumulates the
 integer pair products keyed by packed exponents, and normalises once per
-output term.  Degree caps are checked on every axis before that loop.
-Moments and point values likewise sum each rate group as integers.
+output term.  A self-product (both operands the same rate group, as in
+every coagulation gain Q(u, u)) loops over i <= j only and counts each
+off-diagonal pair twice.  Degree caps are checked on every axis before
+the pair loop.  Moments and point values likewise sum each rate group as
+integers.
+
+Time substitution is fraction-free too: for t = p/q one integer table
+p^j q^(top-j) serves a whole rate group (``collapse_t``) or time
+polynomial (``tpoly_eval``), so each x-coefficient or value is one
+integer sum over den * q^top instead of a Fraction power per monomial.
 
 Everything is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -93,13 +101,26 @@ def _check_exponent(power: int) -> int:
     return power
 
 
+def _power_table(p: int, q: int, top: int) -> list[int]:
+    """``[p^j q^(top-j) for j in 0..top]``: (p/q)^j over the common q^top."""
+    ps = accumulate([p] * top, mul, initial=1)
+    qs = list(accumulate([q] * top, mul, initial=1))
+    return [a * b for a, b in zip(ps, reversed(qs))]
+
+
 def tpoly_eval(tp: TPoly, t: float) -> float:
-    """Evaluate a time polynomial at a float time."""
-    tf = Fraction(t)
-    acc = Fraction(0)
-    for j, c in tp.items():
-        acc += c * tf**j
-    return float(acc)
+    """Evaluate a time polynomial at a float time.
+
+    With t = p/q exactly, the sum is one integer numerator over
+    den * q^top, and the one int division rounds correctly, as
+    ``float(Fraction)`` does.
+    """
+    if not tp:
+        return 0.0
+    p, q = as_fraction(t).as_integer_ratio()
+    top = max(tp)
+    rows, den = _numerators({(j,): c for j, c in tp.items()}, [_power_table(p, q, top)])
+    return sum(num for _, num in rows) / (den * q**top)
 
 
 def _merge(out: dict, rate, poly: Mapping) -> None:
@@ -139,8 +160,9 @@ def _group_product(pa: Mapping, pb: Mapping, borel: int = 0) -> dict:
     x^j gives i! j!/(i+j+1)! x^{i+j+1}.  With numerators pre-scaled by i!
     and j! that weight is 1/(i+j+1)!, so the pair loop is one integer
     multiply-add and each output term is normalised once, as
-    sum / (La Lb prod (i+j+1)!).  Every axis is checked against MAX_EXPONENT
-    before any pair is formed; checked sums fit the packed fields.
+    sum / (La Lb prod (i+j+1)!).  A self-product (``pa is pb``) loops over
+    i <= j only.  Every axis is checked against MAX_EXPONENT before any
+    pair is formed; checked sums fit the packed fields.
     """
     if not pa or not pb:
         return {}
@@ -151,14 +173,27 @@ def _group_product(pa: Mapping, pb: Mapping, borel: int = 0) -> dict:
         )
     width = MAX_EXPONENT.bit_length()
     shifts = [width * axis for axis in range(nvars)]
-    rows_a, den_a = _numerators(pa, [_FACTORIAL] * borel)
-    rows_b, den_b = _numerators(pb, [_FACTORIAL] * borel)
-    packed_b = [(sum(i << s for i, s in zip(e, shifts)), nb) for e, nb in rows_b]
+
+    def packed(poly):
+        rows, den = _numerators(poly, [_FACTORIAL] * borel)
+        return [(sum(i << s for i, s in zip(e, shifts)), n) for e, n in rows], den
+
+    packed_a, den_a = packed(pa)
     acc: defaultdict = defaultdict(int)
-    for ea, na in rows_a:
-        ka = sum(i << s for i, s in zip(ea, shifts))
-        for kb, nb in packed_b:
-            acc[ka + kb] += na * nb
+    if pa is pb:
+        # the pair weight and the exponent sum are symmetric, so each
+        # unordered pair is formed once and the off-diagonal ones count twice
+        den_b = den_a
+        for i, (ka, na) in enumerate(packed_a):
+            acc[ka + ka] += na * na
+            twice = na + na
+            for kb, nb in packed_a[i + 1:]:
+                acc[ka + kb] += twice * nb
+    else:
+        packed_b, den_b = packed(pb)
+        for ka, na in packed_a:
+            for kb, nb in packed_b:
+                acc[ka + kb] += na * nb
     offset = sum(1 << s for s in shifts[:borel])
     mask = (1 << width) - 1
     out = {}
@@ -275,7 +310,7 @@ class _PolyExpBase:
         return self + (-other)
 
     def __neg__(self):
-        return self.scale(-1)
+        return self._wrap({r: {e: -c for e, c in p.items()} for r, p in self._terms.items()})
 
     def scale(self, c: RationalLike):
         c = as_fraction(c)
@@ -359,7 +394,7 @@ class _PolyExpBase:
             tables, den = [], 1
             for axis, (p, q) in enumerate(ratios):
                 top = max(e[axis] for e in poly)
-                tables.append([p**i * q ** (top - i) for i in range(top + 1)])
+                tables.append(_power_table(p, q, top))
                 den *= q**top
             rows, cden = _numerators(poly, tables)
             arg = sum(float(a) * v for a, v in zip(self._axis_rates(rate), coords))
@@ -455,15 +490,22 @@ class PolyExp1D(_PolyExpBase):
         return self._wrap(out)
 
     def collapse_t(self, t: RationalLike) -> dict[Fraction, list[Fraction]]:
-        """Substitute an exact time, returning rate -> x-coefficient list."""
-        tf = as_fraction(t)
+        """Substitute an exact time, returning rate -> x-coefficient list.
+
+        With t = p/q, each rate group is taken over one common denominator
+        and every x-coefficient is one integer sum over den * q^top.
+        """
+        p, q = as_fraction(t).as_integer_ratio()
         out: dict[Fraction, list[Fraction]] = {}
-        for a, p in self._terms.items():
-            deg = max(i for i, _ in p)
-            coeffs = [Fraction(0)] * (deg + 1)
-            for (i, j), c in p.items():
-                coeffs[i] += c * tf**j
-            out[a] = coeffs
+        for a, poly in self._terms.items():
+            top = max(j for _, j in poly)
+            times = _power_table(p, q, top)
+            rows, den = _numerators(poly, [])
+            sums = [0] * (max(i for i, _ in poly) + 1)
+            for (i, j), num in rows:
+                sums[i] += num * times[j]
+            den *= q**top
+            out[a] = [Fraction(num, den) for num in sums]
         return out
 
     def evaluate(self, x: float, t: float) -> float:

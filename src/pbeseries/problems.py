@@ -109,8 +109,12 @@ def coag_bilinear(kernel: CoagKernel, u: PolyExp1D, w: PolyExp1D) -> PolyExp1D:
         gain = u.convolve(w).mul_x()
         loss = u.mul_x().mul_tpoly(w.moment(0)) + u.mul_tpoly(w.moment(1))
     elif kernel is CoagKernel.PRODUCT:
-        gain = u.mul_x().convolve(w.mul_x())
-        loss = u.mul_x().mul_tpoly(w.moment(1))
+        # one x u serves both operands of Q(u, u), so the convolution
+        # sees a self-product
+        xu = u.mul_x()
+        xw = xu if w is u else w.mul_x()
+        gain = xu.convolve(xw)
+        loss = xu.mul_tpoly(w.moment(1))
     else:  # pragma: no cover - closed enum
         raise ValueError(f"unknown kernel {kernel!r}")
     return gain.scale(Fraction(1, 2)) - loss

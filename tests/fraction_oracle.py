@@ -2,10 +2,11 @@
 
 These are the straightforward loops the fraction-free code in
 ``pbeseries.polyexp`` replaced: every term pair costs a Fraction multiply,
-a Fraction add and, for convolutions, a beta-function weight, and moments
-and point values take one Fraction product per term.  They are slow and
-obviously right, which is what a differential oracle needs.  Each returns
-a value built in the same order as the code under test.
+a Fraction add and, for convolutions, a beta-function weight; moments and
+point values take one Fraction product per term, and time substitution
+one Fraction power per term.  They are slow and obviously right, which is
+what a differential oracle needs.  Each returns a value built in the same
+order as the code under test.
 """
 
 from __future__ import annotations
@@ -105,3 +106,24 @@ def evaluate(f, *coords) -> float:
             arg -= float(a) * v
         total += float(acc) * math.exp(arg)
     return total
+
+
+def collapse_t(f, t) -> dict:
+    """Exact time substitution: rate -> x-coefficients, one Fraction power per term."""
+    tf = Fraction(t)
+    out = {}
+    for a, p in f._terms.items():
+        coeffs = [Fraction(0)] * (max(i for i, _ in p) + 1)
+        for (i, j), c in p.items():
+            coeffs[i] += c * tf**j
+        out[a] = coeffs
+    return out
+
+
+def tpoly_eval(tp: dict, t: float) -> float:
+    """A time polynomial at a float time: an exact Fraction sum, rounded once."""
+    tf = Fraction(t)
+    acc = Fraction(0)
+    for j, c in tp.items():
+        acc += c * tf**j
+    return float(acc)

@@ -18,6 +18,8 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+COAG = ["--model", "coag", "--kernel", "constant", "--u0", "exp:1"]
+
 DENSITY_61 = [
     "density", "--model", "coag", "--kernel", "constant", "--u0", "exp:1",
     "--terms", "3", "--t", "2", "--x", "0:10:0.5", "--compare", "exact",
@@ -324,6 +326,46 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert "exponent cap 512" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("problem", [
+        ["--model", "coag", "--kernel", "constant"],
+        ["--model", "coag", "--kernel", "sum"],
+        ["--model", "coag", "--kernel", "product"],
+        ["--model", "frag", "--frag", "2,1,1,1"],
+    ], ids=["constant", "sum", "product", "breakage"])
+    @pytest.mark.parametrize("x", ["1e-120", "1e-300", "5e-324"])
+    @pytest.mark.parametrize("t", ["0.01", "0.5"])
+    def test_exact_solution_at_a_tiny_size_is_its_value_at_zero(self, capsys, problem, x, t):
+        # every closed form tends to its x = 0 value, and at these x each
+        # e^{-cx} envelope is 1.0 in floats
+        def exact_column(xs):
+            code, out, err = run(capsys, "density", *problem, "--u0", "exp:1", "--terms", "1",
+                                 "--t", t, "--x", xs, "--compare", "exact")
+            assert code == 0 and err == ""
+            return [line.split(",")[3] for line in out.splitlines()[-2:]]
+
+        at_zero = exact_column("0")[-1]
+        assert exact_column(f"0,{x}") == [at_zero, at_zero]
+
+    @pytest.mark.parametrize("argv, t", [
+        (["density", *COAG, "--x", "1", "--compare", "exact"], "-1"),
+        (["density", "--model", "coag", "--kernel", "sum", "--u0", "exp:1", "--x", "1",
+          "--compare", "exact"], "0.5,-1"),
+        (["density", "--model", "coag", "--kernel", "product", "--u0", "exp:1", "--x", "1"],
+         "-1:1:0.5"),
+        (["error-table", "--model", "coag", "--kernel", "product", "--u0", "exp:1",
+          "--terms", "1:2"], "-1"),
+        (["error-table", "--model", "coag", "--kernel", "sum", "--u0", "exp:1",
+          "--terms", "2", "--x", "1"], "-2"),
+        (["moments", *COAG, "--j", "0"], "-1/2"),
+    ], ids=["density-constant", "density-sum-list", "density-product-range",
+            "error-table-l1-product", "error-table-pointwise-sum", "moments"])
+    def test_negative_time_is_exit_2_before_the_engine(self, capsys, monkeypatch, argv, t):
+        # --t=... because argparse reads "-1/2" or "-1:1:0.5" after --t as a flag
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        code, out, err = run(capsys, *argv, f"--t={t}")
+        assert code == 2 and out == ""
+        assert err == f"error: times must be nonnegative, got {t!r}\n"
+
     def test_io_error_is_exit_4(self, capsys, tmp_path):
         code, _, err = run(
             capsys, *DENSITY_61, "--out", str(tmp_path / "no" / "such" / "dir" / "f.csv")
@@ -464,9 +506,6 @@ class TestConfigFile:
         code, out, _ = run(capsys, *DENSITY_61, "--out", str(out_path))
         assert code == 0 and out == ""
         assert out_path.read_text().startswith("# model = coag")
-
-
-COAG = ["--model", "coag", "--kernel", "constant", "--u0", "exp:1"]
 
 
 class TestSettingsPath:

@@ -195,7 +195,7 @@ class TestEvaluateGrid:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_equals_scalar(self, sol, seed):
         rng = random.Random(seed)
-        xs = np.array([0.0, 50.0, 1e-90, 1e-12, 1e-3]
+        xs = np.array([0.0, 50.0, 1e-90, 1e-120, 5e-324, 1e-12, 1e-3]
                       + [rng.uniform(0.0, 60.0) for _ in range(400)]
                       + [rng.uniform(0.0, 0.01) for _ in range(50)])
         # t = 0.45, 0.7 and 1.5 straddle the product kernel's gelation at 0.5
@@ -209,6 +209,19 @@ class TestEvaluateGrid:
             with monkeypatch.context() as m:
                 m.setattr(type(sol), "evaluate", _refuse_scalar)
                 got = sol.evaluate_grid(SIMPSON_NODES, t)
+            assert np.array_equal(got, expected)
+
+    @pytest.mark.parametrize("sol", GRID_SOLUTIONS, ids=GRID_IDS)
+    def test_tiny_sizes_without_scalar_fallback(self, sol, monkeypatch):
+        # t x^3 and x sqrt(1 - e^-t) underflow here; both forms take the
+        # x = 0 limit instead of failing
+        xs = np.array([0.0, 1e-120, 1e-300, 5e-324, 1e-3, 1.0])
+        for t in (0.01, 0.5, 1.5):
+            expected = _scalar_grid(sol, xs, t)
+            assert expected[1:4].tolist() == [expected[0]] * 3
+            with monkeypatch.context() as m:
+                m.setattr(type(sol), "evaluate", _refuse_scalar)
+                got = sol.evaluate_grid(xs, t)
             assert np.array_equal(got, expected)
 
     @pytest.mark.parametrize("sol", GRID_SOLUTIONS, ids=GRID_IDS)

@@ -3,7 +3,8 @@
 ``golden_stdout.json`` holds, per command, the sha256 of stdout, the exit
 status and the stderr text.  It covers the README commands, a
 ``dump-symbolic`` of each benchmark problem under both engines, the 2-D
-``density``/``moments`` comparisons and each branch of ``bounds``.  A
+``density``/``moments`` comparisons, each branch of ``bounds`` and three
+commands at times that are not dyadic rationals.  A
 refactor that claims unchanged behaviour must pass this file unchanged.
 
 Regenerate the data only for an intended output change, from the commit
@@ -61,6 +62,12 @@ COMMANDS = {
                       "--j 0,0;1,0;0,1;2,1 --t 0:0.02:0.005 --compare exact",
     "bounds-frag": f"bounds {_PROBLEMS['breakage']} --t0 0.25 --lam 1 --m 3",
     "bounds-coag2d": f"bounds {_PROBLEMS['coag2d']} --t0 0.01 --T 1 --m 3",
+    # times that are not dyadic rationals, so that exact time substitution
+    # meets large denominators
+    "drawn-l1": f"error-table {_PROBLEMS['constant']} --terms 3:6 --t 0.437,1.283",
+    "drawn-bounds-frag": f"bounds {_PROBLEMS['breakage']} --t0 0.173 --lam 1 --m 3",
+    "drawn-moments-sum": f"moments {_PROBLEMS['sum']} --terms 4 --j 0,1,2 "
+                         "--t 0.137,0.437,1.283",
 }
 
 

@@ -11,7 +11,14 @@ from hypothesis import strategies as st
 
 import fraction_oracle as oracle
 import pbeseries.polyexp as pe
-from pbeseries.polyexp import DegreeOverflowError, MixedRatesError, PolyExp1D, PolyExp2D
+from pbeseries.polyexp import (
+    DegreeOverflowError,
+    MixedRatesError,
+    PolyExp1D,
+    PolyExp2D,
+    tpoly_eval,
+)
+from pbeseries.problems import CoagKernel, Model, exponential_ic, rhs
 
 # Denominators include large primes so common denominators grow wide;
 # numerators run from single digits to 128 bits and take both signs.
@@ -114,6 +121,84 @@ def test_mixed_rates_still_rejected(f, g):
         oracle.convolve(f, g)
     with pytest.raises(MixedRatesError):
         f.convolve(g)
+
+
+# -- self-products -------------------------------------------------------------
+
+
+@given(values(PolyExp1D, RATES_1D), values(PolyExp2D, RATES_2D), st.integers(0, 2))
+def test_self_product_matches_the_general_loop(f, h, borel):
+    # dict(p) is an equal group that is not the same object, so it takes
+    # the general pair loop
+    for v in (f, h):
+        for p in v._terms.values():
+            assert pe._group_product(p, p, borel) == pe._group_product(p, dict(p), borel)
+
+
+@given(values(PolyExp1D, RATES_1D), values(PolyExp2D, RATES_2D),
+       same_rate_pairs(PolyExp1D, RATES_1D, count=1),
+       same_rate_pairs(PolyExp2D, RATES_2D, count=1))
+def test_self_product_matches_oracle(f, h, single1, single2):
+    for v in (f, h):
+        assert_same(v * v, oracle.mul(v, v))
+    for (v,) in (single1, single2):
+        assert_same(v.convolve(v), oracle.convolve(v, v))
+
+
+def test_coagulation_gain_is_a_self_product(monkeypatch):
+    calls = []
+    real = pe._group_product
+
+    def spy(pa, pb, borel=0):
+        calls.append((pa is pb, borel))
+        return real(pa, pb, borel)
+
+    monkeypatch.setattr(pe, "_group_product", spy)
+    u = exponential_ic().mul_tpoly({0: F(1), 1: F(-1, 3)})
+    u2 = (PolyExp2D.monomial(1, xpow=1, tpow=1, xrate=1, yrate=2)
+          + PolyExp2D.monomial(2, xrate=1, yrate=2))
+    for model, value in [*((Model(exponential_ic(), k), u) for k in CoagKernel),
+                         (Model(PolyExp2D.monomial(1, xrate=1, yrate=2), CoagKernel.CONSTANT), u2)]:
+        calls.clear()
+        rhs(model, value)
+        assert (True, model.dim) in calls, model.kernel
+
+
+# -- exact time substitution -----------------------------------------------------
+
+DYADIC = st.sampled_from([0.0, 0.5, 0.25, 1.0, 1.5, 2.0, 0.125, 3.0])
+TIMES = st.one_of(DYADIC, st.floats(0, 3, allow_subnormal=False),
+                  st.floats(-3, 3, allow_subnormal=False))
+
+
+@given(values(PolyExp1D, RATES_1D), st.one_of(
+    TIMES, st.fractions(min_value=-5, max_value=5, max_denominator=10**9)))
+def test_collapse_t_matches_oracle(f, t):
+    new, ref = f.collapse_t(t), oracle.collapse_t(f, t)
+    assert new == ref and list(new) == list(ref)
+    assert all(type(c) is F for cs in new.values() for c in cs)
+
+
+@given(TPOLYS, TIMES)
+def test_tpoly_eval_matches_oracle_bit_for_bit(tp, t):
+    assert tpoly_eval(tp, t).hex() == oracle.tpoly_eval(tp, t).hex()
+
+
+@pytest.mark.parametrize("t", [0.0, 0.5, 0.437, 1.283, 2.0])
+def test_time_substitution_of_zero(t):
+    assert PolyExp1D.zero().collapse_t(t) == oracle.collapse_t(PolyExp1D.zero(), t) == {}
+    assert tpoly_eval({}, t).hex() == oracle.tpoly_eval({}, t).hex()
+
+
+def test_time_substitution_at_drawn_times_of_a_deep_value():
+    # a t^63-degree value at times whose Fractions carry 2^54 denominators
+    f = PolyExp1D({F(1): {(i, j): F((-1) ** i * (j + 1), math.factorial(i + 1)) + F(1, 3)
+                          for i in range(0, 40, 3) for j in range(0, 64, 7)},
+                   F(5, 2): {(0, 63): F(2**127 - 1, 2**61 - 1)}})
+    for t in (0.0, 0.437, 1.283, 0.173, 2.5):
+        assert f.collapse_t(t) == oracle.collapse_t(f, t)
+        tp = f.moment(2)
+        assert tpoly_eval(tp, t).hex() == oracle.tpoly_eval(tp, t).hex()
 
 
 # -- exact cancellation --------------------------------------------------------
