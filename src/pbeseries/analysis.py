@@ -25,7 +25,6 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from .polyexp import PolyExp1D, TPoly, tpoly_eval
 from .series import SeriesSolution
@@ -33,6 +32,22 @@ from .series import SeriesSolution
 
 class InvalidSpecError(ValueError):
     """A table or bound request was structurally invalid."""
+
+
+class _LazyIntegrate:
+    """``scipy.integrate``, imported on first use.
+
+    Only the quadrature fallbacks call it, and its import is most of the
+    CLI's start-up time, so it stays off the import path.
+    """
+
+    def __getattr__(self, name):
+        from scipy import integrate
+
+        return getattr(integrate, name)
+
+
+integrate = _LazyIntegrate()
 
 
 # ---------------------------------------------------------------------------

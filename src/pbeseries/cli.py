@@ -20,10 +20,10 @@ writes JSON, take --format csv|json.  Their own flags: density --t --x --y
 --m --lam; reference-check --t-end --cells --dt --xmax.  Any other flag is
 a usage error, and so is a setting the chosen model does not use: --y on
 a 1-D model, --lam with a coagulation kernel, --T on frag, --frag or
---kernel on the wrong model.  A negative time in --t is a configuration
-error.  The u0 grammar accepts ``exp:a`` for e^{-ax}, ``monoexp:c,p,a``
-for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the bivariate
-analogue; every number may be a rational like 1/2.
+--kernel on the wrong model.  A negative time in --t or size in --x or --y
+is a configuration error.  The u0 grammar accepts ``exp:a`` for e^{-ax},
+``monoexp:c,p,a`` for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the
+bivariate analogue; every number may be a rational like 1/2.
 
 ``--config`` names a file of flat ``key = value`` lines with the long flag
 names as keys.  A flag overrides its config value, which overrides the
@@ -128,12 +128,21 @@ def parse_values(text: str) -> list[float]:
     return vals
 
 
+def _nonnegative_values(text: str, what: str) -> list[float]:
+    vals = parse_values(text)
+    if min(vals) < 0:
+        raise ConfigError(f"{what} must be nonnegative, got {text!r}")
+    return vals
+
+
 def parse_times(text: str) -> list[float]:
     """A --t list or range as ``parse_values`` reads it; no time may be negative."""
-    ts = parse_values(text)
-    if min(ts) < 0:
-        raise ConfigError(f"times must be nonnegative, got {text!r}")
-    return ts
+    return _nonnegative_values(text, "times")
+
+
+def parse_sizes(text: str) -> list[float]:
+    """An --x or --y list or range as ``parse_values`` reads it; no size may be negative."""
+    return _nonnegative_values(text, "sizes")
 
 
 def parse_orders(text: str) -> list[int]:
@@ -194,8 +203,8 @@ _KEYS = {
     "method": (Method, Method.ACCELERATED, [m.value for m in Method]),
     "terms": (int, 3, "truncation order n (error-table: list or lo:hi)"),
     "t": (parse_times, _REQUIRED, "time list 0.5,1,2 or range start:stop:step"),
-    "x": (parse_values, _REQUIRED, "size list or range"),
-    "y": (parse_values, _REQUIRED, "second size coordinate (2-D)"),
+    "x": (parse_sizes, _REQUIRED, "size list or range"),
+    "y": (parse_sizes, _REQUIRED, "second size coordinate (2-D)"),
     "compare": (str, None, "exact: add the closed-form solution"),
     "j": (str, _REQUIRED, "moment orders: 0,1 (1-D) or 0,0;1,0 (2-D)"),
     "t0": (float, _REQUIRED, "norm horizon t0"),
@@ -515,13 +524,16 @@ _COMMANDS = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None) -> _Parser:
+    """The parser with the flags of ``command`` only; other subcommands keep their help line."""
     parser = _Parser(prog="pbeseries", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (_, text, keys) in _COMMANDS.items():
+    for name, (_, text, keys) in _COMMANDS.items():
         # no abbreviations: a flag the subcommand does not take must not
         # pass as the prefix of one it does (--t for --t0, --x for --xmax)
-        p = sub.add_parser(command, help=text, allow_abbrev=False)
+        p = sub.add_parser(name, help=text, allow_abbrev=False)
+        if name != command:
+            continue
         for key in keys:
             hint = _KEYS[key][2]
             choices, hint = (hint, None) if isinstance(hint, list) else (None, hint)
@@ -539,8 +551,12 @@ def _check_writable(path: str) -> None:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # the top-level parser takes no option with a value, so the first
+    # argument that is not an option names the subcommand
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

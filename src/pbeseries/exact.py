@@ -12,7 +12,8 @@ reference: the arithmetic runs in numpy, whose ``+ - * /`` and ``sqrt``
 are correctly rounded like Python's, each exp/log is ``math``'s on every
 element (numpy's own may differ in the last bit), and every series runs
 under a per-lane mask so that each x stops at the same term as the
-scalar loop.
+scalar loop.  The numeric moments import ``scipy.integrate`` when first
+called, so that it stays off the CLI's import path.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Union
 
 import numpy as np
-from scipy import integrate
 
 from .polyexp import as_fraction
 from .problems import CoagKernel, Model
@@ -159,6 +159,8 @@ class SumKernelSolution:
 
     def moment(self, j: int) -> Callable[[float], float]:
         def mom(t: float) -> float:
+            from scipy import integrate
+
             T = -math.expm1(-t)
             if T == 0.0:
                 return float(math.factorial(j))
@@ -356,6 +358,8 @@ class BivariateConstantSolution:
         ymax = float(self.m2) * 40.0
 
         def mom(t: float) -> float:
+            from scipy import integrate
+
             val, _ = integrate.dblquad(
                 lambda yy, xx: xx**jx * yy**jy * self.evaluate(xx, yy, t),
                 0.0, xmax, 0.0, ymax, epsabs=1e-10, epsrel=1e-8,
@@ -382,6 +386,8 @@ ExactSolution = Union[ExactSolution1D, BivariateConstantSolution]
 
 def _numeric_moment(sol, j: int, xmax: float = 60.0) -> Callable[[float], float]:
     def mom(t: float) -> float:
+        from scipy import integrate
+
         val, _ = integrate.quad(
             lambda xx: xx**j * sol.evaluate(xx, t), 0.0, xmax,
             epsabs=1e-12, epsrel=1e-10, limit=200,

@@ -5,37 +5,35 @@ The whole symbolic layer works inside one function class:
     1-D:  f(x, t) = sum over rates a >= 0 of  e^{-a x} * P_a(x, t)
     2-D:  f(x, y, t) = sum over rate pairs (a, b) of  e^{-a x - b y} * P_ab(x, y, t)
 
-where every P is a sparse polynomial with Fraction coefficients and
+where every P is a sparse polynomial with exact rational coefficients and
 nonnegative integer exponents.  This class is closed under addition,
 multiplication, the size convolution on [0, x], the tail integral on
 [x, inf), full-line moments, and time integration from 0 -- which is all
 the iteration engines ever apply.
 
-Representation: a PolyExp stores ``{rate: {exponent_tuple: Fraction}}``,
+Representation: a PolyExp stores ``{rate: (den, {exponent_tuple: int})}``,
 with exponents ``(xpow, tpow)`` and one rate in 1-D, ``(xpow, ypow, tpow)``
-and a rate pair in 2-D.  Zero coefficients and empty rate groups are pruned
-on construction, so two values are mathematically equal exactly when their
-term maps are equal; the zero function is the empty map.  Every operation
-is written once, in ``_PolyExpBase``, over the size axes: a class declares
-only its axis count, its exponent and rate names, and how a stored rate
-maps to its tuple of per-axis rates.
+and a rate pair in 2-D: each rate group is one denominator over integer
+numerators, kept canonical (den > 0, gcd(den, *numerators) == 1, no zero
+numerator, no empty group), so two values are mathematically equal
+exactly when their term maps are equal; the zero function is the empty
+map.  Fractions live only at the API edge: the constructor takes them and
+``terms()``, ``moment``, ``collapse_t`` and ``to_obj`` give them.  Every
+operation is written once, in ``_PolyExpBase``, over the size axes: a
+class declares only its axis count, its exponent and rate names, and how
+a stored rate maps to its tuple of per-axis rates.
 
-Products and convolutions run fraction-free.  Coefficients are exact
-Fractions at the API, but ``_group_product`` takes each operand's rate
-group over one common denominator as integer numerators, pre-scales them
-by i! on every size axis that is convolved (the Borel/Laplace trick, which
-turns the weight i! j!/(i+j+1)! into a plain product), accumulates the
-integer pair products keyed by packed exponents, and normalises once per
-output term.  A self-product (both operands the same rate group, as in
-every coagulation gain Q(u, u)) loops over i <= j only and counts each
-off-diagonal pair twice.  Degree caps are checked on every axis before
-the pair loop.  Moments and point values likewise sum each rate group as
-integers.
-
-Time substitution is fraction-free too: for t = p/q one integer table
-p^j q^(top-j) serves a whole rate group (``collapse_t``) or time
-polynomial (``tpoly_eval``), so each x-coefficient or value is one
-integer sum over den * q^top instead of a Fraction power per monomial.
+All arithmetic is on integers with one gcd per output group: a sum takes
+one lcm of the two denominators, and scaling, time integration and the
+tail integral rescale numerators and denominator.  ``_group_product``
+pre-scales numerators by i! on every size axis that is convolved (the
+Borel/Laplace trick, which turns the weight i! j!/(i+j+1)! into a plain
+product), accumulates the pair products keyed by packed exponents, and
+puts the group over den_a den_b top!.  A self-product (both operands the
+same rate group, as in every coagulation gain Q(u, u)) loops over i <= j
+only.  Degree caps are checked on every axis before the pair loop.  For
+t = p/q one integer table p^j q^(top-j) serves a whole rate group
+(``collapse_t``) or time polynomial (``tpoly_eval``).
 
 Everything is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -119,93 +117,106 @@ def tpoly_eval(tp: TPoly, t: float) -> float:
         return 0.0
     p, q = as_fraction(t).as_integer_ratio()
     top = max(tp)
-    rows, den = _numerators({(j,): c for j, c in tp.items()}, [_power_table(p, q, top)])
-    return sum(num for _, num in rows) / (den * q**top)
+    times = _power_table(p, q, top)
+    den, nums = _over_lcm(tp)
+    return sum(num * times[j] for j, num in nums.items()) / (den * q**top)
 
 
-def _merge(out: dict, rate, poly: Mapping) -> None:
-    """Add ``poly`` into the rate group ``out[rate]``, pruning zeros."""
-    tgt = out.setdefault(rate, {})
-    for e, c in poly.items():
-        s = tgt.get(e, 0) + c
+def _over_lcm(poly: Mapping) -> tuple[int, dict]:
+    """Nonzero exact coefficients as (den, {key: numerator}) over their lcm denominator."""
+    poly = {e: c for e, c in poly.items() if c}
+    den = math.lcm(*(c.denominator for c in poly.values()))
+    return den, {e: c.numerator * (den // c.denominator) for e, c in poly.items()}
+
+
+def _reduced(den: int, nums: dict) -> tuple[int, dict]:
+    """(den, nums) with their common factor divided out; den > 0, nums nonempty."""
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return den, nums
+    return den // g, {e: n // g for e, n in nums.items()}
+
+
+def _merge(out: dict, rate, group: tuple) -> None:
+    """Add the canonical group (den, nums) into ``out[rate]``, pruning zeros."""
+    old = out.get(rate)
+    if old is None:
+        out[rate] = group
+        return
+    (da, na), (db, nb) = old, group
+    den = math.lcm(da, db)
+    sa, sb = den // da, den // db
+    nums = {e: n * sa for e, n in na.items()}
+    for e, n in nb.items():
+        s = nums.get(e, 0) + n * sb
         if s:
-            tgt[e] = s
+            nums[e] = s
         else:
-            tgt.pop(e, None)
-    if not tgt:
+            del nums[e]
+    if nums:
+        out[rate] = _reduced(den, nums)
+    else:
         del out[rate]
 
 
-def _numerators(poly: Mapping, tables: list) -> tuple[list, int]:
-    """(exponents, numerator) rows of a rate group over one common denominator.
-
-    Each numerator is also multiplied by ``tables[axis][e[axis]]`` on every
-    leading axis that has a table.
-    """
-    den = math.lcm(*(c.denominator for c in poly.values()))
-    rows = []
-    for e, c in poly.items():
-        num = c.numerator * (den // c.denominator)
-        for table, i in zip(tables, e):
-            num *= table[i]
-        rows.append((e, num))
-    return rows, den
-
-
-def _group_product(pa: Mapping, pb: Mapping, borel: int = 0) -> dict:
-    """Exact product of two rate groups, computed fraction-free.
+def _group_product(ga: tuple, gb: tuple, borel: int = 0):
+    """Exact product of two rate groups (den, nums) on integers; None if it is 0.
 
     Monomials multiply pairwise and their exponents add, except on the
     first ``borel`` axes, which are convolved on [0, x]: there x^i against
     x^j gives i! j!/(i+j+1)! x^{i+j+1}.  With numerators pre-scaled by i!
     and j! that weight is 1/(i+j+1)!, so the pair loop is one integer
-    multiply-add and each output term is normalised once, as
-    sum / (La Lb prod (i+j+1)!).  A self-product (``pa is pb``) loops over
+    multiply-add; the group then goes over Da Db prod top! with a top!/k!
+    factor per term and one gcd.  A self-product (``ga is gb``) loops over
     i <= j only.  Every axis is checked against MAX_EXPONENT before any
     pair is formed; checked sums fit the packed fields.
     """
+    (den_a, pa), (den_b, pb) = ga, gb
     if not pa or not pb:
-        return {}
+        return None
     nvars = len(next(iter(pa)))
-    for axis in range(nvars):
-        _check_exponent(
-            max(e[axis] for e in pa) + max(e[axis] for e in pb) + int(axis < borel)
-        )
+    tops = [_check_exponent(max(e[axis] for e in pa) + max(e[axis] for e in pb)
+                            + int(axis < borel)) for axis in range(nvars)]
     width = MAX_EXPONENT.bit_length()
     shifts = [width * axis for axis in range(nvars)]
 
-    def packed(poly):
-        rows, den = _numerators(poly, [_FACTORIAL] * borel)
-        return [(sum(i << s for i, s in zip(e, shifts)), n) for e, n in rows], den
+    def packed(nums):
+        rows = []
+        for e, n in nums.items():
+            for i in e[:borel]:
+                n *= _FACTORIAL[i]
+            rows.append((sum(i << s for i, s in zip(e, shifts)), n))
+        return rows
 
-    packed_a, den_a = packed(pa)
+    packed_a = packed(pa)
     acc: defaultdict = defaultdict(int)
-    if pa is pb:
+    if ga is gb:
         # the pair weight and the exponent sum are symmetric, so each
         # unordered pair is formed once and the off-diagonal ones count twice
-        den_b = den_a
         for i, (ka, na) in enumerate(packed_a):
             acc[ka + ka] += na * na
             twice = na + na
             for kb, nb in packed_a[i + 1:]:
                 acc[ka + kb] += twice * nb
     else:
-        packed_b, den_b = packed(pb)
+        packed_b = packed(pb)
         for ka, na in packed_a:
             for kb, nb in packed_b:
                 acc[ka + kb] += na * nb
     offset = sum(1 << s for s in shifts[:borel])
     mask = (1 << width) - 1
-    out = {}
+    den = den_a * den_b * math.prod(_FACTORIAL[top] for top in tops[:borel])
+    # ratios[axis][k] = top!/k!
+    ratios = [list(accumulate(range(top, 0, -1), mul, initial=1))[::-1] for top in tops[:borel]]
+    nums = {}
     for key, total in acc.items():
         if total:
             key += offset
             exps = tuple((key >> s) & mask for s in shifts)
-            den = den_a * den_b
-            for i in exps[:borel]:
-                den *= _FACTORIAL[i]
-            out[exps] = Fraction(total, den)
-    return out
+            for ratio, i in zip(ratios, exps):
+                total *= ratio[i]
+            nums[exps] = total
+    return _reduced(den, nums) if nums else None
 
 
 class _PolyExpBase:
@@ -229,8 +240,9 @@ class _PolyExpBase:
     def __init__(self, terms: Mapping) -> None:
         canon: dict = {}
         for rate, poly in terms.items():
-            group = {self._canon_exps(e): as_fraction(c) for e, c in poly.items()}
-            _merge(canon, self._canon_rate(rate), group)
+            den, nums = _over_lcm({self._canon_exps(e): as_fraction(c) for e, c in poly.items()})
+            if nums:
+                _merge(canon, self._canon_rate(rate), (den, nums))
         object.__setattr__(self, "_terms", canon)
 
     @classmethod
@@ -261,7 +273,7 @@ class _PolyExpBase:
         return not self._terms
 
     def term_count(self) -> int:
-        return sum(len(p) for p in self._terms.values())
+        return sum(len(nums) for _, nums in self._terms.values())
 
     def rates(self):
         return sorted(self._terms)
@@ -273,16 +285,16 @@ class _PolyExpBase:
     def terms(self) -> Iterator:
         """Yield (rate, exponents, coefficient) in canonical order."""
         for rate in sorted(self._terms):
-            poly = self._terms[rate]
-            for exps in sorted(poly):
-                yield rate, exps, poly[exps]
+            den, nums = self._terms[rate]
+            for exps in sorted(nums):
+                yield rate, exps, Fraction(nums[exps], den)
 
     def t_degree(self) -> int:
         """Highest t exponent, or -1 for the zero function."""
-        return max((e[-1] for _, e, _ in self.terms()), default=-1)
+        return max((e[-1] for _, nums in self._terms.values() for e in nums), default=-1)
 
     def x_degree(self) -> int:
-        return max((e[0] for _, e, _ in self.terms()), default=-1)
+        return max((e[0] for _, nums in self._terms.values() for e in nums), default=-1)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -290,7 +302,8 @@ class _PolyExpBase:
         return self._terms == other._terms
 
     def __hash__(self):
-        return hash(tuple((r, tuple(sorted(p.items()))) for r, p in sorted(self._terms.items())))
+        return hash(tuple((r, d, tuple(sorted(n.items())))
+                          for r, (d, n) in sorted(self._terms.items())))
 
     def __repr__(self) -> str:
         n = self.term_count()
@@ -301,22 +314,24 @@ class _PolyExpBase:
     def __add__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        merged: dict = {r: dict(p) for r, p in self._terms.items()}
-        for r, p in other._terms.items():
-            _merge(merged, r, p)
+        merged = dict(self._terms)
+        for r, group in other._terms.items():
+            _merge(merged, r, group)
         return self._wrap(merged)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._wrap({r: {e: -c for e, c in p.items()} for r, p in self._terms.items()})
+        return self._wrap({r: (d, {e: -n for e, n in nums.items()})
+                           for r, (d, nums) in self._terms.items()})
 
     def scale(self, c: RationalLike):
-        c = as_fraction(c)
-        if c == 0:
+        p, q = as_fraction(c).as_integer_ratio()
+        if p == 0:
             return self._wrap({})
-        return self._wrap({r: {e: k * c for e, k in p.items()} for r, p in self._terms.items()})
+        return self._wrap({r: _reduced(d * q, {e: n * p for e, n in nums.items()})
+                           for r, (d, nums) in self._terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -324,17 +339,20 @@ class _PolyExpBase:
         if type(other) is not type(self):
             return NotImplemented
         out: dict = {}
-        for ra, pa in self._terms.items():
-            for rb, pb in other._terms.items():
-                _merge(out, self._rate_sum(ra, rb), _group_product(pa, pb))
+        for ra, ga in self._terms.items():
+            for rb, gb in other._terms.items():
+                group = _group_product(ga, gb)
+                if group:
+                    _merge(out, self._rate_sum(ra, rb), group)
         return self._wrap(out)
 
     __rmul__ = __mul__
 
     def mul_tpoly(self, tp: TPoly):
         """Multiply by a polynomial in t (rates are unchanged)."""
-        tgroup = {(0,) * self.dim + (_check_exponent(j),): k for j, k in tp.items()}
-        return self._wrap_groups((r, _group_product(p, tgroup)) for r, p in self._terms.items())
+        tgroup = _over_lcm({(0,) * self.dim + (_check_exponent(j),): as_fraction(k)
+                            for j, k in tp.items()})
+        return self._wrap_groups((r, _group_product(g, tgroup)) for r, g in self._terms.items())
 
     def _convolve(self, other):
         """Convolution on every size axis; all rates must be one and the same."""
@@ -348,10 +366,12 @@ class _PolyExpBase:
 
     def time_antiderivative(self):
         """Integrate from 0 in time, t^j to t^{j+1}/(j+1); the result is 0 at t = 0."""
-        return self._wrap({
-            r: {e[:-1] + (_check_exponent(e[-1] + 1),): c / (e[-1] + 1) for e, c in p.items()}
-            for r, p in self._terms.items()
-        })
+        out = {}
+        for r, (d, nums) in self._terms.items():
+            lcm = math.lcm(*(e[-1] + 1 for e in nums))
+            out[r] = _reduced(d * lcm, {e[:-1] + (_check_exponent(e[-1] + 1),):
+                                        n * (lcm // (e[-1] + 1)) for e, n in nums.items()})
+        return self._wrap(out)
 
     # -- integrals, values and the serialised form ---------------------------
 
@@ -368,18 +388,23 @@ class _PolyExpBase:
             raise ZeroRateError("moment of a rate-0 term diverges")
         out: dict = {}  # one group under key 0, so that _merge prunes zeros
         for rate in sorted(self._terms):
-            poly, tables, den = self._terms[rate], [], 1
+            den, poly = self._terms[rate]
+            tables = []
             for axis, (j, a) in enumerate(zip(orders, self._axis_rates(rate))):
                 top, (p, q) = max(e[axis] for e in poly), a.as_integer_ratio()
                 tables.append([math.factorial(i + j) * q ** (i + j + 1) * p ** (top - i)
                                for i in range(top + 1)])
                 den *= p ** (top + j + 1)
-            rows, cden = _numerators(poly, tables)
             sums: defaultdict = defaultdict(int)
-            for e, num in sorted(rows):  # t-exponents in order of first appearance
+            for e, num in sorted(poly.items()):  # t-exponents in order of first appearance
+                for table, i in zip(tables, e):
+                    num *= table[i]
                 sums[e[-1]] += num
-            _merge(out, 0, {jt: Fraction(num, cden * den) for jt, num in sums.items()})
-        return out.get(0, {})
+            sums = {jt: num for jt, num in sums.items() if num}
+            if sums:
+                _merge(out, 0, (den, sums))
+        den, sums = out.get(0, (1, {}))
+        return {jt: Fraction(num, den) for jt, num in sums.items()}
 
     def _evaluate(self, *coords: float) -> float:
         """Float value at (size coordinates..., t).
@@ -390,22 +415,27 @@ class _PolyExpBase:
         relative error is a few ulp per group for |x| <= 100, degree <= 60.
         """
         total, ratios = 0.0, [Fraction(v).as_integer_ratio() for v in coords]
-        for rate, poly in self._terms.items():
-            tables, den = [], 1
+        for rate, (den, poly) in self._terms.items():
+            tables = []
             for axis, (p, q) in enumerate(ratios):
                 top = max(e[axis] for e in poly)
                 tables.append(_power_table(p, q, top))
                 den *= q**top
-            rows, cden = _numerators(poly, tables)
+            value = 0
+            for e, num in poly.items():
+                for table, i in zip(tables, e):
+                    num *= table[i]
+                value += num
             arg = sum(float(a) * v for a, v in zip(self._axis_rates(rate), coords))
-            total += sum(num for _, num in rows) / (cden * den) * math.exp(-arg)
+            total += value / den * math.exp(-arg)
         return total
 
     def _to_obj(self) -> dict:
         """Stable-ordered structured form used by the CLI symbolic dump."""
         groups, keys = [], ("coeff", *self._EXPONENTS)
         for rate in sorted(self._terms):
-            monos = [dict(zip(keys, (str(c), *e))) for e, c in sorted(self._terms[rate].items())]
+            den, nums = self._terms[rate]
+            monos = [dict(zip(keys, (str(Fraction(n, den)), *e))) for e, n in sorted(nums.items())]
             axes = map(str, self._axis_rates(rate))
             groups.append({**dict(zip(self._RATES, axes)), "monomials": monos})
         return {"dim": self.dim, "terms": groups}
@@ -451,8 +481,8 @@ class PolyExp1D(_PolyExpBase):
 
     def mul_x(self, k: int = 1) -> "PolyExp1D":
         """Multiply by x^k."""
-        return self._wrap({r: {(_check_exponent(i + k), j): c for (i, j), c in p.items()}
-                           for r, p in self._terms.items()})
+        return self._wrap({r: (d, {(_check_exponent(i + k), j): n for (i, j), n in nums.items()})
+                           for r, (d, nums) in self._terms.items()})
 
     def convolve(self, other: "PolyExp1D") -> "PolyExp1D":
         """Size convolution int_0^x f(x-y, t) g(y, t) dy.
@@ -472,37 +502,44 @@ class PolyExp1D(_PolyExpBase):
 
         For x^m e^{-ax} with n = m + p >= 0 the closed form is
         e^{-ax} * sum_{k=0}^{n} (n!/k!) x^k / a^{n-k+1}.
+        With a = P/Q and N the group's top n, the group goes over den P^{N+1},
+        and the k-th term of x^m weighs (n!/k!) Q^r P^{N+1-r}, r = n-k+1.
         """
         if self.has_zero_rate():
             raise ZeroRateError("tail integral of a rate-0 term diverges")
         out: dict = {}
-        for a, (m, jt), c in self.terms():
-            n = m + p
-            if n < 0:
-                raise OutOfClassError(
-                    f"tail integral with power {p} drives x^{m} below degree 0"
-                )
-            nfac = math.factorial(n)
-            _merge(out, a, {
-                (k, jt): c * Fraction(nfac, math.factorial(k)) / a ** (n - k + 1)
-                for k in range(n + 1)
-            })
+        for a in sorted(self._terms):
+            den, poly = self._terms[a]
+            if (low := min(m for m, _ in poly)) + p < 0:
+                raise OutOfClassError(f"tail integral with power {p} drives x^{low} "
+                                      "below degree 0")
+            top, (pa, qa) = max(m for m, _ in poly) + p, a.as_integer_ratio()
+            weights = [qa**r * pa ** (top + 1 - r) for r in range(top + 2)]
+            nums: defaultdict = defaultdict(int)
+            for (m, jt), num in poly.items():
+                n = m + p
+                ratio = math.factorial(n)  # n!/k!
+                for k in range(n + 1):
+                    nums[k, jt] += num * ratio * weights[n - k + 1]
+                    ratio //= k + 1
+            nums = {e: n for e, n in nums.items() if n}
+            if nums:
+                out[a] = _reduced(den * pa ** (top + 1), nums)
         return self._wrap(out)
 
     def collapse_t(self, t: RationalLike) -> dict[Fraction, list[Fraction]]:
         """Substitute an exact time, returning rate -> x-coefficient list.
 
-        With t = p/q, each rate group is taken over one common denominator
-        and every x-coefficient is one integer sum over den * q^top.
+        With t = p/q, every x-coefficient of a rate group is one integer
+        sum over den * q^top.
         """
         p, q = as_fraction(t).as_integer_ratio()
         out: dict[Fraction, list[Fraction]] = {}
-        for a, poly in self._terms.items():
+        for a, (den, poly) in self._terms.items():
             top = max(j for _, j in poly)
             times = _power_table(p, q, top)
-            rows, den = _numerators(poly, [])
             sums = [0] * (max(i for i, _ in poly) + 1)
-            for (i, j), num in rows:
+            for (i, j), num in poly.items():
                 sums[i] += num * times[j]
             den *= q**top
             out[a] = [Fraction(num, den) for num in sums]

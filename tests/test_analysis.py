@@ -202,6 +202,11 @@ def _split_quad(c, roots, rate):
                for lo, hi in zip(ends, ends[1:]))
 
 
+def test_quadrature_is_scipys():
+    # analysis.integrate stands in for scipy.integrate until first use
+    assert analysis.integrate.quad is integrate.quad
+
+
 class TestExactSupNorm:
     def test_random_single_rate_matches_split_quad(self, monkeypatch):
         rng = random.Random(20230108)

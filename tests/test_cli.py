@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -366,6 +370,32 @@ class TestErrorPaths:
         assert code == 2 and out == ""
         assert err == f"error: times must be nonnegative, got {t!r}\n"
 
+    @pytest.mark.parametrize("argv, key, value", [
+        (["density", "--model", "coag", "--kernel", "product", "--u0", "exp:1", "--terms", "1",
+          "--t", "0.5", "--compare", "exact"], "x", "-1"),
+        (["density", *COAG, "--t", "1"], "x", "0.5,-1"),
+        (["density", *COAG, "--t", "1"], "x", "-1:1:0.5"),
+        (["error-table", "--model", "coag", "--kernel", "product", "--u0", "exp:1",
+          "--terms", "2", "--t", "0.2"], "x", "-1"),
+        (["density", "--model", "coag2d", "--u0", "monoexp2:1,0,0,1,1", "--t", "1",
+          "--x", "1"], "y", "0.5,-1/2"),
+    ], ids=["density-product", "density-list", "density-range", "error-table-pointwise",
+            "density-coag2d-y"])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_negative_size_is_exit_2_before_the_engine(self, capsys, monkeypatch, tmp_path,
+                                                       argv, key, value, via_config):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            setting = ["--config", str(cfg)]
+        else:
+            # --x=... because argparse reads "-1" after --x as a flag
+            setting = [f"--{key}={value}"]
+        code, out, err = run(capsys, *argv, *setting)
+        assert code == 2 and out == ""
+        assert err == f"error: sizes must be nonnegative, got {value!r}\n"
+
     def test_io_error_is_exit_4(self, capsys, tmp_path):
         code, _, err = run(
             capsys, *DENSITY_61, "--out", str(tmp_path / "no" / "such" / "dir" / "f.csv")
@@ -527,6 +557,15 @@ class TestSettingsPath:
         assert err.startswith("error: unrecognized arguments:") and err.count("\n") == 1
         assert foreign[0] in err
 
+    def test_parser_holds_only_the_dispatched_subcommand_flags(self):
+        parser = cli.build_parser("bounds")
+        assert parser.parse_args(["bounds", "--t0", "1"]).t0 == "1"
+        with pytest.raises(cli._UsageError, match="unrecognized arguments: --t 1"):
+            parser.parse_args(["density", "--t", "1"])
+        # every subcommand still has its name and help line
+        for name, (_, text, _) in cli._COMMANDS.items():
+            assert name in parser.format_help() and text in parser.format_help()
+
     @pytest.mark.parametrize("command, flags, config", [
         ("density", ["--t", "bogus", "--x", "1"], ""),
         ("moments", ["--j", "x", "--t", "1"], ""),
@@ -597,3 +636,12 @@ class TestSettingsPath:
 
 def _refuse_iterate(*args, **kwargs):
     raise AssertionError("the engine ran before every setting was checked")
+
+
+def test_import_leaves_scipy_unloaded():
+    # a fresh interpreter, since this one has long imported scipy
+    code = "import sys, pbeseries.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert done.stdout == "[]\n"

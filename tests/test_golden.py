@@ -3,8 +3,9 @@
 ``golden_stdout.json`` holds, per command, the sha256 of stdout, the exit
 status and the stderr text.  It covers the README commands, a
 ``dump-symbolic`` of each benchmark problem under both engines, the 2-D
-``density``/``moments`` comparisons, each branch of ``bounds`` and three
-commands at times that are not dyadic rationals.  A
+``density``/``moments`` comparisons, each branch of ``bounds``, three
+commands at times that are not dyadic rationals and the ``--help`` text of
+the program and of each subcommand (at a pinned 80-column width).  A
 refactor that claims unchanged behaviour must pass this file unchanged.
 
 Regenerate the data only for an intended output change, from the commit
@@ -19,8 +20,10 @@ import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -68,13 +71,21 @@ COMMANDS = {
     "drawn-bounds-frag": f"bounds {_PROBLEMS['breakage']} --t0 0.173 --lam 1 --m 3",
     "drawn-moments-sum": f"moments {_PROBLEMS['sum']} --terms 4 --j 0,1,2 "
                          "--t 0.137,0.437,1.283",
+    "help": "--help",
+    **{f"help-{cmd}": f"{cmd} --help" for cmd in (
+        "density", "error-table", "moments", "bounds", "reference-check", "dump-symbolic")},
 }
 
 
 def run_command(command: str) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(shlex.split(command))
+    # argparse wraps --help text at the terminal width, so pin it
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(shlex.split(command))
+        except SystemExit as exc:  # argparse exits after printing --help
+            code = exc.code
     return {
         "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
         "exit": code,

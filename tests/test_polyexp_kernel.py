@@ -55,8 +55,17 @@ def same_rate_pairs(cls, rates, count=2):
 TPOLYS = st.dictionaries(st.integers(0, 5), COEFFS, max_size=4)
 
 
+def assert_canonical(value):
+    """Each rate group is one denominator over integer numerators, fully reduced."""
+    for den, nums in value._terms.values():
+        assert type(den) is int and den > 0
+        assert nums and all(type(n) is int and n for n in nums.values())
+        assert math.gcd(den, *nums.values()) == 1
+
+
 def assert_same(new, ref):
-    """Equal as exact rationals and with rate groups in the same order."""
+    """Equal as exact rationals, canonical and with rate groups in the same order."""
+    assert_canonical(new)
     assert new == ref
     assert list(new._terms) == list(ref._terms)
 
@@ -123,16 +132,55 @@ def test_mixed_rates_still_rejected(f, g):
         f.convolve(g)
 
 
+@given(values(PolyExp1D, RATES_1D), values(PolyExp1D, RATES_1D),
+       values(PolyExp2D, RATES_2D), values(PolyExp2D, RATES_2D), COEFFS)
+def test_linear_operations_match_oracle(f, g, h, k, c):
+    for a, b in ((f, g), (h, k), (f, f)):
+        assert_same(a + b, oracle.add(a, b))
+        assert_same(a - b, oracle.sub(a, b))
+        assert_same(-a, oracle.neg(a))
+        assert_same(a.scale(c), oracle.scale(a, c))
+        assert_same(a.time_antiderivative(), oracle.time_antiderivative(a))
+    assert (f - f).is_zero() and f.scale(0).is_zero()
+
+
+@given(values(PolyExp1D, RATES_1D), st.integers(0, 3))
+def test_mul_x_matches_oracle(f, k):
+    assert_same(f.mul_x(k), oracle.mul_x(f, k))
+
+
+@given(values(PolyExp1D, RATES_1D[1:]), st.integers(-1, 2))
+def test_tail_integral_matches_oracle(f, p):
+    if min(e[0] for _, e, _ in f.terms()) + p < 0:
+        with pytest.raises(pe.OutOfClassError):
+            f.tail_integral(p)
+        return
+    assert_same(f.tail_integral(p), oracle.tail_integral(f, p))
+
+
+@given(st.lists(st.tuples(st.sampled_from(RATES_1D), groups(2)), min_size=1, max_size=4))
+def test_construction_is_canonical(pairs):
+    # a rate given twice, as a string and as a Fraction, merges into one group
+    terms = {(str(r) if i % 2 else r): g for i, (r, g) in enumerate(pairs)}
+    value = PolyExp1D(terms)
+    assert_canonical(value)
+    for rate, exps, c in value.terms():
+        assert type(c) is F and c
+
+
 # -- self-products -------------------------------------------------------------
 
 
 @given(values(PolyExp1D, RATES_1D), values(PolyExp2D, RATES_2D), st.integers(0, 2))
 def test_self_product_matches_the_general_loop(f, h, borel):
-    # dict(p) is an equal group that is not the same object, so it takes
-    # the general pair loop
+    # (den, dict(nums)) is an equal group that is not the same object, so
+    # it takes the general pair loop
     for v in (f, h):
-        for p in v._terms.values():
-            assert pe._group_product(p, p, borel) == pe._group_product(p, dict(p), borel)
+        for group in v._terms.values():
+            den, nums = group
+            same = pe._group_product(group, group, borel)
+            assert same == pe._group_product(group, (den, dict(nums)), borel)
+            assert math.gcd(same[0], *same[1].values()) == 1
 
 
 @given(values(PolyExp1D, RATES_1D), values(PolyExp2D, RATES_2D),
