@@ -11,9 +11,9 @@ and reuse that grid for every truncation order.
 The sup-norm behind the convergence bounds is exact on [0, inf) for
 single-rate values: time is substituted exactly, the half line is split
 at the certified sign changes of the x-polynomial, and the exact tail
-antiderivative is differenced between them.  Adaptive quadrature on
-[0, 50] is used only for values with several rates or with roots that
-cannot be certified.
+antiderivative is differenced between them, certifying once per call
+and polynomial shape.  Adaptive quadrature on [0, 50] is used only for
+values with several rates or with roots that cannot be certified.
 """
 
 from __future__ import annotations
@@ -180,6 +180,23 @@ def _refine_root(p: list[int], lo: Fraction, hi: Fraction, x: float):
     return None
 
 
+def _stripped(coeffs: list[Fraction]) -> list[int]:
+    """An integer multiple of coeffs without trailing zeros or x^m (no root in (0, inf))."""
+    p, _ = _as_integers(coeffs)
+    nonzero = [i for i, c in enumerate(p) if c]
+    return p[nonzero[0]:nonzero[-1] + 1] if nonzero else []
+
+
+def _shape(coeffs: list[Fraction]) -> tuple[int, ...]:
+    """``_stripped(coeffs)`` made primitive with lead > 0: one key for all its multiples.
+
+    ``_sign_changes`` depends only on coefficient ratios and signs that flip together.
+    """
+    p = _stripped(coeffs)
+    g = math.gcd(*p) * (1 if p and p[-1] > 0 else -1)
+    return tuple(c // g for c in p)
+
+
 def _sign_changes(coeffs: list[Fraction]):
     """Points in (0, inf) where the polynomial changes sign, or None.
 
@@ -188,11 +205,7 @@ def _sign_changes(coeffs: list[Fraction]):
     signs alternate across the brackets between them, so each bracket holds
     exactly one root.  None means the roots could not be certified.
     """
-    p, _ = _as_integers(coeffs)
-    while p and p[-1] == 0:
-        p.pop()
-    while p and p[0] == 0:  # a factor x^m has no root in (0, inf)
-        p.pop(0)
+    p = _stripped(coeffs)
     if len(p) <= 1:
         return []
     count = _positive_root_count(p)
@@ -241,8 +254,8 @@ def _exact_abs_integral(a: Fraction, coeffs: list[Fraction], roots: list[float])
     return sum(abs(u - v) for u, v in zip(ends, ends[1:]))
 
 
-def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly]) -> float:
-    """int_0^inf |f(x, s)| dx; ``mass()`` gives f's exact moment polynomial."""
+def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly], certified: dict) -> float:
+    """int_0^inf |f(x, s)| dx; ``mass()`` gives f's moment polynomial, ``certified`` roots."""
     collapsed = f.collapse_t(Fraction(s))
     coeffs = [c for poly in collapsed.values() for c in poly]
     if all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs):
@@ -251,9 +264,10 @@ def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly]) -> float:
         return abs(tpoly_eval(mass(), s))
     if len(collapsed) == 1:
         (a, poly), = collapsed.items()
-        roots = _sign_changes(poly) if a > 0 else None
-        if roots is not None:
-            return _exact_abs_integral(a, poly, roots)
+        if (shape := _shape(poly)) not in certified:  # one f, so one rate a, per call
+            certified[shape] = _sign_changes(poly) if a > 0 else None
+        if certified[shape] is not None:
+            return _exact_abs_integral(a, poly, certified[shape])
     groups = [(float(a), [float(c) for c in reversed(poly)]) for a, poly in collapsed.items()]
 
     def integrand(x: float) -> float:
@@ -279,15 +293,17 @@ def sup_l1_norm(f: PolyExp1D, t0: float, samples: int = 101) -> float:
     and the tail antiderivative e^{-ax} Q(x) is differenced between them,
     rounding once per root.  Adaptive quadrature on [0, 50], over a float
     Horner evaluation, is used only for several rates or roots that cannot
-    be certified (repeated or clustered roots).
+    be certified (repeated or clustered roots).  Roots are certified once per
+    shape and call; all samples s > 0 of v_1 = t g(x) have g's shape.
     """
     if t0 < 0 or samples < 2:
         raise InvalidSpecError("sup norm needs t0 >= 0 and at least two samples")
     # the mass polynomial is built on first use, then shared by every sample
     mass = functools.cache(lambda: f.moment(0))
+    certified: dict = {}
     if t0 == 0:
-        return _l1_at_time(f, 0.0, mass)
-    return max(_l1_at_time(f, float(s), mass) for s in np.linspace(0.0, t0, samples))
+        return _l1_at_time(f, 0.0, mass, certified)
+    return max(_l1_at_time(f, float(s), mass, certified) for s in np.linspace(0.0, t0, samples))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,7 @@ values are checked like flags, and every setting is checked before any
 work starts.
 
 Exit status: 0 success, 2 configuration error, 3 engine error
-(mixed rates, out-of-class breakage, degree/term overflow, instability),
+(mixed rates, out-of-class breakage, degree/term/float overflow, instability),
 4 I/O error, and an --out path whose directory is missing exits 4 before
 any work.  Errors print one diagnostic line on stderr.  Output is
 byte-deterministic for a fixed configuration: data values are printed
@@ -65,9 +65,16 @@ class _UsageError(Exception):
     pass
 
 
+class _HelpShown(Exception):
+    """--help has printed its text."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+    def exit(self, status=0, message=None):
+        raise _HelpShown
 
 
 # ---------------------------------------------------------------------------
@@ -370,7 +377,7 @@ def cmd_density(s: _Settings) -> str:
     rows: list[tuple] = []
     for t in ts:
         if ys:
-            vals = [psi.evaluate(x, y, t) for x, y in points]
+            vals = psi.evaluate_grid(xs, ys, t)
             exs = [sol.evaluate(x, y, t) for x, y in points] if sol is not None else None
         else:
             vals = psi.eval_grid(np.array(xs), t).tolist()
@@ -560,6 +567,8 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _HelpShown:
+        return 0
     try:
         settings = _Settings(args)
         out = settings.get("out")
@@ -577,6 +586,9 @@ def main(argv=None) -> int:
         return 2
     except (PolyExpError, refsolver.InstabilityError, exact.NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 3
+    except OverflowError as exc:  # float ** gives an (errno, text) pair, the rest a text
+        print(f"error: a value overflows the float range: {exc.args[-1]}", file=sys.stderr)
         return 3
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

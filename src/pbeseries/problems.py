@@ -95,29 +95,30 @@ class Model:
         return self.u0.dim
 
 
-def coag_bilinear(kernel: CoagKernel, u: PolyExp1D, w: PolyExp1D) -> PolyExp1D:
-    """Bilinear coagulation form Q(u, w) = 1/2 gain(u, w) - loss(u, w).
-
-    The kernel substitution K(x-y, y) reduces each gain to a convolution
-    and each loss to the product of u with a moment of w (times x where
-    the kernel demands it).  The model right-hand side is Q(u, u).
-    """
+def coag_gain(kernel: CoagKernel, u: PolyExp, w: PolyExp) -> PolyExp:
+    """Gain int_0^x K(x-y, y) u(x-y) w(y) dy, symmetric in u and w; K = 1 serves 2-D too."""
     if kernel is CoagKernel.CONSTANT:
-        gain = u.convolve(w)
-        loss = u.mul_tpoly(w.moment(0))
-    elif kernel is CoagKernel.SUM:
-        gain = u.convolve(w).mul_x()
-        loss = u.mul_x().mul_tpoly(w.moment(0)) + u.mul_tpoly(w.moment(1))
-    elif kernel is CoagKernel.PRODUCT:
-        # one x u serves both operands of Q(u, u), so the convolution
-        # sees a self-product
-        xu = u.mul_x()
-        xw = xu if w is u else w.mul_x()
-        gain = xu.convolve(xw)
-        loss = xu.mul_tpoly(w.moment(1))
-    else:  # pragma: no cover - closed enum
-        raise ValueError(f"unknown kernel {kernel!r}")
-    return gain.scale(Fraction(1, 2)) - loss
+        return u.convolve(w)
+    if kernel is CoagKernel.SUM:
+        return u.convolve(w).mul_x()
+    # product kernel: one x u serves both operands of Q(u, u), so the
+    # convolution sees a self-product
+    xu = u.mul_x()
+    return xu.convolve(xu if w is u else w.mul_x())
+
+
+def coag_loss(kernel: CoagKernel, u: PolyExp, moment) -> PolyExp:
+    """Loss u(x) int_0^inf K(x, y) w(y) dy; ``moment(j)`` is w's j-th (2-D: (0, 0)th) moment."""
+    if kernel is CoagKernel.CONSTANT:
+        return u.mul_tpoly(moment(0))
+    if kernel is CoagKernel.SUM:
+        return u.mul_x().mul_tpoly(moment(0)) + u.mul_tpoly(moment(1))
+    return u.mul_x().mul_tpoly(moment(1))  # product kernel
+
+
+def coag_bilinear(kernel: CoagKernel, u: PolyExp1D, w: PolyExp1D) -> PolyExp1D:
+    """Bilinear coagulation form Q(u, w) = 1/2 gain(u, w) - loss(u, w); the rhs is Q(u, u)."""
+    return coag_gain(kernel, u, w).scale(Fraction(1, 2)) - coag_loss(kernel, u, w.moment)
 
 
 def frag_rhs(spec: FragSpec, u: PolyExp1D) -> PolyExp1D:
@@ -138,7 +139,8 @@ def frag_rhs(spec: FragSpec, u: PolyExp1D) -> PolyExp1D:
 
 def coag2d_bilinear(u: PolyExp2D, w: PolyExp2D) -> PolyExp2D:
     """Constant-kernel bivariate form: 1/2 convolution minus count loss."""
-    return u.convolve(w).scale(Fraction(1, 2)) - u.mul_tpoly(w.moment(0, 0))
+    gain = coag_gain(CoagKernel.CONSTANT, u, w)
+    return gain.scale(Fraction(1, 2)) - coag_loss(CoagKernel.CONSTANT, u, w.moment)
 
 
 def bilinear(model: Model, u, w):

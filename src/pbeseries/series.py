@@ -13,7 +13,8 @@ Two schemes are implemented over the same right-hand-side operators:
 
   * classical: the familiar decomposition-series recursion
     v_{k+1} = T[A_k] with A_k the bilinear expansion polynomial
-    sum_{i+j=k} Q(v_i, v_j) plus the linear breakage applied to v_k.
+    sum_{i+j=k} Q(v_i, v_j) plus the linear breakage applied to v_k,
+    convolving each unordered pair {i, j} once.
 
 For purely linear models (fragmentation) the two recursions coincide
 component by component.
@@ -23,10 +24,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
+from fractions import Fraction
+from functools import cache, reduce
 
 from .polyexp import MAX_EXPONENT, DegreeOverflowError, PolyExpError
-from .problems import CoagKernel, Model, bilinear, frag_rhs, rhs
+from .problems import CoagKernel, Model, coag_gain, coag_loss, frag_rhs, rhs
 
 DEFAULT_TERM_BUDGET = 200_000
 
@@ -120,12 +122,20 @@ def iterate_accelerated(
     return SeriesSolution(problem, Method.ACCELERATED, tuple(components))
 
 
-def _bilinear_block(problem: Model, components, k: int):
-    """A_k = sum_{i+j=k} Q(v_i, v_j) (+ linear breakage of v_k)."""
+def _bilinear_block(problem: Model, components, moments, k: int):
+    """A_k = sum_{i+j=k} Q(v_i, v_j) (+ linear breakage of v_k); ``moments[i]`` is v_i.moment.
+
+    The gain is symmetric: for i < j one convolution gives Q(v_i, v_j) + Q(v_j, v_i).
+    """
     acc = problem.u0.zero()
     if problem.kernel is not None:
-        for i in range(k + 1):
-            acc = acc + bilinear(problem, components[i], components[k - i])
+        for i in range(k // 2 + 1):
+            j = k - i
+            gain = coag_gain(problem.kernel, components[i], components[j])
+            acc = acc + (gain if i < j else gain.scale(Fraction(1, 2)))
+            acc = acc - coag_loss(problem.kernel, components[i], moments[j])
+            if i < j:
+                acc = acc - coag_loss(problem.kernel, components[j], moments[i])
     if problem.frag is not None:
         acc = acc + frag_rhs(problem.frag, components[k])
     return acc
@@ -134,14 +144,16 @@ def _bilinear_block(problem: Model, components, k: int):
 def iterate_classical(
     problem: Model, n: int, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> SeriesSolution:
-    """Run the classical decomposition recursion up to component v_n."""
+    """Run the classical decomposition recursion up to component v_n, sharing moments."""
     if n < 0:
         raise ValueError("number of components must be nonnegative")
     components = [problem.u0]
+    moments = [cache(problem.u0.moment)]
     for k in range(n):
-        a_k = _bilinear_block(problem, components, k)
+        a_k = _bilinear_block(problem, components, moments, k)
         _check_budget(a_k, term_budget)
         components.append(a_k.time_antiderivative())
+        moments.append(cache(components[-1].moment))
     return SeriesSolution(problem, Method.CLASSICAL, tuple(components))
 
 

@@ -6,7 +6,10 @@ import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 from pbeseries import analysis
@@ -261,6 +264,95 @@ class TestExactSupNorm:
         assert sup_l1_norm(v1, t0) == pytest.approx(t0 * (0.5 + math.exp(-2)), rel=1e-14)
         v1 = iterate_accelerated(binary_breakage_problem, 1).components[1]
         assert sup_l1_norm(v1, t0) == pytest.approx(t0 * (1 + 2 * math.exp(-2)), rel=1e-14)
+
+
+def _polynomial(c, roots, extra, m):
+    """x^m * c * prod (x - r) * extra(x) as a Fraction coefficient list."""
+    coeffs = [F(0)] * m + [F(c)]
+    for r in roots:
+        coeffs = [a - r * b for a, b in zip([F(0)] + coeffs, coeffs + [F(0)])]
+    out = [F(0)] * (len(coeffs) + len(extra) - 1)
+    for i, a in enumerate(coeffs):
+        for j, b in enumerate(extra):
+            out[i + j] += a * b
+    return out
+
+
+ROOTS = st.lists(st.fractions(F(1, 10), 10, max_denominator=50), min_size=1, max_size=4)
+NONZERO = st.fractions(-1000, 1000, max_denominator=1000).filter(bool)
+
+
+@given(NONZERO, ROOTS, st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any),
+       st.integers(0, 3), NONZERO)
+def test_sign_changes_ignore_a_constant_factor(c, roots, extra, m, lam):
+    # positive roots make the coefficients mixed-sign; x^m adds zero low terms
+    coeffs = _polynomial(c, roots, extra, m)
+    scaled = [lam * k for k in coeffs]
+    assert analysis._shape(scaled) == analysis._shape(coeffs)
+    assert analysis._sign_changes(scaled) == analysis._sign_changes(coeffs)
+
+
+def _first_components(problem):
+    return iterate_accelerated(problem, 1).components
+
+
+ONE_D = ["constant_kernel_problem", "sum_kernel_problem", "product_kernel_problem",
+         "binary_breakage_problem", "coupled_halfx_problem", "coupled_twox_problem"]
+
+
+class TestSupNormShapes:
+    """One certification per polynomial shape and call, bit-identical to none shared."""
+
+    @staticmethod
+    def per_sample_max(f, t0):
+        mass = lambda: f.moment(0)  # noqa: E731
+        return max(analysis._l1_at_time(f, float(s), mass, {})
+                   for s in np.linspace(0.0, t0, 101))
+
+    @pytest.mark.parametrize("fixture", ONE_D)
+    @pytest.mark.parametrize("t0", [0.05, 0.173, 1.0])
+    def test_equals_the_per_sample_max(self, fixture, t0, request):
+        problem = request.getfixturevalue(fixture)
+        for f in _first_components(problem):
+            assert sup_l1_norm(f, t0) == self.per_sample_max(f, t0)
+
+    def test_several_t_powers(self, constant_kernel_problem, coupled_halfx_problem):
+        # ahpetm's v_2 and v_3 mix t powers, so the shape changes with the sample
+        for problem in (constant_kernel_problem, coupled_halfx_problem):
+            for f in iterate_accelerated(problem, 3).components[2:]:
+                assert len({e[-1] for _, e, _ in f.terms()}) > 1
+                for t0 in (0.25, 1.283):
+                    assert sup_l1_norm(f, t0) == self.per_sample_max(f, t0)
+
+    @staticmethod
+    def shapes(f, t0):
+        """The distinct shapes that reach certification in one sup_l1_norm(f, t0)."""
+        out = set()
+        for s in np.linspace(0.0, t0, 101):
+            collapsed = f.collapse_t(F(float(s)))
+            (a, poly), = collapsed.items()
+            if any(c > 0 for c in poly) and any(c < 0 for c in poly):
+                out.add(analysis._shape(poly))
+        return out
+
+    def test_one_certification_per_shape_and_call(self, monkeypatch, constant_kernel_problem):
+        calls = []
+        count = analysis._positive_root_count
+
+        def spy(p):
+            calls.append(tuple(p))
+            return count(p)
+
+        monkeypatch.setattr(analysis, "_positive_root_count", spy)
+        v1 = _first_components(constant_kernel_problem)[1]
+        v3 = iterate_accelerated(constant_kernel_problem, 3).components[3]
+        for f in (v1, v3):
+            expected = len(self.shapes(f, 1.0))
+            for _ in range(2):  # a second call certifies afresh
+                calls.clear()
+                sup_l1_norm(f, 1.0)
+                assert len(calls) == expected
+        assert len(self.shapes(v1, 1.0)) == 1 and len(self.shapes(v3, 1.0)) > 1
 
 
 # the 1-D bounds commands of the README and the published tables

@@ -516,6 +516,28 @@ class TestErrorPaths:
         assert code == 2
         assert "exact solution" in err
 
+    @pytest.mark.parametrize("argv", [
+        "moments --model coag --kernel sum --u0 exp:1 --terms 2 --j 0 --t 1e200",
+        "density --model coag --kernel sum --u0 exp:1 --terms 2 --t 1e200 --x 1",
+        "density --model coag2d --u0 monoexp2:6250000,1,1,50,50 --terms 2 --t 1e200 "
+        "--x 0.1 --y 0.1",
+        "error-table --model coag --kernel constant --u0 exp:1 --terms 3 --t 1e200",
+        "error-table --model coag --kernel sum --u0 exp:1 --terms 3 --x 1 --t 1e200",
+        "bounds --model coag --kernel constant --u0 exp:1 --t0 1e200 --T 1e200 --m 3",
+    ], ids=["moments", "density", "density-coag2d", "error-table-l1",
+            "error-table-pointwise", "bounds"])
+    def test_float_overflow_is_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv.split())
+        assert code == 3 and out == ""
+        assert err.startswith("error: a value overflows the float range: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv", [["--help"], ["density", "--help"]])
+    def test_help_returns_0(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and err == ""
+        assert out.startswith("usage: pbeseries")
+
 
 class TestConfigFile:
     def test_flags_override_config(self, capsys, tmp_path):

@@ -82,10 +82,7 @@ def run_command(command: str) -> dict:
     # argparse wraps --help text at the terminal width, so pin it
     with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(shlex.split(command))
-        except SystemExit as exc:  # argparse exits after printing --help
-            code = exc.code
+        code = main(shlex.split(command))
     return {
         "sha256": hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest(),
         "exit": code,

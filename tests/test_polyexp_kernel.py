@@ -3,6 +3,7 @@
 import itertools
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -120,6 +121,35 @@ COORDS = st.floats(0, 20, allow_subnormal=False)
 def test_evaluate_matches_oracle_bit_for_bit(f, h, x, y, t):
     assert f.evaluate(x, t) == oracle.evaluate(f, x, t)
     assert h.evaluate(x, y, t) == oracle.evaluate(h, x, y, t)
+
+
+@given(values(PolyExp2D, RATES_2D), st.lists(COORDS, min_size=1, max_size=3),
+       st.lists(COORDS, min_size=1, max_size=3), st.floats(0, 3, allow_subnormal=False))
+def test_evaluate_grid_matches_evaluate_bit_for_bit(h, xs, ys, t):
+    assert h.evaluate_grid(xs, ys, t) == [h.evaluate(x, y, t) for x in xs for y in ys]
+
+
+def test_evaluate_grid_at_drawn_points_zeros_and_overflow():
+    rng = random.Random(20231018)
+    u0 = PolyExp2D.monomial(6250000, xpow=1, ypow=1, xrate=50, yrate=50)
+    model = Model(u0, CoagKernel.CONSTANT)
+    psi = u0 + rhs(model, u0).time_antiderivative()
+    # two rate pairs: the float sum over groups must keep their order
+    two = PolyExp2D.monomial(F(3, 7), xpow=2, ypow=1, tpow=2, xrate=1, yrate=2) + psi
+    assert len(two.rates()) == 2
+    xs = [0.0] + [rng.uniform(0, 0.2) for _ in range(4)]
+    ys = [0.0] + [rng.uniform(0, 0.2) for _ in range(3)]
+    for value in (psi, two):
+        for t in [0.0] + [rng.uniform(0, 0.05) for _ in range(3)]:
+            grid = value.evaluate_grid(xs, ys, t)
+            assert grid == [value.evaluate(x, y, t) for x in xs for y in ys]
+            assert grid == [oracle.evaluate(value, x, y, t) for x in xs for y in ys]
+    # t^2 at t = 1e200 overflows the one int division per group
+    with pytest.raises(OverflowError) as scalar:
+        two.evaluate(0.1, 0.1, 1e200)
+    with pytest.raises(OverflowError) as grid:
+        two.evaluate_grid([0.1], [0.1], 1e200)
+    assert str(grid.value) == str(scalar.value)
 
 
 @given(values(PolyExp1D, RATES_1D), values(PolyExp1D, RATES_1D))

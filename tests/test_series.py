@@ -7,7 +7,7 @@ import sympy as sp
 
 import pbeseries.series as series
 from pbeseries.polyexp import DegreeOverflowError
-from pbeseries.problems import rhs
+from pbeseries.problems import bilinear, frag_rhs, rhs
 from pbeseries.series import (
     Method,
     TermBudgetError,
@@ -95,19 +95,13 @@ class TestAcceleratedComponents:
         assert terms == {(3, 3, 1): F(4882812500000, 9), (1, 1, 1): F(-6250000)}
 
 
+SEVEN = ["constant_kernel_problem", "sum_kernel_problem", "product_kernel_problem",
+         "binary_breakage_problem", "coupled_halfx_problem", "coupled_twox_problem",
+         "bivariate_problem"]
+
+
 class TestPicardIdentity:
-    @pytest.mark.parametrize(
-        "fixture",
-        [
-            "constant_kernel_problem",
-            "sum_kernel_problem",
-            "product_kernel_problem",
-            "binary_breakage_problem",
-            "coupled_halfx_problem",
-            "coupled_twox_problem",
-            "bivariate_problem",
-        ],
-    )
+    @pytest.mark.parametrize("fixture", SEVEN)
     def test_partial_sums_telescope(self, fixture, request):
         problem = request.getfixturevalue(fixture)
         s = iterate_accelerated(problem, 4)
@@ -118,6 +112,23 @@ class TestPicardIdentity:
 
 
 class TestClassical:
+    @pytest.mark.parametrize("fixture", SEVEN)
+    def test_block_sums_every_ordered_pair(self, fixture, request):
+        # one convolution per unordered pair gives the ordered sum exactly
+        problem = request.getfixturevalue(fixture)
+        s = iterate_classical(problem, 6)
+        comps = s.components
+        moments = [c.moment for c in comps]
+        for k in range(6):
+            ref = problem.u0.zero()
+            if problem.kernel is not None:
+                for i in range(k + 1):
+                    ref = ref + bilinear(problem, comps[i], comps[k - i])
+            if problem.frag is not None:
+                ref = ref + frag_rhs(problem.frag, comps[k])
+            assert series._bilinear_block(problem, comps, moments, k) == ref
+            assert comps[k + 1] == ref.time_antiderivative()
+
     def test_zero_components(self, constant_kernel_problem):
         s = iterate_classical(constant_kernel_problem, 0)
         assert s.components == (constant_kernel_problem.u0,)
