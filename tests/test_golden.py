@@ -4,7 +4,9 @@
 status and the stderr text.  It covers the README commands, a
 ``dump-symbolic`` of each benchmark problem under both engines, the 2-D
 ``density``/``moments`` comparisons, each branch of ``bounds``, three
-commands at times that are not dyadic rationals and the ``--help`` text of
+commands at times that are not dyadic rationals, six commands whose rates
+are not integers (1-D and 2-D dumps, a 2-D ``density``, a product-kernel
+``bounds`` and a sum-kernel ``moments``) and the ``--help`` text of
 the program and of each subcommand (at a pinned 80-column width).  A
 refactor that claims unchanged behaviour must pass this file unchanged.
 
@@ -71,6 +73,18 @@ COMMANDS = {
     "drawn-bounds-frag": f"bounds {_PROBLEMS['breakage']} --t0 0.173 --lam 1 --m 3",
     "drawn-moments-sum": f"moments {_PROBLEMS['sum']} --terms 4 --j 0,1,2 "
                          "--t 0.137,0.437,1.283",
+    # rates that are not integers, so that the exact rates pass through
+    # their API form on the way out of the algebra
+    "frac-dump-sum": "dump-symbolic --model coag --kernel sum --u0 exp:1/2 --terms 3",
+    "frac-dump-product": "dump-symbolic --model coag --kernel product "
+                         "--u0 monoexp:2/3,1,3/2 --terms 2 --method classical",
+    "frac-dump-coag2d": "dump-symbolic --model coag2d --u0 monoexp2:1,1,1,3/2,5/2 --terms 2",
+    "frac-density-coag2d": "density --model coag2d --u0 monoexp2:1,1,1,3/2,5/2 --terms 2 "
+                           "--t 0.1 --x 0,0.5 --y 0.25,1",
+    "frac-bounds-product": "bounds --model coag --kernel product --u0 exp:3/2 "
+                           "--t0 0.1 --T 1 --m 3",
+    "frac-moments-sum": "moments --model coag --kernel sum --u0 exp:1/3 --terms 3 "
+                        "--j 0,1,2 --t 0:1:0.25",
     "help": "--help",
     **{f"help-{cmd}": f"{cmd} --help" for cmd in (
         "density", "error-table", "moments", "bounds", "reference-check", "dump-symbolic")},
