@@ -12,16 +12,17 @@ multiplication, the size convolution on [0, x], the tail integral on
 the iteration engines ever apply.
 
 Representation: a PolyExp stores ``{rate: (den, {exponent_tuple: int})}``,
-with exponents ``(xpow, tpow)`` and one rate in 1-D, ``(xpow, ypow, tpow)``
-and a rate pair in 2-D: each rate group is one denominator over integer
-numerators, kept canonical (den > 0, gcd(den, *numerators) == 1, no zero
-numerator, no empty group), so two values are mathematically equal
-exactly when their term maps are equal; the zero function is the empty
-map.  Fractions live only at the API edge: the constructor takes them and
-``terms()``, ``moment``, ``collapse_t`` and ``to_obj`` give them.  Every
-operation is written once, in ``_PolyExpBase``, over the size axes: a
-class declares only its axis count, its exponent and rate names, and how
-a stored rate maps to its tuple of per-axis rates.
+with exponents ``(xpow, tpow)`` and rate ``((p, q),)`` in 1-D,
+``(xpow, ypow, tpow)`` and ``((p, q), (p', q'))`` in 2-D: a rate is one
+reduced integer pair per size axis, and each rate group is one denominator
+over integer numerators, kept canonical (den > 0, gcd(den, *numerators)
+== 1, no zero numerator, no empty group), so two values are mathematically
+equal exactly when their term maps are equal; the zero function is the
+empty map.  Fractions live only at the API edge, for rates as for
+coefficients: the constructor takes them and ``rates()``, ``terms()``,
+``moment``, ``collapse_t`` and ``to_obj`` give them.  Pairs do not sort by
+value ((1, 2) < (1, 3)), so ordered outputs sort by the API form.  Every
+operation is written once, in ``_PolyExpBase``, over the size axes.
 
 All arithmetic is on integers with one gcd per output group: a sum takes
 one lcm of the two denominators, and scaling, time integration and the
@@ -31,9 +32,9 @@ Borel/Laplace trick, which turns the weight i! j!/(i+j+1)! into a plain
 product), accumulates the pair products keyed by packed exponents, and
 puts the group over den_a den_b top!.  A self-product (both operands the
 same rate group, as in every coagulation gain Q(u, u)) loops over i <= j
-only.  Degree caps are checked on every axis before the pair loop.  For
-t = p/q one integer table p^j q^(top-j) serves a whole rate group
-(``collapse_t``) or time polynomial (``tpoly_eval``).
+only.  Degree caps are checked on every axis before the pair loop.  One
+substitution, ``_substitute``, serves time polynomials, ``collapse_t`` and
+point values: for p/q one integer table p^j q^(top-j) serves a whole group.
 
 Everything is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -45,7 +46,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import add, mul
+from operator import mul
 from typing import Iterator, Mapping, Union
 
 import numpy as np
@@ -106,20 +107,28 @@ def _power_table(p: int, q: int, top: int) -> list[int]:
     return [a * b for a, b in zip(ps, reversed(qs))]
 
 
-def tpoly_eval(tp: TPoly, t: float) -> float:
-    """Evaluate a time polynomial at a float time.
+def _substitute(nums: Mapping, den: int, value) -> tuple[defaultdict, int]:
+    """The group (den, nums) with value = p/q put into each key's last exponent.
 
-    With t = p/q exactly, the sum is one integer numerator over
-    den * q^top, and the one int division rounds correctly, as
-    ``float(Fraction)`` does.
+    With top the highest last exponent, the group goes over den q^top and
+    k v^j becomes k p^j q^(top-j), keyed by the rest of its key.
     """
-    if not tp:
-        return 0.0
-    p, q = as_fraction(t).as_integer_ratio()
-    top = max(tp)
-    times = _power_table(p, q, top)
+    p, q = as_fraction(value).as_integer_ratio()
+    top = max((e[-1] for e in nums), default=0)
+    table, out = _power_table(p, q, top), defaultdict(int)
+    for e, n in nums.items():
+        out[e[:-1]] += n * table[e[-1]]
+    return out, den * q**top
+
+
+def tpoly_eval(tp: TPoly, t: float) -> float:
+    """Evaluate a time polynomial at a float time, summed exactly and rounded once.
+
+    The one int division rounds correctly, as ``float(Fraction)`` does.
+    """
     den, nums = _over_lcm(tp)
-    return sum(num * times[j] for j, num in nums.items()) / (den * q**top)
+    sums, den = _substitute({(j,): n for j, n in nums.items()}, den, t)
+    return sums[()] / den
 
 
 def _over_lcm(poly: Mapping) -> tuple[int, dict]:
@@ -157,6 +166,12 @@ def _merge(out: dict, rate, group: tuple) -> None:
         out[rate] = _reduced(den, nums)
     else:
         del out[rate]
+
+
+def _rate_sum(a: tuple, b: tuple) -> tuple:
+    """The stored rate of a product: the pairs add axis by axis, reduced."""
+    sums = [(pa * qb + pb * qa, qa * qb) for (pa, qa), (pb, qb) in zip(a, b)]
+    return tuple((p // math.gcd(p, q), q // math.gcd(p, q)) for p, q in sums)
 
 
 def _group_product(ga: tuple, gb: tuple, borel: int = 0):
@@ -222,18 +237,15 @@ def _group_product(ga: tuple, gb: tuple, borel: int = 0):
 class _PolyExpBase:
     """The algebra, written once over the size axes a subclass declares.
 
-    A subclass sets ``dim``, its exponent names (size axes, then t) and its
-    per-axis rate names; a stored rate is the tuple of per-axis rates unless
-    ``_axis_rates``/``_stored_rate`` map it otherwise.  Names that
-    ``bench/spans.py`` wraps through a class ``__dict__`` stay defined on
-    their class, as one-line delegations to the bodies here.
+    A subclass sets only ``dim``, its exponent names (size axes, then t) and
+    its per-axis rate names: rates are integer pairs in both classes, so no
+    hook maps them.  Names that ``bench/spans.py`` wraps through a class
+    ``__dict__`` stay defined on their class, as one-line delegations.
     """
 
     dim = 0
     _EXPONENTS: tuple = ()
     _RATES: tuple = ()
-    _axis_rates = staticmethod(tuple)
-    _stored_rate = staticmethod(tuple)
 
     __slots__ = ("_terms",)
 
@@ -253,16 +265,23 @@ class _PolyExpBase:
         return exps
 
     @classmethod
-    def _canon_rate(cls, rate):
-        axes = tuple(as_fraction(a) for a in cls._axis_rates(rate))
+    def _canon_rate(cls, rate) -> tuple:
+        """The stored form of an API rate: one reduced (p, q) per size axis."""
+        axes = tuple(map(as_fraction, rate)) if cls.dim > 1 else (as_fraction(rate),)
         if len(axes) != cls.dim or min(axes) < 0:
             got = ", ".join(map(str, axes))
             raise OutOfClassError(f"exponential rates must be >= 0, got {got}")
-        return cls._stored_rate(axes)
+        return tuple(a.as_integer_ratio() for a in axes)
 
     @classmethod
-    def _rate_sum(cls, a, b):
-        return cls._stored_rate(tuple(map(add, cls._axis_rates(a), cls._axis_rates(b))))
+    def _api_rate(cls, rate: tuple):
+        """A stored rate in its API form: a Fraction in 1-D, a tuple of Fractions in 2-D."""
+        axes = [Fraction(p, q) for p, q in rate]
+        return tuple(axes) if cls.dim > 1 else axes[0]
+
+    def _by_value(self) -> list:
+        """(API rate, stored rate) of every group, in order of rate value."""
+        return sorted((self._api_rate(r), r) for r in self._terms)
 
     def __setattr__(self, name, value):  # pragma: no cover - guards misuse
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -276,16 +295,16 @@ class _PolyExpBase:
         return sum(len(nums) for _, nums in self._terms.values())
 
     def rates(self):
-        return sorted(self._terms)
+        return [rate for rate, _ in self._by_value()]
 
     def has_zero_rate(self) -> bool:
         """True when some rate group does not decay along some size axis."""
-        return any(0 in self._axis_rates(r) for r in self._terms)
+        return any(p == 0 for r in self._terms for p, _ in r)
 
     def terms(self) -> Iterator:
         """Yield (rate, exponents, coefficient) in canonical order."""
-        for rate in sorted(self._terms):
-            den, nums = self._terms[rate]
+        for rate, key in self._by_value():
+            den, nums = self._terms[key]
             for exps in sorted(nums):
                 yield rate, exps, Fraction(nums[exps], den)
 
@@ -343,7 +362,7 @@ class _PolyExpBase:
             for rb, gb in other._terms.items():
                 group = _group_product(ga, gb)
                 if group:
-                    _merge(out, self._rate_sum(ra, rb), group)
+                    _merge(out, _rate_sum(ra, rb), group)
         return self._wrap(out)
 
     __rmul__ = __mul__
@@ -359,6 +378,7 @@ class _PolyExpBase:
         for ra in self._terms:
             for rb in other._terms:
                 if ra != rb:
+                    ra, rb = self._api_rate(ra), self._api_rate(rb)
                     raise MixedRatesError(f"convolution of distinct rates {ra} and {rb} "
                                           "is outside the supported closed form")
         return self._wrap_groups((r, _group_product(p, other._terms[r], self.dim))
@@ -387,11 +407,11 @@ class _PolyExpBase:
         if self.has_zero_rate():
             raise ZeroRateError("moment of a rate-0 term diverges")
         out: dict = {}  # one group under key 0, so that _merge prunes zeros
-        for rate in sorted(self._terms):
+        for _, rate in self._by_value():
             den, poly = self._terms[rate]
             tables = []
-            for axis, (j, a) in enumerate(zip(orders, self._axis_rates(rate))):
-                top, (p, q) = max(e[axis] for e in poly), a.as_integer_ratio()
+            for axis, (j, (p, q)) in enumerate(zip(orders, rate)):
+                top = max(e[axis] for e in poly)
                 tables.append([math.factorial(i + j) * q ** (i + j + 1) * p ** (top - i)
                                for i in range(top + 1)])
                 den *= p ** (top + j + 1)
@@ -412,39 +432,31 @@ class _PolyExpBase:
         Inputs convert exactly and each rate group sums one integer numerator
         over one denominator, so a point rounds once per group in a division,
         an exp and a multiply: a few ulp for |x| <= 100, degree <= 60.  A group
-        substitutes t once, then each axis once per point of the axes before it.
+        substitutes t once, then each size axis, last first, once per point of
+        the axes after it; the axis just substituted varies slowest.
         """
         points = list(product(*axes))
         totals = [0.0] * len(points)
         for rate, (den, poly) in self._terms.items():
-            # t first: exponent tuples are rotated to (t, size axes...)
-            level = [({(e[-1], *e[:-1]): n for e, n in poly.items()}, den)]
-            for axis, coords in zip([-1, *range(self.dim)], [[t], *axes]):
-                top, subs = max(e[axis] for e in poly), []
-                for coeffs, d in level:
-                    for v in coords:
-                        p, q = Fraction(v).as_integer_ratio()
-                        table, sub = _power_table(p, q, top), defaultdict(int)
-                        for e, n in coeffs.items():
-                            sub[e[1:]] += n * table[e[0]]
-                        subs.append((sub, d * q**top))
-                level = subs
+            level = [(poly, den)]
+            for coords in [[t], *reversed(axes)]:
+                level = [_substitute(nums, d, v) for v in coords for nums, d in level]
             for k, (point, (value, d)) in enumerate(zip(points, level)):
-                arg = sum(float(a) * v for a, v in zip(self._axis_rates(rate), point))
+                arg = sum(p / q * v for (p, q), v in zip(rate, point))
                 totals[k] += value[()] / d * math.exp(-arg)
         return totals
 
     def _to_obj(self) -> dict:
         """Stable-ordered structured form used by the CLI symbolic dump."""
         groups, keys = [], ("coeff", *self._EXPONENTS)
-        for rate in sorted(self._terms):
+        for api, rate in self._by_value():
             den, nums = self._terms[rate]
             monos = [dict(zip(keys, (str(Fraction(n, den)), *e))) for e, n in sorted(nums.items())]
-            axes = map(str, self._axis_rates(rate))
-            groups.append({**dict(zip(self._RATES, axes)), "monomials": monos})
+            axes = api if self.dim > 1 else (api,)
+            groups.append({**dict(zip(self._RATES, map(str, axes))), "monomials": monos})
         return {"dim": self.dim, "terms": groups}
 
-    # -- construction and subclass hooks --------------------------------------
+    # -- construction ------------------------------------------------------
 
     @classmethod
     def _wrap(cls, canonical: dict):
@@ -469,14 +481,6 @@ class PolyExp1D(_PolyExpBase):
     _EXPONENTS = ("xpow", "tpow")
     _RATES = ("rate",)
     __slots__ = ()
-
-    @staticmethod
-    def _axis_rates(rate) -> tuple:
-        return (rate,)
-
-    @staticmethod
-    def _stored_rate(axes: tuple) -> Fraction:
-        return axes[0]
 
     @classmethod
     def monomial(cls, coeff: RationalLike, xpow: int = 0, tpow: int = 0,
@@ -512,12 +516,12 @@ class PolyExp1D(_PolyExpBase):
         if self.has_zero_rate():
             raise ZeroRateError("tail integral of a rate-0 term diverges")
         out: dict = {}
-        for a in sorted(self._terms):
+        for _, a in self._by_value():
             den, poly = self._terms[a]
             if (low := min(m for m, _ in poly)) + p < 0:
                 raise OutOfClassError(f"tail integral with power {p} drives x^{low} "
                                       "below degree 0")
-            top, (pa, qa) = max(m for m, _ in poly) + p, a.as_integer_ratio()
+            top, ((pa, qa),) = max(m for m, _ in poly) + p, a
             weights = [qa**r * pa ** (top + 1 - r) for r in range(top + 2)]
             nums: defaultdict = defaultdict(int)
             for (m, jt), num in poly.items():
@@ -532,21 +536,12 @@ class PolyExp1D(_PolyExpBase):
         return self._wrap(out)
 
     def collapse_t(self, t: RationalLike) -> dict[Fraction, list[Fraction]]:
-        """Substitute an exact time, returning rate -> x-coefficient list.
-
-        With t = p/q, every x-coefficient of a rate group is one integer
-        sum over den * q^top.
-        """
-        p, q = as_fraction(t).as_integer_ratio()
+        """Substitute an exact time, returning rate -> x-coefficient list."""
         out: dict[Fraction, list[Fraction]] = {}
-        for a, (den, poly) in self._terms.items():
-            top = max(j for _, j in poly)
-            times = _power_table(p, q, top)
-            sums = [0] * (max(i for i, _ in poly) + 1)
-            for (i, j), num in poly.items():
-                sums[i] += num * times[j]
-            den *= q**top
-            out[a] = [Fraction(num, den) for num in sums]
+        for rate, (den, poly) in self._terms.items():
+            sums, den = _substitute(poly, den, t)
+            top, = max(sums)
+            out[self._api_rate(rate)] = [Fraction(sums[i,], den) for i in range(top + 1)]
         return out
 
     def evaluate(self, x: float, t: float) -> float:
@@ -621,8 +616,8 @@ def from_obj(obj: Mapping) -> PolyExp:
         raise OutOfClassError(f"unsupported dim {dim!r} in serialized form")
     terms: dict = {}
     for group in obj["terms"]:
-        rate = cls._stored_rate(tuple(Fraction(group[k]) for k in cls._RATES))
-        poly = terms.setdefault(rate, {})
+        rate = tuple(Fraction(group[k]) for k in cls._RATES)
+        poly = terms.setdefault(rate if cls.dim > 1 else rate[0], {})
         for m in group["monomials"]:
             poly[tuple(m[k] for k in cls._EXPONENTS)] = Fraction(m["coeff"])
     return cls(terms)

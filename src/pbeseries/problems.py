@@ -13,7 +13,9 @@ on a 2-D ``u0`` (the dimension is ``u0.dim``).
 
 Coagulation kernels form a closed enum (constant, sum, product): each
 carries a closed-form reduction of its gain and loss integrals to the
-convolution/moment operators, which keeps the symbolic path total.
+convolution/moment operators, which keeps the symbolic path total.  The
+product kernel x y is the constant kernel on x u (``coag_operand``): its gain
+is (x u) * (x w) and its loss (x u) mu_1(w) = (x u) mu_0(x w).
 Breakage is the two-parameter power family B(x,y) = c x^{r-1} / y^r with
 selection S(x) = s x^k; the family is mass-conserving exactly when
 c = r + 1.
@@ -95,30 +97,29 @@ class Model:
         return self.u0.dim
 
 
+def coag_operand(kernel: CoagKernel, u: PolyExp) -> PolyExp:
+    """What ``coag_gain`` and ``coag_loss`` take for u: x u on the product kernel, else u."""
+    return u.mul_x() if kernel is CoagKernel.PRODUCT else u
+
+
 def coag_gain(kernel: CoagKernel, u: PolyExp, w: PolyExp) -> PolyExp:
-    """Gain int_0^x K(x-y, y) u(x-y) w(y) dy, symmetric in u and w; K = 1 serves 2-D too."""
-    if kernel is CoagKernel.CONSTANT:
-        return u.convolve(w)
-    if kernel is CoagKernel.SUM:
-        return u.convolve(w).mul_x()
-    # product kernel: one x u serves both operands of Q(u, u), so the
-    # convolution sees a self-product
-    xu = u.mul_x()
-    return xu.convolve(xu if w is u else w.mul_x())
+    """Gain int_0^x K(x-y, y) u(x-y) w(y) dy of two operands, symmetric; K = 1 serves 2-D too."""
+    gain = u.convolve(w)
+    return gain.mul_x() if kernel is CoagKernel.SUM else gain
 
 
 def coag_loss(kernel: CoagKernel, u: PolyExp, moment) -> PolyExp:
-    """Loss u(x) int_0^inf K(x, y) w(y) dy; ``moment(j)`` is w's j-th (2-D: (0, 0)th) moment."""
-    if kernel is CoagKernel.CONSTANT:
-        return u.mul_tpoly(moment(0))
+    """Loss u(x) int_0^inf K(x, y) w(y) dy of an operand; ``moment(j)`` is w's operand's j-th."""
     if kernel is CoagKernel.SUM:
         return u.mul_x().mul_tpoly(moment(0)) + u.mul_tpoly(moment(1))
-    return u.mul_x().mul_tpoly(moment(1))  # product kernel
+    return u.mul_tpoly(moment(0))
 
 
 def coag_bilinear(kernel: CoagKernel, u: PolyExp1D, w: PolyExp1D) -> PolyExp1D:
     """Bilinear coagulation form Q(u, w) = 1/2 gain(u, w) - loss(u, w); the rhs is Q(u, u)."""
-    return coag_gain(kernel, u, w).scale(Fraction(1, 2)) - coag_loss(kernel, u, w.moment)
+    xu = coag_operand(kernel, u)
+    xw = xu if w is u else coag_operand(kernel, w)  # Q(u, u): one operand, a self-product gain
+    return coag_gain(kernel, xu, xw).scale(Fraction(1, 2)) - coag_loss(kernel, xu, xw.moment)
 
 
 def frag_rhs(spec: FragSpec, u: PolyExp1D) -> PolyExp1D:

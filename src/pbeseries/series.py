@@ -28,7 +28,7 @@ from fractions import Fraction
 from functools import cache, reduce
 
 from .polyexp import MAX_EXPONENT, DegreeOverflowError, PolyExpError
-from .problems import CoagKernel, Model, coag_gain, coag_loss, frag_rhs, rhs
+from .problems import CoagKernel, Model, coag_gain, coag_loss, coag_operand, frag_rhs, rhs
 
 DEFAULT_TERM_BUDGET = 200_000
 
@@ -122,20 +122,21 @@ def iterate_accelerated(
     return SeriesSolution(problem, Method.ACCELERATED, tuple(components))
 
 
-def _bilinear_block(problem: Model, components, moments, k: int):
-    """A_k = sum_{i+j=k} Q(v_i, v_j) (+ linear breakage of v_k); ``moments[i]`` is v_i.moment.
+def _bilinear_block(problem: Model, components, operands, moments, k: int):
+    """A_k = sum_{i+j=k} Q(v_i, v_j) (+ linear breakage of v_k).
 
+    ``operands[i]`` is v_i's ``coag_operand`` and ``moments[i]`` its moment.
     The gain is symmetric: for i < j one convolution gives Q(v_i, v_j) + Q(v_j, v_i).
     """
     acc = problem.u0.zero()
     if problem.kernel is not None:
         for i in range(k // 2 + 1):
             j = k - i
-            gain = coag_gain(problem.kernel, components[i], components[j])
+            gain = coag_gain(problem.kernel, operands[i], operands[j])
             acc = acc + (gain if i < j else gain.scale(Fraction(1, 2)))
-            acc = acc - coag_loss(problem.kernel, components[i], moments[j])
+            acc = acc - coag_loss(problem.kernel, operands[i], moments[j])
             if i < j:
-                acc = acc - coag_loss(problem.kernel, components[j], moments[i])
+                acc = acc - coag_loss(problem.kernel, operands[j], moments[i])
     if problem.frag is not None:
         acc = acc + frag_rhs(problem.frag, components[k])
     return acc
@@ -144,16 +145,18 @@ def _bilinear_block(problem: Model, components, moments, k: int):
 def iterate_classical(
     problem: Model, n: int, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> SeriesSolution:
-    """Run the classical decomposition recursion up to component v_n, sharing moments."""
+    """Run the classical decomposition recursion up to v_n, forming each operand and moment once."""
     if n < 0:
         raise ValueError("number of components must be nonnegative")
     components = [problem.u0]
-    moments = [cache(problem.u0.moment)]
+    operands = [coag_operand(problem.kernel, problem.u0)]
+    moments = [cache(operands[0].moment)]
     for k in range(n):
-        a_k = _bilinear_block(problem, components, moments, k)
+        a_k = _bilinear_block(problem, components, operands, moments, k)
         _check_budget(a_k, term_budget)
         components.append(a_k.time_antiderivative())
-        moments.append(cache(components[-1].moment))
+        operands.append(coag_operand(problem.kernel, components[-1]))
+        moments.append(cache(operands[-1].moment))
     return SeriesSolution(problem, Method.CLASSICAL, tuple(components))
 
 

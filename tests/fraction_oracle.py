@@ -6,8 +6,9 @@ a Fraction add and, for convolutions, a beta-function weight; sums,
 scalings and integrals take one Fraction operation per term, moments and
 point values one Fraction product per term, and time substitution one
 Fraction power per term.  They read each stored rate group back as
-Fractions (``groups``) and are slow and obviously right, which is what a
-differential oracle needs.  Each returns a value built in the same order
+Fractions, its rate in the API form (``groups``), add rates as Fractions
+(``axes``) and are slow and obviously right, which is what a differential
+oracle needs.  Each returns a value built in the same order
 as the code under test.
 """
 
@@ -20,9 +21,14 @@ from pbeseries.polyexp import MixedRatesError
 
 
 def groups(f):
-    """(rate, {exponents: Fraction}) of each stored rate group, in stored order."""
+    """(API rate, {exponents: Fraction}) of each stored rate group, in stored order."""
     for rate, (den, nums) in f._terms.items():
-        yield rate, {e: Fraction(n, den) for e, n in nums.items()}
+        yield f._api_rate(rate), {e: Fraction(n, den) for e, n in nums.items()}
+
+
+def axes(f, rate) -> tuple:
+    """The per-axis Fractions of a rate in its API form."""
+    return tuple(rate) if f.dim > 1 else (rate,)
 
 
 def _add_to(tgt: dict, e: tuple, c: Fraction) -> None:
@@ -65,7 +71,8 @@ def mul(f, g):
     out: dict = {}
     for ra, pa in groups(f):
         for rb, pb in groups(g):
-            rate = f._rate_sum(ra, rb)
+            rate = tuple(a + b for a, b in zip(axes(f, ra), axes(f, rb)))
+            rate = rate if f.dim > 1 else rate[0]
             tgt = out.setdefault(rate, {})
             for ea, ca in pa.items():
                 for eb, cb in pb.items():
@@ -92,7 +99,7 @@ def moment(f, *orders) -> dict:
     """Moment over the size axes, n!/a^{n+1} per axis, summed term by term."""
     out: dict = {}
     for rate, e, c in f.terms():
-        for i, j, a in zip(e, orders, f._axis_rates(rate)):
+        for i, j, a in zip(e, orders, axes(f, rate)):
             c = c * Fraction(math.factorial(i + j)) / a ** (i + j + 1)
         _add_to(out, e[-1], c)
     return out
@@ -108,7 +115,7 @@ def evaluate(f, *coords) -> float:
             for v, i in zip(exact, e):
                 c = c * v**i
             acc += c
-        rates = f._axis_rates(rate)
+        rates = axes(f, rate)
         arg = -float(rates[0]) * coords[0]
         for a, v in zip(rates[1:], coords[1:]):
             arg -= float(a) * v

@@ -57,8 +57,13 @@ TPOLYS = st.dictionaries(st.integers(0, 5), COEFFS, max_size=4)
 
 
 def assert_canonical(value):
-    """Each rate group is one denominator over integer numerators, fully reduced."""
-    for den, nums in value._terms.values():
+    """Each rate is one reduced int pair per size axis; each group is one
+    denominator over integer numerators, fully reduced."""
+    for rate, (den, nums) in value._terms.items():
+        assert type(rate) is tuple and len(rate) == value.dim
+        for p, q in rate:
+            assert type(p) is int and type(q) is int
+            assert p >= 0 and q > 0 and math.gcd(p, q) == 1
         assert type(den) is int and den > 0
         assert nums and all(type(n) is int and n for n in nums.values())
         assert math.gcd(den, *nums.values()) == 1
@@ -196,6 +201,30 @@ def test_construction_is_canonical(pairs):
     assert_canonical(value)
     for rate, exps, c in value.terms():
         assert type(c) is F and c
+
+
+# -- rate order ----------------------------------------------------------------
+
+
+def test_rates_come_in_order_of_value():
+    # stored rates are integer pairs, which sort otherwise: (1, 2) < (1, 3)
+    # but 1/2 > 1/3, and (1, 1) < (1, 2) but 1 > 1/2
+    one = [F(1_000_003, 7), F(1, 2), F(2), F(1, 3), F(1), F(0)]
+    two = [(F(1, 2), F(3)), (F(1, 3), F(1)), (F(1, 3), F(1, 2)), (F(2), F(1, 2))]
+    f = PolyExp1D({r: {(1, 0): 1, (0, 1): F(-1, 3)} for r in one})
+    h = PolyExp2D({r: {(1, 0, 0): 1, (0, 2, 1): F(2, 7)} for r in two})
+    for value, rates in ((f, one), (h, two)):
+        assert_canonical(value)
+        order = sorted(rates)
+        assert value.rates() == order
+        assert list(dict.fromkeys(rate for rate, _, _ in value.terms())) == order
+        groups = [tuple(F(g[k]) for k in value._RATES) for g in value.to_obj()["terms"]]
+        assert groups == [r if value.dim > 1 else (r,) for r in order]
+    positive = f - PolyExp1D({0: {(1, 0): 1, (0, 1): F(-1, 3)}})
+    for p in (0, 1):
+        tail = positive.tail_integral(p)
+        assert_canonical(tail)
+        assert [tail._api_rate(r) for r in tail._terms] == sorted(one)[1:]
 
 
 # -- self-products -------------------------------------------------------------

@@ -6,8 +6,16 @@ import pytest
 import sympy as sp
 
 import pbeseries.series as series
-from pbeseries.polyexp import DegreeOverflowError
-from pbeseries.problems import bilinear, frag_rhs, rhs
+from pbeseries.polyexp import DegreeOverflowError, PolyExp1D
+from pbeseries.problems import (
+    CoagKernel,
+    Model,
+    bilinear,
+    coag_operand,
+    exponential_ic,
+    frag_rhs,
+    rhs,
+)
 from pbeseries.series import (
     Method,
     TermBudgetError,
@@ -111,6 +119,24 @@ class TestPicardIdentity:
             assert psi_next == rebuilt
 
 
+
+@pytest.mark.parametrize("method, n, calls", [(iterate_accelerated, 4, 4),
+                                              (iterate_classical, 8, 9)])
+def test_product_kernel_forms_x_u_once(method, n, calls, monkeypatch):
+    # one x u per right-hand side (ahpetm) or per component (classical)
+    # serves the gain and the loss of the product kernel
+    count = [0]
+    real = PolyExp1D.mul_x
+
+    def spy(self, k=1):
+        count[0] += 1
+        return real(self, k)
+
+    monkeypatch.setattr(PolyExp1D, "mul_x", spy)
+    method(Model(exponential_ic(), CoagKernel.PRODUCT), n)
+    assert count[0] == calls
+
+
 class TestClassical:
     @pytest.mark.parametrize("fixture", SEVEN)
     def test_block_sums_every_ordered_pair(self, fixture, request):
@@ -118,7 +144,8 @@ class TestClassical:
         problem = request.getfixturevalue(fixture)
         s = iterate_classical(problem, 6)
         comps = s.components
-        moments = [c.moment for c in comps]
+        operands = [coag_operand(problem.kernel, c) for c in comps]
+        moments = [x.moment for x in operands]
         for k in range(6):
             ref = problem.u0.zero()
             if problem.kernel is not None:
@@ -126,7 +153,7 @@ class TestClassical:
                     ref = ref + bilinear(problem, comps[i], comps[k - i])
             if problem.frag is not None:
                 ref = ref + frag_rhs(problem.frag, comps[k])
-            assert series._bilinear_block(problem, comps, moments, k) == ref
+            assert series._bilinear_block(problem, comps, operands, moments, k) == ref
             assert comps[k + 1] == ref.time_antiderivative()
 
     def test_zero_components(self, constant_kernel_problem):
