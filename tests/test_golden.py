@@ -6,8 +6,9 @@ status and the stderr text.  It covers the README commands, a
 ``density``/``moments`` comparisons, each branch of ``bounds``, three
 commands at times that are not dyadic rationals, six commands whose rates
 are not integers (1-D and 2-D dumps, a 2-D ``density``, a product-kernel
-``bounds`` and a sum-kernel ``moments``) and the ``--help`` text of
-the program and of each subcommand (at a pinned 80-column width).  A
+``bounds`` and a sum-kernel ``moments``), ``reference-check`` on the sum,
+product, breakage and coupled problems, and the ``--help`` text of the
+program and of each subcommand (at a pinned 80-column width).  A
 refactor that claims unchanged behaviour must pass this file unchanged.
 
 Regenerate the data only for an intended output change, from the commit
@@ -85,6 +86,10 @@ COMMANDS = {
                            "--t0 0.1 --T 1 --m 3",
     "frac-moments-sum": "moments --model coag --kernel sum --u0 exp:1/3 --terms 3 "
                         "--j 0,1,2 --t 0:1:0.25",
+    # the grid oracle beyond the constant kernel: sum, product, breakage, coupled
+    **{f"reference-check-{name}": f"reference-check {_PROBLEMS[name]} --terms 4 "
+                                  "--t-end 0.25 --cells 400 --dt 5e-3"
+       for name in ("sum", "product", "breakage", "halfx")},
     "help": "--help",
     **{f"help-{cmd}": f"{cmd} --help" for cmd in (
         "density", "error-table", "moments", "bounds", "reference-check", "dump-symbolic")},
