@@ -28,7 +28,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .polyexp import as_fraction
-from .problems import CoagKernel, Model
+from .problems import CoagKernel, Model, exponential_ic
 
 REL_TOL = 1e-16
 MAX_SERIES_TERMS = 200      # published cap for the Bessel evaluator
@@ -159,8 +159,6 @@ class SumKernelSolution:
 
     def moment(self, j: int) -> Callable[[float], float]:
         def mom(t: float) -> float:
-            from scipy import integrate
-
             T = -math.expm1(-t)
             if T == 0.0:
                 return float(math.factorial(j))
@@ -169,11 +167,7 @@ class SumKernelSolution:
             # e^{-(1-sqrt(T))^2 x} tail where possible.
             decay = max((1.0 - math.sqrt(T)) ** 2, 1e-3)
             xmax = min(250.0 / (2.0 * math.sqrt(T)), max(60.0, (40.0 + 10 * j) / decay))
-            val, _ = integrate.quad(
-                lambda xx: xx**j * self.evaluate(xx, t), 0.0, xmax,
-                epsabs=1e-12, epsrel=1e-10, limit=200,
-            )
-            return val
+            return _numeric_moment(self, j, xmax)(t)
 
         return mom
 
@@ -289,48 +283,38 @@ class LinearBreakageSolution:
 
 @dataclass(frozen=True)
 class BivariateConstantSolution:
-    """Bivariate constant-kernel coagulation with a gamma-product initial state.
+    """Bivariate constant-kernel coagulation from u0 = 16 N0 x y e^{-2x/m1 - 2y/m2} / (m1 m2)^2.
 
-    Parameterised by (N0, m1, m2, p1, p2); the density is the separable
-    series of gamma modes whose k-th term carries (t/(t+2))^k.
+    N0 particles of mean sizes m1 and m2; the density is the separable series
+    of gamma modes (x y)^{2k+1} whose k-th term carries (t/(t+2))^k.
     """
 
     N0: Fraction = Fraction(1)
     m1: Fraction = Fraction(1, 25)
     m2: Fraction = Fraction(1, 25)
-    p1: int = 1
-    p2: int = 1
 
     def evaluate(self, x: float, y: float, t: float) -> float:
         n0, m1, m2 = float(self.N0), float(self.m1), float(self.m2)
-        q1, q2 = self.p1 + 1, self.p2 + 1
         xs, ys = x / m1, y / m2
-        pref = (
-            4.0 * n0 / (m1 * m2 * (t + 2.0) ** 2)
-            * q1**q1 * q2**q2
-            * math.exp(-q1 * xs - q2 * ys)
-        )
+        # both gamma modes have shape q = 2, hence the factors q^q = 4
+        pref = 4.0 * n0 / (m1 * m2 * (t + 2.0) ** 2) * 4 * 4 * math.exp(-2 * xs - 2 * ys)
         ratio = t / (t + 2.0)
         if xs == 0.0 or ys == 0.0:
-            # only a zero exponent contributes on the axes (k = 0, p = 0)
-            k0 = (
-                _power(xs, q1 - 1) * _power(ys, q2 - 1)
-                / (math.gamma(q1) * math.gamma(q2))
-            )
-            return pref * k0
+            # every term (x y)^{2k+1} vanishes on the axes, where the logs below fail
+            return pref * (xs * ys)
         # Terms are summed in log space: the raw powers overflow floats
         # long before the gamma denominators bring them back down.
-        log_step = math.log(ratio * q1**q1 * q2**q2) if ratio > 0.0 else None
+        log_step = math.log(ratio * 4 * 4) if ratio > 0.0 else None
         lx, ly = math.log(xs), math.log(ys)
         total = 0.0
         prev = math.inf
         for k in range(MAX_DENSITY_TERMS):
             log_term = (
                 (0.0 if k == 0 else k * log_step)
-                + ((k + 1) * q1 - 1) * lx
-                + ((k + 1) * q2 - 1) * ly
-                - math.lgamma(q1 * (k + 1))
-                - math.lgamma(q2 * (k + 1))
+                + (2 * k + 1) * lx
+                + (2 * k + 1) * ly
+                - math.lgamma(2 * k + 2)
+                - math.lgamma(2 * k + 2)
             )
             contrib = math.exp(log_term)
             total += contrib
@@ -369,12 +353,6 @@ class BivariateConstantSolution:
         return mom
 
 
-def _power(base: float, expo: int) -> float:
-    if base == 0.0:
-        return 1.0 if expo == 0 else 0.0
-    return base**expo
-
-
 ExactSolution1D = Union[
     ConstantKernelSolution,
     SumKernelSolution,
@@ -409,8 +387,8 @@ def matching_exact_solution(problem: Model) -> Optional[ExactSolution]:
         m1 = 2 / as_fraction(a)
         m2 = 2 / as_fraction(b)
         n0 = c * m1**2 * m2**2 / 16
-        return BivariateConstantSolution(N0=n0, m1=m1, m2=m2, p1=1, p2=1)
-    if problem.u0 != _unit_exponential():
+        return BivariateConstantSolution(N0=n0, m1=m1, m2=m2)
+    if problem.u0 != exponential_ic():
         return None
     if problem.frag is None:
         return {
@@ -422,9 +400,3 @@ def matching_exact_solution(problem: Model) -> Optional[ExactSolution]:
     if problem.kernel is None and (f.c, f.r, f.s, f.k) == (2, 1, 1, 1):
         return LinearBreakageSolution()
     return None
-
-
-def _unit_exponential():
-    from .polyexp import PolyExp1D
-
-    return PolyExp1D.monomial(1, rate=1)

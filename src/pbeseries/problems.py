@@ -9,7 +9,8 @@ variants; its right-hand side is the sum of the operators it carries:
 
 so pure coagulation sets ``kernel``, pure fragmentation sets ``frag``, the
 coupled model sets both, and bivariate coagulation is the constant kernel
-on a 2-D ``u0`` (the dimension is ``u0.dim``).
+on a 2-D ``u0`` (the dimension is ``u0.dim``): ``coag_bilinear`` serves it
+with the 2-D convolution and the count moment mu_00.
 
 Coagulation kernels form a closed enum (constant, sum, product): each
 carries a closed-form reduction of its gain and loss integrals to the
@@ -115,7 +116,7 @@ def coag_loss(kernel: CoagKernel, u: PolyExp, moment) -> PolyExp:
     return u.mul_tpoly(moment(0))
 
 
-def coag_bilinear(kernel: CoagKernel, u: PolyExp1D, w: PolyExp1D) -> PolyExp1D:
+def coag_bilinear(kernel: CoagKernel, u: PolyExp, w: PolyExp) -> PolyExp:
     """Bilinear coagulation form Q(u, w) = 1/2 gain(u, w) - loss(u, w); the rhs is Q(u, u)."""
     xu = coag_operand(kernel, u)
     xw = xu if w is u else coag_operand(kernel, w)  # Q(u, u): one operand, a self-product gain
@@ -139,23 +140,15 @@ def frag_rhs(spec: FragSpec, u: PolyExp1D) -> PolyExp1D:
 
 
 def coag2d_bilinear(u: PolyExp2D, w: PolyExp2D) -> PolyExp2D:
-    """Constant-kernel bivariate form: 1/2 convolution minus count loss."""
-    gain = coag_gain(CoagKernel.CONSTANT, u, w)
-    return gain.scale(Fraction(1, 2)) - coag_loss(CoagKernel.CONSTANT, u, w.moment)
-
-
-def bilinear(model: Model, u, w):
-    """The model's coagulation form Q(u, w); its right-hand side uses Q(u, u)."""
-    if model.dim == 2:
-        return coag2d_bilinear(u, w)
-    return coag_bilinear(model.kernel, u, w)
+    """The bivariate form: ``coag_bilinear`` on the constant kernel, whose operand is u."""
+    return coag_bilinear(CoagKernel.CONSTANT, u, w)
 
 
 def rhs(model: Model, u):
     """Model right-hand side applied to a symbolic state."""
     if model.kernel is None:
         return frag_rhs(model.frag, u)
-    out = bilinear(model, u, u)
+    out = coag2d_bilinear(u, u) if model.dim == 2 else coag_bilinear(model.kernel, u, u)
     return out if model.frag is None else out + frag_rhs(model.frag, u)
 
 

@@ -3,9 +3,9 @@
 The right-hand sides are discretised with plain trapezoid quadrature on a
 uniform size grid truncated at xmax (no tail correction; the supported
 initial data decay exponentially, so the discarded tail is negligible),
-and stepped in time with classical fourth-order Runge-Kutta.  None of the
-symbolic integral code is reused here: agreement between this solver and
-the series engine is evidence, not a tautology.
+and stepped in time with classical fourth-order Runge-Kutta; the product
+kernel x y runs as the constant kernel on x u.  No symbolic integral code
+is reused: agreement with the series engine is evidence, not a tautology.
 """
 
 from __future__ import annotations
@@ -86,22 +86,15 @@ def _require_1d(problem: Model) -> None:
 
 
 def _coag_rhs(kernel: CoagKernel, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
-    n = len(u)
-    if kernel is CoagKernel.PRODUCT:
-        g = xs * u
-        conv = np.convolve(g, g)[:n]
-        # integrand vanishes at both endpoints, so no trapezoid correction
-        gain = 0.5 * h * conv
-        loss = xs * u * np.trapezoid(xs * u, dx=h)
-        return gain - loss
-    conv = np.convolve(u, u)[:n]
-    trap = h * (conv - u[0] * u)  # halve both endpoint products
-    if kernel is CoagKernel.CONSTANT:
-        gain = 0.5 * trap
-        loss = u * np.trapezoid(u, dx=h)
-    else:  # SUM: K(x-y, y) = x inside the gain integral
+    g = xs * u if kernel is CoagKernel.PRODUCT else u  # x y is the constant kernel on x u
+    conv = np.convolve(g, g)[: len(g)]
+    trap = h * (conv - g[0] * g)  # halve both endpoint products
+    if kernel is CoagKernel.SUM:  # K(x-y, y) = x inside the gain integral
         gain = 0.5 * xs * trap
         loss = u * (xs * np.trapezoid(u, dx=h) + np.trapezoid(xs * u, dx=h))
+    else:
+        gain = 0.5 * trap
+        loss = g * np.trapezoid(g, dx=h)
     return gain - loss
 
 

@@ -145,18 +145,16 @@ def _bilinear_block(problem: Model, components, operands, moments, k: int):
 def iterate_classical(
     problem: Model, n: int, term_budget: int = DEFAULT_TERM_BUDGET
 ) -> SeriesSolution:
-    """Run the classical decomposition recursion up to v_n, forming each operand and moment once."""
+    """Run the classical recursion to v_n; step k forms v_k's operand and moment for A_k."""
     if n < 0:
         raise ValueError("number of components must be nonnegative")
-    components = [problem.u0]
-    operands = [coag_operand(problem.kernel, problem.u0)]
-    moments = [cache(operands[0].moment)]
+    components, operands, moments = [problem.u0], [], []
     for k in range(n):
+        operands.append(coag_operand(problem.kernel, components[k]))
+        moments.append(cache(operands[k].moment))
         a_k = _bilinear_block(problem, components, operands, moments, k)
         _check_budget(a_k, term_budget)
         components.append(a_k.time_antiderivative())
-        operands.append(coag_operand(problem.kernel, components[-1]))
-        moments.append(cache(operands[-1].moment))
     return SeriesSolution(problem, Method.CLASSICAL, tuple(components))
 
 

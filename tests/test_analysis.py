@@ -29,6 +29,7 @@ from pbeseries.analysis import (
 from pbeseries.cli import main
 from pbeseries.exact import ConstantKernelSolution, SumKernelSolution
 from pbeseries.polyexp import PolyExp1D
+from pbeseries.problems import exponential_ic
 from pbeseries.series import iterate_accelerated
 
 
@@ -323,6 +324,23 @@ class TestSupNormShapes:
                 assert len({e[-1] for _, e, _ in f.terms()}) > 1
                 for t0 in (0.25, 1.283):
                     assert sup_l1_norm(f, t0) == self.per_sample_max(f, t0)
+
+    @pytest.mark.parametrize("t0", [0.05, 0.25, 1.283])
+    def test_time_free_function_is_sampled_once(self, monkeypatch, t0):
+        # e^{-x} takes the single-signed path, (x - 1) e^{-2x} the certified one
+        mixed = PolyExp1D.monomial(1, xpow=1, rate=2) - PolyExp1D.monomial(1, rate=2)
+        cases = [(f, self.per_sample_max(f, t0)) for f in (exponential_ic(), mixed)]
+        calls, real = [], analysis._l1_at_time
+
+        def spy(f, s, *rest):
+            calls.append(s)
+            return real(f, s, *rest)
+
+        monkeypatch.setattr(analysis, "_l1_at_time", spy)
+        for f, expected in cases:
+            calls.clear()
+            assert sup_l1_norm(f, t0) == expected
+            assert calls == [0.0]
 
     @staticmethod
     def shapes(f, t0):

@@ -10,7 +10,7 @@ from pbeseries.polyexp import DegreeOverflowError, PolyExp1D
 from pbeseries.problems import (
     CoagKernel,
     Model,
-    bilinear,
+    coag_bilinear,
     coag_operand,
     exponential_ic,
     frag_rhs,
@@ -121,10 +121,10 @@ class TestPicardIdentity:
 
 
 @pytest.mark.parametrize("method, n, calls", [(iterate_accelerated, 4, 4),
-                                              (iterate_classical, 8, 9)])
+                                              (iterate_classical, 8, 8)])
 def test_product_kernel_forms_x_u_once(method, n, calls, monkeypatch):
-    # one x u per right-hand side (ahpetm) or per component (classical)
-    # serves the gain and the loss of the product kernel
+    # one x u per right-hand side (ahpetm) or per component that a block
+    # reads (classical: v_0 ... v_{n-1}) serves the gain and the loss
     count = [0]
     real = PolyExp1D.mul_x
 
@@ -150,7 +150,7 @@ class TestClassical:
             ref = problem.u0.zero()
             if problem.kernel is not None:
                 for i in range(k + 1):
-                    ref = ref + bilinear(problem, comps[i], comps[k - i])
+                    ref = ref + coag_bilinear(problem.kernel, comps[i], comps[k - i])
             if problem.frag is not None:
                 ref = ref + frag_rhs(problem.frag, comps[k])
             assert series._bilinear_block(problem, comps, operands, moments, k) == ref
