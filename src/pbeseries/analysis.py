@@ -1,7 +1,7 @@
 """Error norms, series moments, convergence-bound calculators and tables.
 
-The density error norm is the L1 distance on [0, xmax] computed with a
-composite Simpson rule (defaults: xmax = 50, step = 1e-2).  Truncating
+The density error norm is the L1 distance on [0, XMAX] computed with a
+composite Simpson rule (XMAX = 50, STEP = 1e-2).  Truncating
 the half line at 50 is harmless for every supported problem: all
 densities decay at least like e^{-x} there, so the discarded tail is
 below 1e-20.  Error tables sample the exact solution with one vectorised
@@ -10,10 +10,10 @@ and reuse that grid for every truncation order.
 
 The sup-norm behind the convergence bounds is exact on [0, inf) for
 single-rate values: time is substituted exactly, the half line is split
-at the certified sign changes of the x-polynomial, and the exact tail
-antiderivative is differenced between them, certifying once per call
-and polynomial shape.  Adaptive quadrature on [0, 50] is used only for
-values with several rates or with roots that cannot be certified.
+at the sign changes of the x-polynomial, which Sturm counts isolate and
+exact-sign bisection refines once per call and polynomial shape, and the
+exact tail antiderivative is differenced between them.  Adaptive
+quadrature on [0, 50] is used only for values with several rates.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polyexp import PolyExp1D, TPoly, tpoly_eval
+from .polyexp import PolyExp1D, TPoly, ZeroRateError, tpoly_eval
 from .series import SeriesSolution
 
 
@@ -54,28 +54,24 @@ integrate = _LazyIntegrate()
 # density errors
 
 
-def _simpson_grid(xmax: float, step: float):
-    n = int(round(xmax / step))
-    if n < 2:
-        raise InvalidSpecError("Simpson grid needs at least two intervals")
-    if n % 2:
-        n += 1
-    xs = np.linspace(0.0, xmax, n + 1)
+# the L1 error's domain [0, XMAX] and Simpson step; XMAX / STEP is even
+XMAX, STEP = 50.0, 1e-2
+# times at which sup_l1_norm samples [0, t0]
+SUP_SAMPLES = 101
+
+
+def _simpson_grid():
+    n = int(round(XMAX / STEP))
+    xs = np.linspace(0.0, XMAX, n + 1)
     w = np.ones(n + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return xs, w * (xmax / n) / 3.0
+    return xs, w * (XMAX / n) / 3.0
 
 
-def l1_error(
-    f: PolyExp1D,
-    sol,
-    t: float,
-    xmax: float = 50.0,
-    step: float = 1e-2,
-) -> float:
-    """Simpson approximation of int_0^xmax |f(x, t) - exact(x, t)| dx."""
-    xs, w = _simpson_grid(xmax, step)
+def l1_error(f: PolyExp1D, sol, t: float) -> float:
+    """Simpson approximation of int_0^XMAX |f(x, t) - exact(x, t)| dx."""
+    xs, w = _simpson_grid()
     return _l1_distance(f, sol.evaluate_grid(xs, t), xs, w, t)
 
 
@@ -123,12 +119,12 @@ def _sign_variations(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _positive_root_count(p: list[int]) -> int:
-    """Distinct roots in (0, inf) of p, which must not vanish at 0 (Sturm).
+def _sturm_sequence(p: list[int]) -> list[list[int]]:
+    """The Sturm sequence p, p', -rem(p, p'), ... of p, in integers.
 
     Remainders are taken as positive multiples (pseudo-division by the
     absolute leading coefficient) and reduced to primitive parts, which
-    keeps every sign of the Sturm sequence and all arithmetic in integers.
+    keeps every sign of the sequence and all arithmetic in integers.
     """
     seq = [p, [i * c for i, c in enumerate(p)][1:]]
     while len(seq[-1]) > 1:
@@ -145,39 +141,44 @@ def _positive_root_count(p: list[int]) -> int:
             break
         g = math.gcd(*num)
         seq.append([-c // g for c in num])
-    return _sign_variations(q[0] for q in seq) - _sign_variations(q[-1] for q in seq)
+    return seq
 
 
-def _refine_root(p: list[int], lo: Fraction, hi: Fraction, x: float):
-    """A float within one ulp of the only root of p in (lo, hi), or None.
+def _root_bound(p: list[int]) -> Fraction:
+    """A power of two strictly above the modulus of every root of p.
 
-    p must change sign across the bracket.  Newton steps from the guess x
-    are computed from exact values, and every step shrinks the bracket by
-    an exact sign test, falling back to bisection when a step leaves it.
+    Fujiwara's bound |z| <= 2 max_k |p_{n-k} / p_n|^{1/k}, taken on bit
+    lengths b: |p_{n-k} / p_n| < 2^{b(p_{n-k}) - b(p_n) + 1}.  It tracks the
+    size of the roots, so bisection from it takes few steps where Cauchy's
+    1 + max |p_i / p_n| can lie hundreds of binary orders too high.
     """
-    dp = [i * c for i, c in enumerate(p)][1:]
+    lead = abs(p[-1]).bit_length()
+    return Fraction(2) ** (1 + max(-((lead - 1 - abs(c).bit_length()) // k)
+                                   for k, c in enumerate(reversed(p[:-1]), 1) if c))
+
+
+def _refine_root(p: list[int], lo: Fraction, hi: Fraction) -> float:
+    """The root of p in (lo, hi) as a float, by bisection on exact signs.
+
+    p must change sign across the bracket once.  Each split is the float
+    nearest the middle; the result is the root itself when a split hits it,
+    and otherwise the middle of the bracket once no float lies strictly
+    inside, which for float ends is the even one of the root's two
+    neighbouring floats.
+    """
     lo_positive = _value(p, lo)[0] > 0
-    for _ in range(100):
+    while True:
+        x = float((lo + hi) / 2)
         xf = Fraction(x)
         if not lo < xf < hi:
-            x = float((lo + hi) / 2)
-            xf = Fraction(x)
-            if not lo < xf < hi:
-                return x  # no float lies strictly inside the bracket
-        v, vden = _value(p, xf)
+            return x
+        v = _value(p, xf)[0]
         if v == 0:
             return x
         if (v > 0) == lo_positive:
-            lo, toward = xf, float(hi)
+            lo = xf
         else:
-            hi, toward = xf, float(lo)
-        dv, dvden = _value(dp, xf)
-        try:
-            newton = x - (v * dvden) / (dv * vden)
-        except (ZeroDivisionError, OverflowError):
-            newton = math.inf  # leaves the bracket, so the next step bisects
-        x = newton if newton != x else math.nextafter(x, toward)
-    return None
+            hi = xf
 
 
 def _stripped(coeffs: list[Fraction]) -> list[int]:
@@ -197,40 +198,36 @@ def _shape(coeffs: list[Fraction]) -> tuple[int, ...]:
     return tuple(c // g for c in p)
 
 
-def _sign_changes(coeffs: list[Fraction]):
-    """Points in (0, inf) where the polynomial changes sign, or None.
+def _sign_changes(coeffs: list[Fraction]) -> list[float]:
+    """The points in (0, inf) where the polynomial changes sign, ascending.
 
-    Candidates come from ``numpy.roots``; they are accepted only when the
-    Sturm count of distinct positive roots equals their number and exact
-    signs alternate across the brackets between them, so each bracket holds
-    exactly one root.  None means the roots could not be certified.
+    Sturm counts of distinct roots isolate the positive roots on
+    (0, ``_root_bound``) by bisection that never splits at a root.  A
+    bracket with one distinct root holds a sign change only when p changes
+    sign across it (an odd multiplicity), and each is refined by
+    ``_refine_root``.
     """
     p = _stripped(coeffs)
     if len(p) <= 1:
         return []
-    count = _positive_root_count(p)
-    if count == 0:
-        return []
-    try:
-        monic = [c / p[-1] for c in reversed(p)]
-    except OverflowError:
-        return None
-    guesses = sorted(
-        r.real for r in np.roots(monic)
-        if r.real > 0 and abs(r.imag) <= 1e-9 * abs(r)
-    )
-    if len(guesses) != count:
-        return None
-    # Cauchy's bound: every root lies below it
-    edges = ([Fraction(0)]
-             + [(Fraction(a) + Fraction(b)) / 2 for a, b in zip(guesses, guesses[1:])]
-             + [1 + Fraction(max(abs(c) for c in p[:-1]), abs(p[-1]))])
-    values = [_value(p, e)[0] for e in edges]
-    if 0 in values or any(a >= b for a, b in zip(edges, edges[1:])) or \
-            any((a > 0) == (b > 0) for a, b in zip(values, values[1:])):
-        return None
-    roots = [_refine_root(p, lo, hi, g) for lo, hi, g in zip(edges, edges[1:], guesses)]
-    return None if None in roots else roots
+    seq = _sturm_sequence(p)
+
+    def point(x: Fraction) -> tuple[Fraction, int, int]:
+        """x, the sign variations of the Sturm sequence at x and the sign of p(x)."""
+        values = [_value(q, x)[0] for q in seq]
+        return x, _sign_variations(values), (values[0] > 0) - (values[0] < 0)
+
+    roots, stack = [], [(point(Fraction(0)), point(_root_bound(p)))]
+    while stack:  # the lower half is popped first, so roots come in order
+        (lo, vlo, slo), (hi, vhi, shi) = ends = stack.pop()
+        if vlo - vhi == 1 and slo != shi:
+            roots.append(_refine_root(p, lo, hi))
+        elif vlo - vhi > 1:
+            mid = point((lo + hi) / 2)
+            while mid[2] == 0:  # p(lo) != 0, so this ends within deg p steps
+                mid = point((lo + mid[0]) / 2)
+            stack += [(mid, ends[1]), (ends[0], mid)]
+    return roots
 
 
 def _exact_abs_integral(a: Fraction, coeffs: list[Fraction], roots: list[float]) -> float:
@@ -262,12 +259,13 @@ def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly], certified: di
         # Single-signed coefficients make f single-signed on x > 0, so the
         # absolute integral is the absolute value of the exact moment.
         return abs(tpoly_eval(mass(), s))
+    if 0 in collapsed:
+        raise ZeroRateError("L1 norm of a rate-0 term diverges")
     if len(collapsed) == 1:
         (a, poly), = collapsed.items()
         if (shape := _shape(poly)) not in certified:  # one f, so one rate a, per call
-            certified[shape] = _sign_changes(poly) if a > 0 else None
-        if certified[shape] is not None:
-            return _exact_abs_integral(a, poly, certified[shape])
+            certified[shape] = _sign_changes(poly)
+        return _exact_abs_integral(a, poly, certified[shape])
     groups = [(float(a), [float(c) for c in reversed(poly)]) for a, poly in collapsed.items()]
 
     def integrand(x: float) -> float:
@@ -283,27 +281,28 @@ def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly], certified: di
     return val
 
 
-def sup_l1_norm(f: PolyExp1D, t0: float, samples: int = 101) -> float:
+def sup_l1_norm(f: PolyExp1D, t0: float) -> float:
     """sup over s in [0, t0] of int_0^inf |f(x, s)| dx.
 
-    The sup is sampled on an equispaced time grid.  Each inner integral
-    collapses t exactly and is exact on [0, inf) whenever the x-polynomial
-    has one coefficient sign (the absolute moment), or when f has a single
-    rate a > 0: the half line is split at the certified sign changes of P
-    and the tail antiderivative e^{-ax} Q(x) is differenced between them,
-    rounding once per root.  Adaptive quadrature on [0, 50], over a float
-    Horner evaluation, is used only for several rates or roots that cannot
-    be certified (repeated or clustered roots).  Roots are certified once per
-    shape and call; all samples s > 0 of v_1 = t g(x) have g's shape.
+    The sup is sampled on an equispaced grid of ``SUP_SAMPLES`` times.  Each
+    inner integral collapses t exactly and is exact on [0, inf) whenever
+    the x-polynomial has one coefficient sign (the absolute moment), or
+    when f has a single rate a > 0: the half line is split at the exact
+    sign changes of P (``_sign_changes``) and the tail antiderivative
+    e^{-ax} Q(x) is differenced between them, rounding once per root.
+    Adaptive quadrature on [0, 50], over a float Horner evaluation, is used
+    only for values with several rates; a mixed-sign value with a rate-0
+    group raises ``ZeroRateError``.  Sign changes are found once per shape
+    and call; all samples s > 0 of v_1 = t g(x) have g's shape.
     """
-    if t0 < 0 or samples < 2:
-        raise InvalidSpecError("sup norm needs t0 >= 0 and at least two samples")
+    if t0 < 0:
+        raise InvalidSpecError("sup norm needs t0 >= 0")
     # the mass polynomial is built on first use, then shared by every sample
     mass = functools.cache(lambda: f.moment(0))
     certified: dict = {}
     if t0 == 0 or f.t_degree() <= 0:  # a time-free f has one value at every sample
         return _l1_at_time(f, 0.0, mass, certified)
-    return max(_l1_at_time(f, float(s), mass, certified) for s in np.linspace(0.0, t0, samples))
+    return max(_l1_at_time(f, float(s), mass, certified) for s in np.linspace(0.0, t0, SUP_SAMPLES))
 
 
 @dataclass(frozen=True)
@@ -413,8 +412,6 @@ def error_table_l1(
     sol,
     orders: Sequence[int],
     times: Sequence[float],
-    xmax: float = 50.0,
-    step: float = 1e-2,
 ) -> ErrorTable:
     """L1-error grid over truncation orders (rows) and times (columns).
 
@@ -422,7 +419,7 @@ def error_table_l1(
     """
     if not orders or not times:
         raise InvalidSpecError("error table needs nonempty order and time lists")
-    xs, w = _simpson_grid(xmax, step)
+    xs, w = _simpson_grid()
     exact = [sol.evaluate_grid(xs, t) for t in times]
     cells = []
     for n in orders:
@@ -434,7 +431,7 @@ def error_table_l1(
         row_labels=tuple(orders),
         col_labels=tuple(times),
         cells=tuple(cells),
-        norm=f"L1[0,{xmax:g}] Simpson step {step:g}",
+        norm=f"L1[0,{XMAX:g}] Simpson step {STEP:g}",
     )
 
 

@@ -12,18 +12,20 @@ bounds           contraction constants and geometric error bound
 reference-check  grid-solver cross-validation (x, series, grid, deviation)
 dump-symbolic    exact rational dump of the series components as JSON
 
-Every subcommand takes the problem and series flags --model
-{coag|frag|ccfe|coag2d}, --kernel, --frag c,r,s,k, --u0, --method and
---terms, plus --out and --config; all but dump-symbolic, which always
-writes JSON, take --format csv|json.  Their own flags: density --t --x --y
---compare; error-table --t --x; moments --t --j --compare; bounds --t0 --T
---m --lam; reference-check --t-end --cells --dt --xmax.  Any other flag is
-a usage error, and so is a setting the chosen model does not use: --y on
-a 1-D model, --lam with a coagulation kernel, --T on frag, --frag or
---kernel on the wrong model.  A negative time in --t or size in --x or --y
-is a configuration error.  The u0 grammar accepts ``exp:a`` for e^{-ax},
-``monoexp:c,p,a`` for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the
-bivariate analogue; every number may be a rational like 1/2.
+Every subcommand takes the problem flags --model {coag|frag|ccfe|coag2d},
+--kernel, --frag c,r,s,k and --u0, plus --out and --config; all but
+dump-symbolic, which always writes JSON, take --format csv|json.  All but
+bounds take the series flags --method and --terms: bounds reads only u0
+and v_1, the same for every engine and order.  Their own flags: density
+--t --x --y --compare; error-table --t --x; moments --t --j --compare;
+bounds --t0 --T --m --lam; reference-check --t-end --cells --dt --xmax.
+Any other flag is a usage error, and so is a setting the chosen model does
+not use: --y on a 1-D model, --lam with a coagulation kernel, --T on frag,
+--frag or --kernel on the wrong model.  A negative time in --t or size in
+--x or --y is a configuration error.  The u0 grammar accepts ``exp:a`` for
+e^{-ax}, ``monoexp:c,p,a`` for c x^p e^{-ax} and
+``monoexp2:c,px,py,ax,ay`` for the bivariate analogue; every number may be
+a rational like 1/2.
 
 ``--config`` names a file of flat ``key = value`` lines with the long flag
 names as keys.  A flag overrides its config value, which overrides the
@@ -452,7 +454,8 @@ def cmd_bounds(s: _Settings) -> str:
     else:
         reject_unused(s, "lam")
         T = s.get("T", default=max(1.0, t0))
-    series = iterate(problem, s.get("method"), max(s.get("terms"), 1))
+    # the bounds read u0 and v_1 = T[rhs(u0)] only, which every engine and order shares
+    series = iterate(problem, Method.ACCELERATED, 1)
     if problem.dim == 2:
         u0_norm = analysis.tpoly_eval(problem.u0.moment(0, 0), 0.0)
         mu00 = series.components[1].moment(0, 0)
@@ -512,7 +515,8 @@ def cmd_dump_symbolic(s: _Settings) -> str:
 # ---------------------------------------------------------------------------
 # argument wiring
 
-_SERIES = ("model", "kernel", "frag", "u0", "method", "terms")
+_PROBLEM = ("model", "kernel", "frag", "u0")
+_SERIES = (*_PROBLEM, "method", "terms")
 
 # subcommand: (function, --help text, the keys it reads)
 _COMMANDS = {
@@ -523,7 +527,7 @@ _COMMANDS = {
     "moments": (cmd_moments, "series moments",
                 (*_SERIES, "t", "compare", "format", "out", "config", "j")),
     "bounds": (cmd_bounds, "contraction constants and error bound",
-               (*_SERIES, "format", "out", "config", "t0", "T", "m", "lam")),
+               (*_PROBLEM, "format", "out", "config", "t0", "T", "m", "lam")),
     "reference-check": (cmd_reference_check, "grid-oracle cross validation",
                         (*_SERIES, "format", "out", "config", "t_end", "cells", "dt", "xmax")),
     "dump-symbolic": (cmd_dump_symbolic, "exact rational component dump",

@@ -25,8 +25,10 @@ X, Y, T = sp.symbols("x y t")
 settings.register_profile(
     "pbeseries", derandomize=True, max_examples=40, deadline=None, database=None
 )
-# Ten times the examples, as deterministic, for the algebra's laws in CI:
-#     pytest tests/test_polyexp_kernel.py tests/test_polyexp.py --hypothesis-profile=ci-deep
+# Ten times the examples, as deterministic, for the algebra's laws and the
+# sup-norm's root finding in CI:
+#     pytest tests/test_polyexp_kernel.py tests/test_polyexp.py tests/test_analysis.py \
+#         --hypothesis-profile=ci-deep
 settings.register_profile("ci-deep", settings.get_profile("pbeseries"), max_examples=400)
 settings.load_profile("pbeseries")
 

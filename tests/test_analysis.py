@@ -6,6 +6,7 @@ import random
 from fractions import Fraction as F
 from types import SimpleNamespace
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -28,7 +29,7 @@ from pbeseries.analysis import (
 )
 from pbeseries.cli import main
 from pbeseries.exact import ConstantKernelSolution, SumKernelSolution
-from pbeseries.polyexp import PolyExp1D
+from pbeseries.polyexp import PolyExp1D, ZeroRateError
 from pbeseries.problems import exponential_ic
 from pbeseries.series import iterate_accelerated
 
@@ -237,13 +238,45 @@ class TestExactSupNorm:
             epsrel=1e-13)
         assert sup_l1_norm(f, 0.0) == pytest.approx(ref + tail, rel=1e-12)
 
-    def test_repeated_root_falls_back_to_quad(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(analysis, "integrate", _counting_quad(calls))
+    def test_repeated_root_is_exact(self, monkeypatch):
+        # (x - 1)^2 (x - 3) keeps its sign at the double root, so only 3 splits
+        monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
         roots = [F(1), F(1), F(3)]
-        got = sup_l1_norm(_from_roots(1, roots, 1, tpow=0), 0.0)
-        assert calls == [(0.0, 50.0)]
-        assert got == pytest.approx(_split_quad(1.0, roots, 1), rel=1e-9)
+        f = _from_roots(1, roots, 1, tpow=0)
+        assert analysis._sign_changes(f.collapse_t(0)[1]) == [3.0]
+        got = sup_l1_norm(f, 0.0)
+        assert got == pytest.approx(_split_quad(1.0, roots, 1), rel=1e-12)
+
+    @pytest.mark.parametrize("gap", [F(1, 10**9), F(1, 10**12), F(1, 10**15)])
+    def test_clustered_roots_are_exact(self, monkeypatch, gap):
+        # 1 and 1 + gap lie closer together than numpy.roots separates roots
+        monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
+        roots = [F(1), 1 + gap, F(3)]
+        f = _from_roots(1, roots, 1, tpow=0)
+        low, middle, high = analysis._sign_changes(f.collapse_t(0)[1])
+        assert (low, high) == (1.0, 3.0)
+        assert abs(F(middle) - roots[1]) < F(math.ulp(middle))
+        with mpmath.workdps(30):
+            r = [mpmath.mpf(k.numerator) / k.denominator for k in roots]
+            ref = mpmath.quad(lambda x: abs((x - r[0]) * (x - r[1]) * (x - r[2])) * mpmath.exp(-x),
+                              [0, *r, mpmath.inf])
+        assert sup_l1_norm(f, 0.0) == pytest.approx(float(ref), rel=1e-14)
+
+    def test_root_on_a_split_point(self):
+        # the bound is 32, so bisection halves (0, 32) to (0, 8), whose
+        # middle 4 is a root: the split moves to 2 instead
+        coeffs = _polynomial(1, [F(1), F(4), F(7)], [1], 0)
+        assert analysis._root_bound(analysis._stripped(coeffs)) == 32
+        assert analysis._sign_changes(coeffs) == [1.0, 4.0, 7.0]
+
+    @pytest.mark.parametrize("f", [
+        PolyExp1D({0: {(1, 0): 1, (0, 0): -1}}),
+        PolyExp1D({0: {(0, 0): 1}, 1: {(1, 0): -1}}),
+    ], ids=["x-1", "1-xe^-x"])
+    def test_mixed_sign_rate_zero_diverges(self, monkeypatch, f):
+        monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
+        with pytest.raises(ZeroRateError):
+            sup_l1_norm(f, 0.0)
 
     def test_two_rates_go_through_quad(self, monkeypatch):
         calls = []
@@ -291,6 +324,25 @@ def test_sign_changes_ignore_a_constant_factor(c, roots, extra, m, lam):
     scaled = [lam * k for k in coeffs]
     assert analysis._shape(scaled) == analysis._shape(coeffs)
     assert analysis._sign_changes(scaled) == analysis._sign_changes(coeffs)
+
+
+POSITIVE_ROOTS = st.dictionaries(st.fractions(F(1, 10), 10, max_denominator=50),
+                                 st.integers(1, 3), max_size=4)
+
+
+@given(NONZERO, POSITIVE_ROOTS, st.integers(0, 9), st.booleans())
+def test_sign_changes_are_the_odd_multiplicity_roots(c, roots, shift, complex_pair):
+    # x + shift and x^2 + 1 add no positive root
+    extra = [shift, 1, shift, 1] if complex_pair else [shift, 1]
+    coeffs = _polynomial(c, [r for r, k in roots.items() for _ in range(k)], extra, 0)
+    got = analysis._sign_changes(coeffs)
+    assert len(got) == sum(k % 2 for k in roots.values())
+    assert got == sorted(got)
+    p = analysis._stripped(coeffs)
+    for x in got:
+        below = analysis._value(p, F(math.nextafter(x, 0.0)))[0]
+        above = analysis._value(p, F(math.nextafter(x, math.inf)))[0]
+        assert below * above < 0
 
 
 def _first_components(problem):
@@ -355,13 +407,13 @@ class TestSupNormShapes:
 
     def test_one_certification_per_shape_and_call(self, monkeypatch, constant_kernel_problem):
         calls = []
-        count = analysis._positive_root_count
+        sturm = analysis._sturm_sequence
 
         def spy(p):
             calls.append(tuple(p))
-            return count(p)
+            return sturm(p)
 
-        monkeypatch.setattr(analysis, "_positive_root_count", spy)
+        monkeypatch.setattr(analysis, "_sturm_sequence", spy)
         v1 = _first_components(constant_kernel_problem)[1]
         v3 = iterate_accelerated(constant_kernel_problem, 3).components[3]
         for f in (v1, v3):
@@ -420,7 +472,7 @@ class TestStructure:
 class TestErrorTables:
     def test_l1_table_shape(self, constant_series):
         table = error_table_l1(
-            constant_series, ConstantKernelSolution(), [2, 3], [0.5, 1.0], step=0.05
+            constant_series, ConstantKernelSolution(), [2, 3], [0.5, 1.0]
         )
         assert table.row_labels == (2, 3)
         assert table.col_labels == (0.5, 1.0)
