@@ -54,10 +54,9 @@ integrate = _LazyIntegrate()
 # density errors
 
 
-# the L1 error's domain [0, XMAX] and Simpson step; XMAX / STEP is even
-XMAX, STEP = 50.0, 1e-2
-# times at which sup_l1_norm samples [0, t0]
-SUP_SAMPLES = 101
+# the L1 error's domain [0, XMAX] and Simpson step (XMAX / STEP is even),
+# and the number of times at which sup_l1_norm samples [0, t0]
+XMAX, STEP, SUP_SAMPLES = 50.0, 1e-2, 101
 
 
 def _simpson_grid():
@@ -105,13 +104,19 @@ def _as_integers(coeffs: list[Fraction]) -> tuple[list[int], int]:
 
 
 def _value(p: list[int], x: Fraction) -> tuple[int, int]:
-    """(num, den) with p(x) = num / den and den > 0, in integer arithmetic."""
-    n, d = x.numerator, x.denominator
-    acc, dk = p[-1], 1
+    """(num, den) with p(x) = num / den and den > 0, for a dyadic x such as a float.
+
+    Every point the sup-norm evaluates is dyadic, so the powers of the
+    denominator are shifts, several times cheaper than products.
+    """
+    n, e = x.numerator, x.denominator.bit_length() - 1
+    if x.denominator != 1 << e:
+        raise ValueError(f"{x} is not a dyadic rational")
+    acc, shift = p[-1], 0
     for c in reversed(p[:-1]):
-        dk *= d
-        acc = acc * n + c * dk
-    return acc, dk
+        shift += e
+        acc = acc * n + (c << shift)
+    return acc, 1 << shift
 
 
 def _sign_variations(values) -> int:
@@ -145,12 +150,11 @@ def _sturm_sequence(p: list[int]) -> list[list[int]]:
 
 
 def _root_bound(p: list[int]) -> Fraction:
-    """A power of two strictly above the modulus of every root of p.
+    """A power of two strictly above |z| for every root z of p.
 
-    Fujiwara's bound |z| <= 2 max_k |p_{n-k} / p_n|^{1/k}, taken on bit
-    lengths b: |p_{n-k} / p_n| < 2^{b(p_{n-k}) - b(p_n) + 1}.  It tracks the
-    size of the roots, so bisection from it takes few steps where Cauchy's
-    1 + max |p_i / p_n| can lie hundreds of binary orders too high.
+    Fujiwara's |z| <= 2 max_k |p_{n-k} / p_n|^{1/k} on bit lengths b, as
+    |p_{n-k} / p_n| < 2^{b(p_{n-k}) - b(p_n) + 1}.  Cauchy's 1 + max |p_i / p_n|
+    can lie hundreds of halvings above the roots, which bisection then pays.
     """
     lead = abs(p[-1]).bit_length()
     return Fraction(2) ** (1 + max(-((lead - 1 - abs(c).bit_length()) // k)
@@ -158,27 +162,19 @@ def _root_bound(p: list[int]) -> Fraction:
 
 
 def _refine_root(p: list[int], lo: Fraction, hi: Fraction) -> float:
-    """The root of p in (lo, hi) as a float, by bisection on exact signs.
+    """The root of p in (lo, hi), across which p changes sign once, as a float.
 
-    p must change sign across the bracket once.  Each split is the float
-    nearest the middle; the result is the root itself when a split hits it,
-    and otherwise the middle of the bracket once no float lies strictly
-    inside, which for float ends is the even one of the root's two
-    neighbouring floats.
+    Bisection on exact signs, splitting at the float nearest the middle,
+    ends at the root itself or, once no float lies strictly inside, at the
+    middle: for float ends, the even one of the root's neighbouring floats.
     """
     lo_positive = _value(p, lo)[0] > 0
     while True:
         x = float((lo + hi) / 2)
         xf = Fraction(x)
-        if not lo < xf < hi:
+        if not lo < xf < hi or (v := _value(p, xf)[0]) == 0:
             return x
-        v = _value(p, xf)[0]
-        if v == 0:
-            return x
-        if (v > 0) == lo_positive:
-            lo = xf
-        else:
-            hi = xf
+        lo, hi = (xf, hi) if (v > 0) == lo_positive else (lo, xf)
 
 
 def _stripped(coeffs: list[Fraction]) -> list[int]:

@@ -13,17 +13,16 @@ reference-check  grid-solver cross-validation (x, series, grid, deviation)
 dump-symbolic    exact rational dump of the series components as JSON
 
 Every subcommand takes the problem flags --model {coag|frag|ccfe|coag2d},
---kernel, --frag c,r,s,k and --u0, plus --out and --config; all but
-dump-symbolic, which always writes JSON, take --format csv|json.  All but
-bounds take the series flags --method and --terms: bounds reads only u0
-and v_1, the same for every engine and order.  Their own flags: density
---t --x --y --compare; error-table --t --x; moments --t --j --compare;
-bounds --t0 --T --m --lam; reference-check --t-end --cells --dt --xmax.
-Any other flag is a usage error, and so is a setting the chosen model does
-not use: --y on a 1-D model, --lam with a coagulation kernel, --T on frag,
---frag or --kernel on the wrong model.  A negative time in --t or size in
---x or --y is a configuration error.  The u0 grammar accepts ``exp:a`` for
-e^{-ax}, ``monoexp:c,p,a`` for c x^p e^{-ax} and
+--kernel, --frag c,r,s,k and --u0, plus --out and --config; all but bounds,
+which reads only u0 and v_1, take --method and --terms, and all but
+dump-symbolic, which always writes JSON, take --format csv|json.  Their own
+flags: density --t --x --y --compare; error-table --t --x; moments --t --j
+--compare; bounds --t0 --T --m --lam; reference-check --t-end --cells --dt
+--xmax.  Any other flag is a usage error, and so is a setting the chosen
+model does not use: --y on a 1-D model, --lam with a coagulation kernel,
+--T on frag, --frag or --kernel on the wrong model.  A negative time in --t
+or size in --x or --y is a configuration error.  The u0 grammar accepts
+``exp:a`` for e^{-ax}, ``monoexp:c,p,a`` for c x^p e^{-ax} and
 ``monoexp2:c,px,py,ax,ay`` for the bivariate analogue; every number may be
 a rational like 1/2.
 
@@ -460,7 +459,8 @@ def cmd_bounds(s: _Settings) -> str:
         u0_norm = analysis.tpoly_eval(problem.u0.moment(0, 0), 0.0)
         mu00 = series.components[1].moment(0, 0)
         v1_norm = max(
-            abs(analysis.tpoly_eval(mu00, float(ss))) for ss in np.linspace(0.0, t0, 101)
+            abs(analysis.tpoly_eval(mu00, float(ss)))
+            for ss in np.linspace(0.0, t0, analysis.SUP_SAMPLES)
         )
         pair = analysis.coag2d_bounds(u0_norm, T, t0, m, v1_norm)
         rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm), ("L", pair["statement"].lipschitz)]
