@@ -255,7 +255,8 @@ def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly], certified: di
         # Single-signed coefficients make f single-signed on x > 0, so the
         # absolute integral is the absolute value of the exact moment.
         return abs(tpoly_eval(mass(), s))
-    if 0 in collapsed:
+    # a rate-0 group that vanishes at s (t e^{0x} at s = 0) adds nothing
+    if any(collapsed.pop(0, ())):
         raise ZeroRateError("L1 norm of a rate-0 term diverges")
     if len(collapsed) == 1:
         (a, poly), = collapsed.items()
@@ -287,9 +288,9 @@ def sup_l1_norm(f: PolyExp1D, t0: float) -> float:
     sign changes of P (``_sign_changes``) and the tail antiderivative
     e^{-ax} Q(x) is differenced between them, rounding once per root.
     Adaptive quadrature on [0, 50], over a float Horner evaluation, is used
-    only for values with several rates; a mixed-sign value with a rate-0
-    group raises ``ZeroRateError``.  Sign changes are found once per shape
-    and call; all samples s > 0 of v_1 = t g(x) have g's shape.
+    only for values with several rates; a mixed-sign value whose rate-0
+    group is nonzero at s raises ``ZeroRateError``.  Sign changes are found
+    once per shape and call; all samples s > 0 of v_1 = t g(x) have g's shape.
     """
     if t0 < 0:
         raise InvalidSpecError("sup norm needs t0 >= 0")

@@ -278,6 +278,15 @@ class TestExactSupNorm:
         with pytest.raises(ZeroRateError):
             sup_l1_norm(f, 0.0)
 
+    def test_rate_zero_group_that_vanishes_at_s_is_dropped(self, monkeypatch):
+        # f = t + (x - 1) e^{-x}: at s = 0 only the rate-1 part is left, whose
+        # L1 norm is 2/e; every later sample diverges
+        monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
+        f = PolyExp1D({0: {(0, 1): 1}, 1: {(1, 0): 1, (0, 0): -1}})
+        assert sup_l1_norm(f, 0.0) == pytest.approx(2 / math.e, rel=1e-15)
+        with pytest.raises(ZeroRateError):
+            sup_l1_norm(f, 0.5)
+
     def test_two_rates_go_through_quad(self, monkeypatch):
         calls = []
         monkeypatch.setattr(analysis, "integrate", _counting_quad(calls))

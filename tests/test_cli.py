@@ -589,13 +589,13 @@ class TestSettingsPath:
             assert name in parser.format_help() and text in parser.format_help()
 
     @pytest.mark.parametrize("command, flags, config", [
-        ("density", ["--t", "bogus", "--x", "1"], ""),
-        ("moments", ["--j", "x", "--t", "1"], ""),
+        ("density", ["--terms", "7", "--t", "bogus", "--x", "1"], ""),
+        ("moments", ["--terms", "7", "--j", "x", "--t", "1"], ""),
         ("bounds", ["--t0", "0.05", "--m", "x"], ""),
-        ("reference-check", ["--t-end", "0.1", "--cells", "4"], ""),
-        ("density", ["--t", "1", "--x", "1"], "format = xml"),
+        ("reference-check", ["--terms", "7", "--t-end", "0.1", "--cells", "4"], ""),
+        ("density", ["--terms", "7", "--t", "1", "--x", "1"], "format = xml"),
         ("bounds", ["--t0", "0.05"], "format = xml"),
-        ("reference-check", ["--t-end", "0.1"], "format = xml"),
+        ("reference-check", ["--terms", "7", "--t-end", "0.1"], "format = xml"),
     ])
     def test_bad_value_is_exit_2_before_the_engine(self, capsys, monkeypatch, tmp_path,
                                                    command, flags, config):
@@ -605,9 +605,10 @@ class TestSettingsPath:
             cfg = tmp_path / "run.cfg"
             cfg.write_text(config + "\n")
             extra = ["--config", str(cfg)]
-        code, out, err = run(capsys, command, *COAG, "--terms", "7", *flags, *extra)
+        code, out, err = run(capsys, command, *COAG, *flags, *extra)
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
+        assert "unrecognized arguments" not in err  # the bad value itself was read
 
     def test_config_typo_is_exit_2(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setattr(cli, "iterate", _refuse_iterate)
