@@ -1,7 +1,8 @@
 """Golden CLI outputs: every listed command must reproduce its stored bytes.
 
 ``golden_stdout.json`` holds, per command, the sha256 of stdout, the exit
-status and the stderr text.  It covers the README commands, a
+status and the stderr text.  It covers the README commands, the README's
+two error tables (L1 and pointwise) again as ``--format json``, a
 ``dump-symbolic`` of each benchmark problem under both engines, the 2-D
 ``density``/``moments`` comparisons, each branch of ``bounds``, three
 commands at times that are not dyadic rationals, six commands whose rates
@@ -51,6 +52,11 @@ COMMANDS = {
                  "--terms 3:6 --t 0.5,1,1.5,2",
     "readme-pointwise": "error-table --model coag --kernel sum --u0 exp:1 "
                         "--terms 4 --x 5 --t 0.2:1.6:0.2",
+    # the same two tables as JSON
+    "readme-l1-json": "error-table --model coag --kernel constant --u0 exp:1 "
+                      "--terms 3:6 --t 0.5,1,1.5,2 --format json",
+    "readme-pointwise-json": "error-table --model coag --kernel sum --u0 exp:1 "
+                             "--terms 4 --x 5 --t 0.2:1.6:0.2 --format json",
     "readme-moments": "moments --model ccfe --kernel constant --frag 2,1,1/2,1 "
                       "--u0 monoexp:4,1,2 --terms 3 --j 0,1 --t 0:2:0.1",
     "readme-bounds": "bounds --model coag --kernel constant --u0 exp:1 "
