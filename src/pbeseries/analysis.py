@@ -1,5 +1,9 @@
 """Error norms, series moments, convergence-bound calculators and tables.
 
+The error tables and bounds are computed here and returned as data
+(``ErrorTable``, ``ConvergenceBound``, floats); ``cli`` formats and
+writes them.
+
 The density error norm is the L1 distance on [0, XMAX] computed with a
 composite Simpson rule (XMAX = 50, STEP = 1e-2).  Truncating
 the half line at 50 is harmless for every supported problem: all
@@ -13,7 +17,9 @@ single-rate values: time is substituted exactly, the half line is split
 at the sign changes of the x-polynomial, which Sturm counts isolate and
 exact-sign bisection refines once per call and polynomial shape, and the
 exact tail antiderivative is differenced between them.  Adaptive
-quadrature on [0, 50] is used only for values with several rates.
+quadrature on [0, 50] is used only for values with several rates.  The
+2-D bounds read |mu_00| over the same time samples instead
+(``sup_abs_moment00``), which is not the L1 norm of a sign-changing value.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .polyexp import PolyExp1D, TPoly, ZeroRateError, tpoly_eval
+from .polyexp import PolyExp1D, PolyExp2D, TPoly, ZeroRateError, tpoly_eval
 from .series import SeriesSolution
 
 
@@ -278,6 +284,17 @@ def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly], certified: di
     return val
 
 
+def _sampled_sup(f, t0: float, value: Callable[[float], float]) -> float:
+    """max of ``value(s)`` over ``SUP_SAMPLES`` equispaced times s in [0, t0].
+
+    A time-free f has one value at every sample, and so has t0 = 0: either
+    is evaluated once, at s = 0.
+    """
+    if t0 == 0 or f.t_degree() <= 0:
+        return value(0.0)
+    return max(value(float(s)) for s in np.linspace(0.0, t0, SUP_SAMPLES))
+
+
 def sup_l1_norm(f: PolyExp1D, t0: float) -> float:
     """sup over s in [0, t0] of int_0^inf |f(x, s)| dx.
 
@@ -297,9 +314,21 @@ def sup_l1_norm(f: PolyExp1D, t0: float) -> float:
     # the mass polynomial is built on first use, then shared by every sample
     mass = functools.cache(lambda: f.moment(0))
     certified: dict = {}
-    if t0 == 0 or f.t_degree() <= 0:  # a time-free f has one value at every sample
-        return _l1_at_time(f, 0.0, mass, certified)
-    return max(_l1_at_time(f, float(s), mass, certified) for s in np.linspace(0.0, t0, SUP_SAMPLES))
+    return _sampled_sup(f, t0, lambda s: _l1_at_time(f, s, mass, certified))
+
+
+def sup_abs_moment00(f: PolyExp2D, t0: float) -> float:
+    """sup over s in [0, t0] of |mu_00(f)(s)| = |int int f(x, y, s) dx dy|.
+
+    The times are ``sup_l1_norm``'s samples.  This is the norm that the 2-D
+    bounds use for u0 and v_1, and it is the L1 norm only for a
+    single-signed f.  v_1 changes sign, so the 2-D bound built on it is not
+    Theorem 4's: for ``monoexp2:6250000,1,1,50,50`` at t0 = 0.01 this gives
+    t0 / 2 = 0.005, while int int |v_1| dx dy at t0 is 0.0097694.  A
+    negative t0 is left to the bound calculators to reject.
+    """
+    mu00 = f.moment(0, 0)
+    return _sampled_sup(f, t0, lambda s: abs(tpoly_eval(mu00, s)))
 
 
 @dataclass(frozen=True)
@@ -383,25 +412,6 @@ class ErrorTable:
                 raise InvalidSpecError("cell column count does not match col labels")
             if not all(math.isfinite(v) for v in row):
                 raise InvalidSpecError("table cells must be finite")
-
-    def to_csv(self) -> str:
-        lines = [f"# norm = {self.norm}"]
-        header = [self.row_axis] + [f"{self.col_axis}={c:g}" if isinstance(c, (int, float)) else str(c) for c in self.col_labels]
-        lines.append(",".join(header))
-        for label, row in zip(self.row_labels, self.cells):
-            lines.append(",".join([f"{label:g}" if isinstance(label, (int, float)) else str(label)]
-                                  + [f"{v:.17g}" for v in row]))
-        return "\n".join(lines) + "\n"
-
-    def to_json_obj(self) -> dict:
-        return {
-            "norm": self.norm,
-            "row_axis": self.row_axis,
-            "col_axis": self.col_axis,
-            "row_labels": list(self.row_labels),
-            "col_labels": list(self.col_labels),
-            "cells": [list(r) for r in self.cells],
-        }
 
 
 def error_table_l1(

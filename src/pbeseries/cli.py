@@ -17,14 +17,14 @@ Every subcommand takes the problem flags --model {coag|frag|ccfe|coag2d},
 which reads only u0 and v_1, take --method and --terms, and all but
 dump-symbolic, which always writes JSON, take --format csv|json.  Their own
 flags: density --t --x --y --compare; error-table --t --x; moments --t --j
---compare; bounds --t0 --T --m --lam; reference-check --t-end --cells --dt
---xmax.  Any other flag is a usage error, and so is a setting the chosen
-model does not use: --y on a 1-D model, --lam with a coagulation kernel,
---T on frag, --frag or --kernel on the wrong model.  A negative time in --t
-or size in --x or --y is a configuration error.  The u0 grammar accepts
-``exp:a`` for e^{-ax}, ``monoexp:c,p,a`` for c x^p e^{-ax} and
-``monoexp2:c,px,py,ax,ay`` for the bivariate analogue; every number may be
-a rational like 1/2.
+--compare; bounds --t0 --T (default max(1, t0)) --m --lam; reference-check
+--t-end --cells --dt --xmax.  Any other flag is a usage error, and so is a
+setting the chosen model does not use: --y on a 1-D model, --lam with a
+coagulation kernel, --T on frag, --frag or --kernel on the wrong model.  A
+negative time in --t or size in --x or --y is a configuration error.  The
+u0 grammar accepts ``exp:a`` for e^{-ax}, ``monoexp:c,p,a`` for
+c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the bivariate analogue;
+every number may be a rational like 1/2.
 
 ``--config`` names a file of flat ``key = value`` lines with the long flag
 names as keys.  A flag overrides its config value, which overrides the
@@ -32,6 +32,11 @@ default.  Keys the subcommand does not take are ignored, so one file can
 serve several subcommands; a key no subcommand takes is an error.  Config
 values are checked like flags, and every setting is checked before any
 work starts.
+
+This module is the only writer: the numbers come from the numeric modules
+(error tables as ``analysis.ErrorTable`` data), and every CSV, error
+tables included, is written by ``format_rows``.  It does not import
+numpy; reference-check takes its deviation with the arrays' own operators.
 
 Exit status: 0 success, 2 configuration error, 3 engine error
 (mixed rates, out-of-class breakage, degree/term/float overflow, instability),
@@ -44,16 +49,16 @@ with 17 significant digits and metadata lives in '#' comment lines.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
 import sys
 from fractions import Fraction
-
-import numpy as np
+from functools import partial
 
 from . import analysis, exact, refsolver
-from .polyexp import PolyExp1D, PolyExp2D, PolyExpError
+from .polyexp import PolyExp1D, PolyExp2D, PolyExpError, tpoly_eval
 from .problems import CoagKernel, FragSpec, Model
 from .series import Method, iterate
 
@@ -137,20 +142,11 @@ def parse_values(text: str) -> list[float]:
 
 
 def _nonnegative_values(text: str, what: str) -> list[float]:
+    """A list or range as ``parse_values`` reads it; no value may be negative."""
     vals = parse_values(text)
     if min(vals) < 0:
         raise ConfigError(f"{what} must be nonnegative, got {text!r}")
     return vals
-
-
-def parse_times(text: str) -> list[float]:
-    """A --t list or range as ``parse_values`` reads it; no time may be negative."""
-    return _nonnegative_values(text, "times")
-
-
-def parse_sizes(text: str) -> list[float]:
-    """An --x or --y list or range as ``parse_values`` reads it; no size may be negative."""
-    return _nonnegative_values(text, "sizes")
 
 
 def parse_orders(text: str) -> list[int]:
@@ -210,13 +206,14 @@ _KEYS = {
     "u0": (parse_u0, _REQUIRED, "exp:a | monoexp:c,p,a | monoexp2:c,px,py,ax,ay"),
     "method": (Method, Method.ACCELERATED, [m.value for m in Method]),
     "terms": (int, 3, "truncation order n (error-table: list or lo:hi)"),
-    "t": (parse_times, _REQUIRED, "time list 0.5,1,2 or range start:stop:step"),
-    "x": (parse_sizes, _REQUIRED, "size list or range"),
-    "y": (parse_sizes, _REQUIRED, "second size coordinate (2-D)"),
+    "t": (partial(_nonnegative_values, what="times"), _REQUIRED,
+          "time list 0.5,1,2 or range start:stop:step"),
+    "x": (partial(_nonnegative_values, what="sizes"), _REQUIRED, "size list or range"),
+    "y": (partial(_nonnegative_values, what="sizes"), _REQUIRED, "second size coordinate (2-D)"),
     "compare": (str, None, "exact: add the closed-form solution"),
     "j": (str, _REQUIRED, "moment orders: 0,1 (1-D) or 0,0;1,0 (2-D)"),
     "t0": (float, _REQUIRED, "norm horizon t0"),
-    "T": (float, _REQUIRED, "problem horizon T (coagulation bound)"),
+    "T": (float, None, "problem horizon T (coagulation bound)"),
     "m": (int, 3, "bound order m"),
     "lam": (float, _REQUIRED, "exponential weight (fragmentation bound)"),
     "t_end": (float, _REQUIRED, "final time"),
@@ -381,8 +378,8 @@ def cmd_density(s: _Settings) -> str:
             vals = psi.evaluate_grid(xs, ys, t)
             exs = [sol.evaluate(x, y, t) for x, y in points] if sol is not None else None
         else:
-            vals = psi.eval_grid(np.array(xs), t).tolist()
-            exs = sol.evaluate_grid(np.array(xs), t).tolist() if sol is not None else None
+            vals = psi.eval_grid(xs, t).tolist()
+            exs = sol.evaluate_grid(xs, t).tolist() if sol is not None else None
         for i, (point, val) in enumerate(zip(points, vals)):
             row = (*point, t, float(val))
             if exs is not None:
@@ -411,9 +408,12 @@ def cmd_error_table(s: _Settings) -> str:
         table = analysis.error_table_pointwise(series, sol, xvals[0], ts)
     else:
         table = analysis.error_table_l1(series, sol, orders, ts)
-    if s.format == "json":
-        return json.dumps(table.to_json_obj(), indent=1) + "\n"
-    return table.to_csv()
+    if s.format == "json":  # the table's fields, norm first
+        return json.dumps({"norm": table.norm, **dataclasses.asdict(table)}, indent=1) + "\n"
+    columns = [table.row_axis, *(c if isinstance(c, str) else f"{table.col_axis}={c:g}"
+                                 for c in table.col_labels)]
+    rows = [(f"{label:g}", *cells) for label, cells in zip(table.row_labels, table.cells)]
+    return format_rows(columns, rows, "csv", [f"norm = {table.norm}"])
 
 
 def cmd_moments(s: _Settings) -> str:
@@ -432,7 +432,7 @@ def cmd_moments(s: _Settings) -> str:
     rows = []
     for t in ts:
         for j in js:
-            row = (t, *j, analysis.tpoly_eval(tps[j], t))
+            row = (t, *j, tpoly_eval(tps[j], t))
             if sol is not None:
                 row += (sol.moment(*j)(t),)
             rows.append(row)
@@ -455,26 +455,22 @@ def cmd_bounds(s: _Settings) -> str:
         T = s.get("T", default=max(1.0, t0))
     # the bounds read u0 and v_1 = T[rhs(u0)] only, which every engine and order shares
     series = iterate(problem, Method.ACCELERATED, 1)
-    if problem.dim == 2:
-        u0_norm = analysis.tpoly_eval(problem.u0.moment(0, 0), 0.0)
-        mu00 = series.components[1].moment(0, 0)
-        v1_norm = max(
-            abs(analysis.tpoly_eval(mu00, float(ss)))
-            for ss in np.linspace(0.0, t0, analysis.SUP_SAMPLES)
-        )
-        pair = analysis.coag2d_bounds(u0_norm, T, t0, m, v1_norm)
-        rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm), ("L", pair["statement"].lipschitz)]
-        for label, b in pair.items():
-            rows += _bound_rows(b, f"_{label}")
-    elif problem.kernel is None:
-        v1_norm = analysis.sup_l1_norm(series.components[1], t0)
+    norm = analysis.sup_abs_moment00 if problem.dim == 2 else analysis.sup_l1_norm
+    if problem.kernel is None:
+        v1_norm = norm(series.components[1], t0)
         b = analysis.frag_bound(problem.frag.k, lam, t0, m, v1_norm)
         rows = [("v1_norm", v1_norm), ("lambda", lam), *_bound_rows(b)]
     else:
-        u0_norm = analysis.sup_l1_norm(problem.u0, t0)
-        v1_norm = analysis.sup_l1_norm(series.components[1], t0)
-        b = analysis.coag_bound(u0_norm, T, t0, m, v1_norm)
-        rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm), ("L", b.lipschitz), *_bound_rows(b)]
+        u0_norm, v1_norm = norm(problem.u0, t0), norm(series.components[1], t0)
+        rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm)]
+        if problem.dim == 2:
+            pair = analysis.coag2d_bounds(u0_norm, T, t0, m, v1_norm)
+            rows.append(("L", pair["statement"].lipschitz))
+            for label, b in pair.items():
+                rows += _bound_rows(b, f"_{label}")
+        else:
+            b = analysis.coag_bound(u0_norm, T, t0, m, v1_norm)
+            rows += [("L", b.lipschitz), *_bound_rows(b)]
     return format_rows(["quantity", "value"], rows, s.format, [f"t0 = {t0:g}", f"m = {m}"])
 
 
@@ -493,11 +489,11 @@ def cmd_reference_check(s: _Settings) -> str:
     grid = refsolver.integrate(problem, spec)
     xs = spec.nodes()
     approx = psi.eval_grid(xs, spec.t_end)
-    dev = np.abs(approx - grid.values)
+    dev = abs(approx - grid.values)
     header = [
         f"terms = {series.n}", f"t_end = {spec.t_end:g}",
         f"cells = {spec.n_cells}", f"dt = {spec.dt:g}",
-        f"max_deviation = {float(np.max(dev)):.17g}",
+        f"max_deviation = {float(dev.max()):.17g}",
     ]
     rows = [(float(x), float(a), float(g), float(d))
             for x, a, g, d in zip(xs, approx, grid.values, dev)]

@@ -30,11 +30,12 @@ from functools import cache, reduce
 from .polyexp import MAX_EXPONENT, DegreeOverflowError, PolyExpError
 from .problems import CoagKernel, Model, coag_gain, coag_loss, coag_operand, frag_rhs, rhs
 
-DEFAULT_TERM_BUDGET = 200_000
+# the most monomials an intermediate expression may hold, read at each check
+TERM_BUDGET = 200_000
 
 
 class TermBudgetError(PolyExpError):
-    """The iteration grew past the configured monomial budget."""
+    """The iteration grew past the monomial budget ``TERM_BUDGET``."""
 
 
 class Method(Enum):
@@ -62,12 +63,12 @@ class SeriesSolution:
         return reduce(lambda a, b: a + b, self.components[: k + 1])
 
 
-def _check_budget(value, budget: int) -> None:
+def _check_budget(value) -> None:
     n = value.term_count()
-    if n > budget:
+    if n > TERM_BUDGET:
         raise TermBudgetError(
             f"intermediate expression holds {n} monomials, over the budget of "
-            f"{budget}; lower the number of terms or raise the budget"
+            f"{TERM_BUDGET}; lower the number of terms"
         )
 
 
@@ -101,9 +102,7 @@ def _check_accelerated_degree(problem: Model, n: int) -> None:
                 )
 
 
-def iterate_accelerated(
-    problem: Model, n: int, term_budget: int = DEFAULT_TERM_BUDGET
-) -> SeriesSolution:
+def iterate_accelerated(problem: Model, n: int) -> SeriesSolution:
     """Run the accelerated recursion up to component v_n."""
     if n < 0:
         raise ValueError("number of components must be nonnegative")
@@ -113,11 +112,11 @@ def iterate_accelerated(
     prev_rhs = problem.u0.zero()
     for _ in range(n):
         cur_rhs = rhs(problem, psi)
-        _check_budget(cur_rhs, term_budget)
+        _check_budget(cur_rhs)
         v = (cur_rhs - prev_rhs).time_antiderivative()
         components.append(v)
         psi = psi + v
-        _check_budget(psi, term_budget)
+        _check_budget(psi)
         prev_rhs = cur_rhs
     return SeriesSolution(problem, Method.ACCELERATED, tuple(components))
 
@@ -142,9 +141,7 @@ def _bilinear_block(problem: Model, components, operands, moments, k: int):
     return acc
 
 
-def iterate_classical(
-    problem: Model, n: int, term_budget: int = DEFAULT_TERM_BUDGET
-) -> SeriesSolution:
+def iterate_classical(problem: Model, n: int) -> SeriesSolution:
     """Run the classical recursion to v_n; step k forms v_k's operand and moment for A_k."""
     if n < 0:
         raise ValueError("number of components must be nonnegative")
@@ -153,18 +150,13 @@ def iterate_classical(
         operands.append(coag_operand(problem.kernel, components[k]))
         moments.append(cache(operands[k].moment))
         a_k = _bilinear_block(problem, components, operands, moments, k)
-        _check_budget(a_k, term_budget)
+        _check_budget(a_k)
         components.append(a_k.time_antiderivative())
     return SeriesSolution(problem, Method.CLASSICAL, tuple(components))
 
 
-def iterate(
-    problem: Model,
-    method: Method,
-    n: int,
-    term_budget: int = DEFAULT_TERM_BUDGET,
-) -> SeriesSolution:
+def iterate(problem: Model, method: Method, n: int) -> SeriesSolution:
     if method is Method.ACCELERATED:
-        return iterate_accelerated(problem, n, term_budget)
-    return iterate_classical(problem, n, term_budget)
+        return iterate_accelerated(problem, n)
+    return iterate_classical(problem, n)
 

@@ -479,22 +479,25 @@ class TestStructure:
 
 
 class TestErrorTables:
-    def test_l1_table_shape(self, constant_series):
+    def test_l1_table_shape(self, constant_series, capsys):
         table = error_table_l1(
             constant_series, ConstantKernelSolution(), [2, 3], [0.5, 1.0]
         )
         assert table.row_labels == (2, 3)
         assert table.col_labels == (0.5, 1.0)
         assert len(table.cells) == 2 and len(table.cells[0]) == 2
-        csv = table.to_csv()
+        assert main(["error-table", "--model", "coag", "--kernel", "constant", "--u0", "exp:1",
+                     "--terms", "2:3", "--t", "0.5,1"]) == 0
+        csv = capsys.readouterr().out
         assert csv.startswith("# norm = L1[0,50]")
         assert csv.count("\n") == 4
 
-    def test_pointwise_table_columns(self, sum_series):
+    def test_pointwise_table_columns(self, sum_series, capsys):
         table = error_table_pointwise(sum_series, SumKernelSolution(), 5.0, [0.2, 0.4])
         assert table.col_labels == ("exact", "approx", "abs_error")
-        obj = table.to_json_obj()
-        assert json.dumps(obj)  # serializable
+        assert main(["error-table", "--model", "coag", "--kernel", "sum", "--u0", "exp:1",
+                     "--terms", "4", "--x", "5", "--t", "0.2,0.4", "--format", "json"]) == 0
+        obj = json.loads(capsys.readouterr().out)
         assert obj["row_labels"] == [0.2, 0.4]
 
     def test_empty_axes_rejected(self, constant_series):

@@ -248,9 +248,10 @@ class TestSeriesStructure:
         b = iterate_accelerated(sum_kernel_problem, 3)
         assert a == b
 
-    def test_term_budget(self, product_kernel_problem):
+    def test_term_budget(self, product_kernel_problem, monkeypatch):
+        monkeypatch.setattr(series, "TERM_BUDGET", 50)
         with pytest.raises(TermBudgetError):
-            iterate_accelerated(product_kernel_problem, 4, term_budget=50)
+            iterate_accelerated(product_kernel_problem, 4)
 
     @pytest.mark.parametrize(
         "fixture, fits",
