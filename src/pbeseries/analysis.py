@@ -15,16 +15,15 @@ and reuse that grid for every truncation order.
 The sup-norm behind the convergence bounds is exact on [0, inf) for
 single-rate values: time is substituted exactly, the half line is split
 at the sign changes of the x-polynomial, which Sturm counts isolate and
-exact-sign bisection refines once per call and polynomial shape, and the
-exact tail antiderivative is differenced between them.  Adaptive
-quadrature on [0, 50] is used only for values with several rates.  The
-2-D bounds read |mu_00| over the same time samples instead
+exact-sign bisection refines, and the exact tail antiderivative is
+differenced between them.  Adaptive quadrature on [0, 50] is used only
+for values with several rates.  A value with one power of t is read at
+t0 alone.  The 2-D bounds read |mu_00| at the same times instead
 (``sup_abs_moment00``), which is not the L1 norm of a sign-changing value.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -61,7 +60,7 @@ integrate = _LazyIntegrate()
 
 
 # the L1 error's domain [0, XMAX] and Simpson step (XMAX / STEP is even),
-# and the number of times at which sup_l1_norm samples [0, t0]
+# and the number of times at which the sup-norms sample [0, t0] (several t powers)
 XMAX, STEP, SUP_SAMPLES = 50.0, 1e-2, 101
 
 
@@ -190,16 +189,6 @@ def _stripped(coeffs: list[Fraction]) -> list[int]:
     return p[nonzero[0]:nonzero[-1] + 1] if nonzero else []
 
 
-def _shape(coeffs: list[Fraction]) -> tuple[int, ...]:
-    """``_stripped(coeffs)`` made primitive with lead > 0: one key for all its multiples.
-
-    ``_sign_changes`` depends only on coefficient ratios and signs that flip together.
-    """
-    p = _stripped(coeffs)
-    g = math.gcd(*p) * (1 if p and p[-1] > 0 else -1)
-    return tuple(c // g for c in p)
-
-
 def _sign_changes(coeffs: list[Fraction]) -> list[float]:
     """The points in (0, inf) where the polynomial changes sign, ascending.
 
@@ -253,22 +242,20 @@ def _exact_abs_integral(a: Fraction, coeffs: list[Fraction], roots: list[float])
     return sum(abs(u - v) for u, v in zip(ends, ends[1:]))
 
 
-def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly], certified: dict) -> float:
-    """int_0^inf |f(x, s)| dx; ``mass()`` gives f's moment polynomial, ``certified`` roots."""
+def _l1_at_time(f: PolyExp1D, s: float) -> float:
+    """int_0^inf |f(x, s)| dx."""
     collapsed = f.collapse_t(Fraction(s))
     coeffs = [c for poly in collapsed.values() for c in poly]
     if all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs):
         # Single-signed coefficients make f single-signed on x > 0, so the
         # absolute integral is the absolute value of the exact moment.
-        return abs(tpoly_eval(mass(), s))
+        return abs(tpoly_eval(f.moment(0), s))
     # a rate-0 group that vanishes at s (t e^{0x} at s = 0) adds nothing
     if any(collapsed.pop(0, ())):
         raise ZeroRateError("L1 norm of a rate-0 term diverges")
     if len(collapsed) == 1:
         (a, poly), = collapsed.items()
-        if (shape := _shape(poly)) not in certified:  # one f, so one rate a, per call
-            certified[shape] = _sign_changes(poly)
-        return _exact_abs_integral(a, poly, certified[shape])
+        return _exact_abs_integral(a, poly, _sign_changes(poly))
     groups = [(float(a), [float(c) for c in reversed(poly)]) for a, poly in collapsed.items()]
 
     def integrand(x: float) -> float:
@@ -287,18 +274,20 @@ def _l1_at_time(f: PolyExp1D, s: float, mass: Callable[[], TPoly], certified: di
 def _sampled_sup(f, t0: float, value: Callable[[float], float]) -> float:
     """max of ``value(s)`` over ``SUP_SAMPLES`` equispaced times s in [0, t0].
 
-    A time-free f has one value at every sample, and so has t0 = 0: either
-    is evaluated once, at s = 0.
+    The norm s^k ||g|| of an f = t^k g with one power of t, and any f at
+    t0 = 0, peaks at the last sample, t0 itself: those are evaluated once.
     """
-    if t0 == 0 or f.t_degree() <= 0:
-        return value(0.0)
+    if t0 < 0:
+        raise InvalidSpecError("sup norm needs t0 >= 0")
+    if t0 == 0 or len({e[-1] for _, e, _ in f.terms()}) <= 1:
+        return value(float(t0))
     return max(value(float(s)) for s in np.linspace(0.0, t0, SUP_SAMPLES))
 
 
 def sup_l1_norm(f: PolyExp1D, t0: float) -> float:
     """sup over s in [0, t0] of int_0^inf |f(x, s)| dx.
 
-    The sup is sampled on an equispaced grid of ``SUP_SAMPLES`` times.  Each
+    The times are ``_sampled_sup``'s, t0 alone for u0 and v_1 = t g(x).  Each
     inner integral collapses t exactly and is exact on [0, inf) whenever
     the x-polynomial has one coefficient sign (the absolute moment), or
     when f has a single rate a > 0: the half line is split at the exact
@@ -306,26 +295,20 @@ def sup_l1_norm(f: PolyExp1D, t0: float) -> float:
     e^{-ax} Q(x) is differenced between them, rounding once per root.
     Adaptive quadrature on [0, 50], over a float Horner evaluation, is used
     only for values with several rates; a mixed-sign value whose rate-0
-    group is nonzero at s raises ``ZeroRateError``.  Sign changes are found
-    once per shape and call; all samples s > 0 of v_1 = t g(x) have g's shape.
+    group is nonzero at s raises ``ZeroRateError``.
     """
-    if t0 < 0:
-        raise InvalidSpecError("sup norm needs t0 >= 0")
-    # the mass polynomial is built on first use, then shared by every sample
-    mass = functools.cache(lambda: f.moment(0))
-    certified: dict = {}
-    return _sampled_sup(f, t0, lambda s: _l1_at_time(f, s, mass, certified))
+    return _sampled_sup(f, t0, lambda s: _l1_at_time(f, s))
 
 
 def sup_abs_moment00(f: PolyExp2D, t0: float) -> float:
     """sup over s in [0, t0] of |mu_00(f)(s)| = |int int f(x, y, s) dx dy|.
 
-    The times are ``sup_l1_norm``'s samples.  This is the norm that the 2-D
-    bounds use for u0 and v_1, and it is the L1 norm only for a
-    single-signed f.  v_1 changes sign, so the 2-D bound built on it is not
-    Theorem 4's: for ``monoexp2:6250000,1,1,50,50`` at t0 = 0.01 this gives
-    t0 / 2 = 0.005, while int int |v_1| dx dy at t0 is 0.0097694.  A
-    negative t0 is left to the bound calculators to reject.
+    The times are ``sup_l1_norm``'s: t0 alone for an f with one power of t.
+    This is the norm that the 2-D bounds use for u0 and v_1, and it is the
+    L1 norm only for a single-signed f.  v_1 changes sign, so the 2-D bound
+    built on it is not Theorem 4's: for ``monoexp2:6250000,1,1,50,50`` at
+    t0 = 0.01 this gives t0 / 2 = 0.005, while int int |v_1| dx dy at t0 is
+    0.0097694.
     """
     mu00 = f.moment(0, 0)
     return _sampled_sup(f, t0, lambda s: abs(tpoly_eval(mu00, s)))

@@ -117,13 +117,10 @@ class ConstantKernelSolution:
         return 4.0 / (2.0 + t) ** 2 * _math_map(math.exp, -2.0 * xs / (2.0 + t))
 
     def moment(self, j: int) -> Callable[[float], float]:
+        """mu_j = j! ((2+t)/2)^(j-1): 2/(2+t), 1 and 2+t for j <= 2."""
         if j == 0:
             return lambda t: 2.0 / (2.0 + t)
-        if j == 1:
-            return lambda t: 1.0
-        if j == 2:
-            return lambda t: 2.0 + t
-        return _numeric_moment(self, j)
+        return lambda t: math.factorial(j) * ((2.0 + t) / 2.0) ** (j - 1)
 
 
 @dataclass(frozen=True)
@@ -272,13 +269,10 @@ class LinearBreakageSolution:
         return (1.0 + t) ** 2 * _math_map(math.exp, -xs * (1.0 + t))
 
     def moment(self, j: int) -> Callable[[float], float]:
+        """mu_j = j! (1+t)^(1-j): 1+t, 1 and 2/(1+t) for j <= 2."""
         if j == 0:
             return lambda t: 1.0 + t
-        if j == 1:
-            return lambda t: 1.0
-        if j == 2:
-            return lambda t: 2.0 / (1.0 + t)
-        return _numeric_moment(self, j)
+        return lambda t: math.factorial(j) / (1.0 + t) ** (j - 1)
 
 
 @dataclass(frozen=True)

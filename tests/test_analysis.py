@@ -25,11 +25,12 @@ from pbeseries.analysis import (
     l1_error,
     pointwise,
     series_moment,
+    sup_abs_moment00,
     sup_l1_norm,
 )
 from pbeseries.cli import main
 from pbeseries.exact import ConstantKernelSolution, SumKernelSolution
-from pbeseries.polyexp import PolyExp1D, ZeroRateError
+from pbeseries.polyexp import PolyExp1D, ZeroRateError, tpoly_eval
 from pbeseries.problems import exponential_ic
 from pbeseries.series import iterate_accelerated
 
@@ -169,9 +170,11 @@ class TestSupNorm:
         assert abs(got - ref) <= 1e-9
         assert abs(got - 0.5 * (1.0 + 2.0 * math.exp(-2.0))) <= 1e-9
 
-    def test_invalid(self):
+    def test_invalid(self, bivariate_problem):
         with pytest.raises(InvalidSpecError):
             sup_l1_norm(PolyExp1D.monomial(1, rate=1), -1.0)
+        with pytest.raises(InvalidSpecError):
+            sup_abs_moment00(bivariate_problem.u0, -1.0)
 
 
 def _no_quad(*args, **kwargs):
@@ -331,7 +334,6 @@ def test_sign_changes_ignore_a_constant_factor(c, roots, extra, m, lam):
     # positive roots make the coefficients mixed-sign; x^m adds zero low terms
     coeffs = _polynomial(c, roots, extra, m)
     scaled = [lam * k for k in coeffs]
-    assert analysis._shape(scaled) == analysis._shape(coeffs)
     assert analysis._sign_changes(scaled) == analysis._sign_changes(coeffs)
 
 
@@ -363,13 +365,11 @@ ONE_D = ["constant_kernel_problem", "sum_kernel_problem", "product_kernel_proble
 
 
 class TestSupNormShapes:
-    """One certification per polynomial shape and call, bit-identical to none shared."""
+    """The one sampling rule, bit-identical to the max over every sample."""
 
     @staticmethod
     def per_sample_max(f, t0):
-        mass = lambda: f.moment(0)  # noqa: E731
-        return max(analysis._l1_at_time(f, float(s), mass, {})
-                   for s in np.linspace(0.0, t0, 101))
+        return max(analysis._l1_at_time(f, float(s)) for s in np.linspace(0.0, t0, 101))
 
     @pytest.mark.parametrize("fixture", ONE_D)
     @pytest.mark.parametrize("t0", [0.05, 0.173, 1.0])
@@ -379,7 +379,7 @@ class TestSupNormShapes:
             assert sup_l1_norm(f, t0) == self.per_sample_max(f, t0)
 
     def test_several_t_powers(self, constant_kernel_problem, coupled_halfx_problem):
-        # ahpetm's v_2 and v_3 mix t powers, so the shape changes with the sample
+        # ahpetm's v_2 and v_3 mix t powers, so the norm's peak is not known in advance
         for problem in (constant_kernel_problem, coupled_halfx_problem):
             for f in iterate_accelerated(problem, 3).components[2:]:
                 assert len({e[-1] for _, e, _ in f.terms()}) > 1
@@ -387,51 +387,37 @@ class TestSupNormShapes:
                     assert sup_l1_norm(f, t0) == self.per_sample_max(f, t0)
 
     @pytest.mark.parametrize("t0", [0.05, 0.25, 1.283])
-    def test_time_free_function_is_sampled_once(self, monkeypatch, t0):
+    def test_one_t_power_is_evaluated_once_at_t0(self, monkeypatch, request, t0):
         # e^{-x} takes the single-signed path, (x - 1) e^{-2x} the certified one
         mixed = PolyExp1D.monomial(1, xpow=1, rate=2) - PolyExp1D.monomial(1, rate=2)
-        cases = [(f, self.per_sample_max(f, t0)) for f in (exponential_ic(), mixed)]
+        v1s = [_first_components(request.getfixturevalue(name))[1] for name in ONE_D]
+        v2 = iterate_accelerated(request.getfixturevalue("constant_kernel_problem"),
+                                 2).components[2]
+        every_sample = [float(s) for s in np.linspace(0.0, t0, 101)]
+        cases = [(f, self.per_sample_max(f, t0), [t0]) for f in (exponential_ic(), mixed, *v1s)]
+        cases.append((v2, self.per_sample_max(v2, t0), every_sample))
         calls, real = [], analysis._l1_at_time
 
-        def spy(f, s, *rest):
+        def spy(f, s):
             calls.append(s)
-            return real(f, s, *rest)
+            return real(f, s)
 
         monkeypatch.setattr(analysis, "_l1_at_time", spy)
-        for f, expected in cases:
+        for f, expected, samples in cases:
             calls.clear()
             assert sup_l1_norm(f, t0) == expected
-            assert calls == [0.0]
+            assert calls == samples
 
-    @staticmethod
-    def shapes(f, t0):
-        """The distinct shapes that reach certification in one sup_l1_norm(f, t0)."""
-        out = set()
-        for s in np.linspace(0.0, t0, 101):
-            collapsed = f.collapse_t(F(float(s)))
-            (a, poly), = collapsed.items()
-            if any(c > 0 for c in poly) and any(c < 0 for c in poly):
-                out.add(analysis._shape(poly))
-        return out
 
-    def test_one_certification_per_shape_and_call(self, monkeypatch, constant_kernel_problem):
-        calls = []
-        sturm = analysis._sturm_sequence
-
-        def spy(p):
-            calls.append(tuple(p))
-            return sturm(p)
-
-        monkeypatch.setattr(analysis, "_sturm_sequence", spy)
-        v1 = _first_components(constant_kernel_problem)[1]
-        v3 = iterate_accelerated(constant_kernel_problem, 3).components[3]
-        for f in (v1, v3):
-            expected = len(self.shapes(f, 1.0))
-            for _ in range(2):  # a second call certifies afresh
-                calls.clear()
-                sup_l1_norm(f, 1.0)
-                assert len(calls) == expected
-        assert len(self.shapes(v1, 1.0)) == 1 and len(self.shapes(v3, 1.0)) > 1
+@pytest.mark.parametrize("t0", [0.01, 0.173, 1.0])
+def test_sup_abs_moment00_equals_the_per_sample_max(bivariate_problem, t0):
+    # u0 and v_1 have one t power each, v_2 several
+    components = iterate_accelerated(bivariate_problem, 2).components
+    assert len({e[-1] for _, e, _ in components[2].terms()}) > 1
+    for f in components:
+        mu00 = f.moment(0, 0)
+        assert sup_abs_moment00(f, t0) == max(abs(tpoly_eval(mu00, float(s)))
+                                              for s in np.linspace(0.0, t0, 101))
 
 
 # the 1-D bounds commands of the README and the published tables

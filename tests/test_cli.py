@@ -240,6 +240,14 @@ class TestBounds:
         ratio = float(vals["contraction_statement"]) / float(vals["contraction_derived"])
         assert abs(ratio - 2.0) <= 1e-12
 
+    @pytest.mark.parametrize("problem", [
+        ["--model", "coag", "--kernel", "constant", "--u0", "exp:1"],
+        ["--model", "coag2d", "--u0", "monoexp2:6250000,1,1,50,50"],
+    ], ids=["coag", "coag2d"])
+    def test_negative_t0_has_one_message(self, capsys, problem):
+        code, out, err = run(capsys, "bounds", *problem, "--t0=-0.01", "--T", "1", "--m", "3")
+        assert (code, out, err) == (2, "", "error: sup norm needs t0 >= 0\n")
+
 
 class TestReferenceCheck:
     def test_summary_and_zero_horizon(self, capsys):

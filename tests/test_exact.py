@@ -151,6 +151,36 @@ class TestLinearBreakage:
         assert abs(self.SOL.moment(2)(1.0) - 1.0) <= 1e-15
 
 
+# per solution: exact mu_j(t) for a Fraction t, and the float forms that
+# j <= 2 have always printed
+CLOSED_MOMENTS = {
+    "constant": (ConstantKernelSolution(),
+                 lambda j, t: math.factorial(j) * ((2 + t) / 2) ** (j - 1),
+                 [lambda t: 2.0 / (2.0 + t), lambda t: 1.0, lambda t: 2.0 + t]),
+    "breakage": (LinearBreakageSolution(),
+                 lambda j, t: math.factorial(j) * (1 + t) ** (1 - j),
+                 [lambda t: 1.0 + t, lambda t: 1.0, lambda t: 2.0 / (1.0 + t)]),
+}
+
+
+@pytest.mark.parametrize("name", CLOSED_MOMENTS)
+def test_low_moments_keep_their_bits(name):
+    sol, _, forms = CLOSED_MOMENTS[name]
+    for t in [k / 64 for k in range(641)] + [0.1, 0.173, 1 / 3, 1e-12, 123.456, 1e6]:
+        for j, form in enumerate(forms):
+            assert sol.moment(j)(t) == form(t)
+
+
+@pytest.mark.parametrize("name", CLOSED_MOMENTS)
+@pytest.mark.parametrize("t", [0.5, 1.0, 2.0, 10.0, 20.0])
+def test_moments_are_exact_for_every_order(name, t):
+    # at t = 20 much of the integrand x^j u(x, t) lies past x = 60
+    sol, exact, _ = CLOSED_MOMENTS[name]
+    for j in range(6):
+        ref = float(exact(j, F(t)))
+        assert abs(sol.moment(j)(t) - ref) <= 1e-14 * ref
+
+
 class TestBivariate:
     SOL = BivariateConstantSolution()
 
