@@ -12,14 +12,13 @@ below 1e-20.  Error tables sample the exact solution with one vectorised
 ``evaluate_grid`` call per time, bit-identical to the scalar reference,
 and reuse that grid for every truncation order.
 
-The sup-norm behind the convergence bounds is exact on [0, inf) for
-single-rate values: time is substituted exactly, the half line is split
-at the sign changes of the x-polynomial, which Sturm counts isolate and
-exact-sign bisection refines, and the exact tail antiderivative is
-differenced between them.  Adaptive quadrature on [0, 50] is used only
-for values with several rates.  A value with one power of t is read at
-t0 alone.  The 2-D bounds read |mu_00| at the same times instead
-(``sup_abs_moment00``), which is not the L1 norm of a sign-changing value.
+The sup-norm behind the convergence bounds takes what they pass, u0 and
+v_1 = t g(x): one positive rate and one power of t, so the sup over
+[0, t0] is the exact value at t0; anything else is refused.  The half
+line is split at the sign changes of the x-polynomial, which Sturm counts
+isolate and exact-sign bisection refines, and the exact tail
+antiderivative is differenced between them.  The 2-D bounds read |mu_00|
+at t0 (``sup_abs_moment00``), not the L1 norm of a sign-changing value.
 """
 
 from __future__ import annotations
@@ -27,11 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .polyexp import PolyExp1D, PolyExp2D, TPoly, ZeroRateError, tpoly_eval
+from .polyexp import MixedRatesError, PolyExp1D, PolyExp2D, TPoly, ZeroRateError, tpoly_eval
 from .series import SeriesSolution
 
 
@@ -40,10 +39,9 @@ class InvalidSpecError(ValueError):
 
 
 class _LazyIntegrate:
-    """``scipy.integrate``, imported on first use.
+    """``scipy.integrate``, imported on first use; nothing in the package calls it.
 
-    Only the quadrature fallbacks call it, and its import is most of the
-    CLI's start-up time, so it stays off the import path.
+    It stays while the benchmark's span tracer proxies its ``quad`` (ROADMAP item 9).
     """
 
     def __getattr__(self, name):
@@ -59,9 +57,8 @@ integrate = _LazyIntegrate()
 # density errors
 
 
-# the L1 error's domain [0, XMAX] and Simpson step (XMAX / STEP is even),
-# and the number of times at which the sup-norms sample [0, t0] (several t powers)
-XMAX, STEP, SUP_SAMPLES = 50.0, 1e-2, 101
+# the L1 error's domain [0, XMAX] and Simpson step (XMAX / STEP is even)
+XMAX, STEP = 50.0, 1e-2
 
 
 def _simpson_grid():
@@ -192,14 +189,15 @@ def _stripped(coeffs: list[Fraction]) -> list[int]:
 def _sign_changes(coeffs: list[Fraction]) -> list[float]:
     """The points in (0, inf) where the polynomial changes sign, ascending.
 
-    Sturm counts of distinct roots isolate the positive roots on
-    (0, ``_root_bound``) by bisection that never splits at a root.  A
-    bracket with one distinct root holds a sign change only when p changes
-    sign across it (an odd multiplicity), and each is refined by
+    Coefficients without a sign variation have no positive root (Descartes'
+    rule of signs).  Otherwise Sturm counts of distinct roots isolate the
+    positive roots on (0, ``_root_bound``) by bisection that never splits at
+    a root.  A bracket with one distinct root holds a sign change only when
+    p changes sign across it (an odd multiplicity), and each is refined by
     ``_refine_root``.
     """
     p = _stripped(coeffs)
-    if len(p) <= 1:
+    if not _sign_variations(p):
         return []
     seq = _sturm_sequence(p)
 
@@ -225,10 +223,9 @@ def _exact_abs_integral(a: Fraction, coeffs: list[Fraction], roots: list[float])
     """int_0^inf |P(x)| e^{-ax} dx from the tail antiderivative e^{-ax} Q(x).
 
     Q is what ``PolyExp1D.tail_integral(0)`` gives for P e^{-ax}, built by
-    its recurrence a Q_k = c_k + (k+1) Q_{k+1} in time linear in the degree
-    rather than quadratic.  Between consecutive sign
-    changes the integral is the difference of the antiderivative at the
-    ends; each end is rounded once.
+    its recurrence a Q_k = c_k + (k+1) Q_{k+1} in time linear in the degree.
+    Between consecutive sign changes the integral is the difference of the
+    antiderivative at the ends; each end is rounded once.
     """
     q = [Fraction(0)] * (len(coeffs) + 1)
     for k in range(len(coeffs) - 1, -1, -1):
@@ -243,75 +240,46 @@ def _exact_abs_integral(a: Fraction, coeffs: list[Fraction], roots: list[float])
 
 
 def _l1_at_time(f: PolyExp1D, s: float) -> float:
-    """int_0^inf |f(x, s)| dx."""
-    collapsed = f.collapse_t(Fraction(s))
-    coeffs = [c for poly in collapsed.values() for c in poly]
-    if all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs):
-        # Single-signed coefficients make f single-signed on x > 0, so the
-        # absolute integral is the absolute value of the exact moment.
-        return abs(tpoly_eval(f.moment(0), s))
-    # a rate-0 group that vanishes at s (t e^{0x} at s = 0) adds nothing
-    if any(collapsed.pop(0, ())):
+    """int_0^inf |f(x, s)| dx, exact for f with one rate a > 0."""
+    if f.has_zero_rate():
         raise ZeroRateError("L1 norm of a rate-0 term diverges")
-    if len(collapsed) == 1:
-        (a, poly), = collapsed.items()
-        return _exact_abs_integral(a, poly, _sign_changes(poly))
-    groups = [(float(a), [float(c) for c in reversed(poly)]) for a, poly in collapsed.items()]
-
-    def integrand(x: float) -> float:
-        total = 0.0
-        for a, cs in groups:
-            acc = 0.0
-            for c in cs:
-                acc = acc * x + c
-            total += acc * math.exp(-a * x)
-        return abs(total)
-
-    val, _ = integrate.quad(integrand, 0.0, 50.0, epsabs=1e-12, epsrel=1e-10, limit=200)
-    return val
+    collapsed = f.collapse_t(Fraction(s))
+    if len(collapsed) > 1:
+        raise MixedRatesError("L1 norm of a value with several rates is outside the exact norm")
+    if not collapsed:
+        return 0.0
+    (a, poly), = collapsed.items()
+    return _exact_abs_integral(a, poly, _sign_changes(poly))
 
 
-def _sampled_sup(f, t0: float, value: Callable[[float], float]) -> float:
-    """max of ``value(s)`` over ``SUP_SAMPLES`` equispaced times s in [0, t0].
-
-    The norm s^k ||g|| of an f = t^k g with one power of t, and any f at
-    t0 = 0, peaks at the last sample, t0 itself: those are evaluated once.
-    """
+def _sup_time(f, t0: float) -> float:
+    """t0, where the norm of an f = t^k g(x) with one power of t peaks on [0, t0]."""
     if t0 < 0:
         raise InvalidSpecError("sup norm needs t0 >= 0")
-    if t0 == 0 or len({e[-1] for _, e, _ in f.terms()}) <= 1:
-        return value(float(t0))
-    return max(value(float(s)) for s in np.linspace(0.0, t0, SUP_SAMPLES))
+    if len({e[-1] for _, e, _ in f.terms()}) > 1:
+        raise InvalidSpecError("sup norm takes a value with one power of t, such as u0 or v_1")
+    return float(t0)
 
 
 def sup_l1_norm(f: PolyExp1D, t0: float) -> float:
-    """sup over s in [0, t0] of int_0^inf |f(x, s)| dx.
+    """sup over s in [0, t0] of int_0^inf |f(x, s)| dx, for f = t^k g(x) with one rate a > 0.
 
-    The times are ``_sampled_sup``'s, t0 alone for u0 and v_1 = t g(x).  Each
-    inner integral collapses t exactly and is exact on [0, inf) whenever
-    the x-polynomial has one coefficient sign (the absolute moment), or
-    when f has a single rate a > 0: the half line is split at the exact
-    sign changes of P (``_sign_changes``) and the tail antiderivative
-    e^{-ax} Q(x) is differenced between them, rounding once per root.
-    Adaptive quadrature on [0, 50], over a float Horner evaluation, is used
-    only for values with several rates; a mixed-sign value whose rate-0
-    group is nonzero at s raises ``ZeroRateError``.
+    The norm s^k ||g|| peaks at t0, where it is exact: the half line is split
+    at the sign changes of the x-polynomial (``_sign_changes``) and the tail
+    antiderivative is differenced between them (``_exact_abs_integral``).
     """
-    return _sampled_sup(f, t0, lambda s: _l1_at_time(f, s))
+    return _l1_at_time(f, _sup_time(f, t0))
 
 
 def sup_abs_moment00(f: PolyExp2D, t0: float) -> float:
-    """sup over s in [0, t0] of |mu_00(f)(s)| = |int int f(x, y, s) dx dy|.
+    """sup over s in [0, t0] of |mu_00(f)(s)| = |int int f(x, y, s) dx dy|, read at t0.
 
-    The times are ``sup_l1_norm``'s: t0 alone for an f with one power of t.
-    This is the norm that the 2-D bounds use for u0 and v_1, and it is the
-    L1 norm only for a single-signed f.  v_1 changes sign, so the 2-D bound
-    built on it is not Theorem 4's: for ``monoexp2:6250000,1,1,50,50`` at
-    t0 = 0.01 this gives t0 / 2 = 0.005, while int int |v_1| dx dy at t0 is
-    0.0097694.
+    The 2-D bounds use it for u0 and v_1; it is the L1 norm only for a
+    single-signed f.  v_1 changes sign, so the 2-D bound is not Theorem 4's:
+    for ``monoexp2:6250000,1,1,50,50`` at t0 = 0.01 this gives t0 / 2 = 0.005,
+    while int int |v_1| dx dy at t0 is 0.0097694.
     """
-    mu00 = f.moment(0, 0)
-    return _sampled_sup(f, t0, lambda s: abs(tpoly_eval(mu00, s)))
+    return abs(tpoly_eval(f.moment(0, 0), _sup_time(f, t0)))
 
 
 @dataclass(frozen=True)
@@ -333,19 +301,24 @@ def _geometric_bound(lipschitz: float, contraction: float, m: int,
     return ConvergenceBound(lipschitz, contraction, bound)
 
 
+def coag_contraction(u0_norm: float, T: float, t0: float) -> tuple[float, float]:
+    """L = ||u0|| (T+1) and the contraction t0^2 e^{2 t0 L} (||u0|| + 2 t0 L^2 + 2 t0 L).
+
+    Neither needs v_1, so ``bounds`` computes them before the engine runs.
+    """
+    if min(u0_norm, T, t0) <= 0:
+        raise InvalidSpecError("bound inputs must be positive (m, v1_norm >= 0)")
+    L = u0_norm * (T + 1.0)
+    return L, t0**2 * math.exp(2.0 * t0 * L) * (u0_norm + 2.0 * t0 * L**2 + 2.0 * t0 * L)
+
+
 def coag_bound(
     u0_norm: float, T: float, t0: float, m: int, v1_norm: float
 ) -> ConvergenceBound:
-    """Coagulation contraction constant and error bound.
-
-    L = ||u0|| (T+1) and the contraction factor is
-    t0^2 e^{2 t0 L} (||u0|| + 2 t0 L^2 + 2 t0 L).
-    """
-    if min(u0_norm, T, t0) <= 0 or m < 0 or v1_norm < 0:
+    """Coagulation contraction constant (``coag_contraction``) and error bound."""
+    if m < 0 or v1_norm < 0:
         raise InvalidSpecError("bound inputs must be positive (m, v1_norm >= 0)")
-    L = u0_norm * (T + 1.0)
-    delta = t0**2 * math.exp(2.0 * t0 * L) * (u0_norm + 2.0 * t0 * L**2 + 2.0 * t0 * L)
-    return _geometric_bound(L, delta, m, v1_norm)
+    return _geometric_bound(*coag_contraction(u0_norm, T, t0), m, v1_norm)
 
 
 def frag_bound(
@@ -354,6 +327,8 @@ def frag_bound(
     """Fragmentation contraction factor k! t0^2 / lambda^{k+1} and bound."""
     if k < 1 or lam <= 0 or t0 <= 0 or m < 0 or v1_norm < 0:
         raise InvalidSpecError("bound inputs out of range")
+    if not lam ** (k + 1):  # so k! t0^2 / lambda^{k+1} is past the float range
+        raise OverflowError(f"lambda^{k + 1} underflows to 0")
     theta = math.factorial(k) * t0**2 / lam ** (k + 1)
     return _geometric_bound(lam, theta, m, v1_norm)
 

@@ -447,21 +447,22 @@ def _bound_rows(b: analysis.ConvergenceBound, label: str = "") -> list[tuple]:
 def cmd_bounds(s: _Settings) -> str:
     problem = build_problem(s)
     t0, m = s.get("t0"), s.get("m")
+    norm = analysis.sup_abs_moment00 if problem.dim == 2 else analysis.sup_l1_norm
     if problem.kernel is None:
         reject_unused(s, "T")
         lam = s.get("lam")
     else:
         reject_unused(s, "lam")
         T = s.get("T", default=max(1.0, t0))
+        u0_norm = norm(problem.u0, t0)
+        # the contraction needs u0 alone, so its overflow exits before the engine runs
+        analysis.coag_contraction(u0_norm, T, t0)
     # the bounds read u0 and v_1 = T[rhs(u0)] only, which every engine and order shares
-    series = iterate(problem, Method.ACCELERATED, 1)
-    norm = analysis.sup_abs_moment00 if problem.dim == 2 else analysis.sup_l1_norm
+    v1_norm = norm(iterate(problem, Method.ACCELERATED, 1).components[1], t0)
     if problem.kernel is None:
-        v1_norm = norm(series.components[1], t0)
         b = analysis.frag_bound(problem.frag.k, lam, t0, m, v1_norm)
         rows = [("v1_norm", v1_norm), ("lambda", lam), *_bound_rows(b)]
     else:
-        u0_norm, v1_norm = norm(problem.u0, t0), norm(series.components[1], t0)
         rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm)]
         if problem.dim == 2:
             pair = analysis.coag2d_bounds(u0_norm, T, t0, m, v1_norm)
@@ -503,8 +504,13 @@ def cmd_reference_check(s: _Settings) -> str:
 def cmd_dump_symbolic(s: _Settings) -> str:
     problem = build_problem(s)
     series = iterate(problem, s.get("method"), s.get("terms"))
-    obj = {"method": series.method.value, "terms": series.n,
-           "components": [c.to_obj() for c in series.components]}
+    try:
+        components = [c.to_obj() for c in series.components]
+    except ValueError as exc:  # str() of an int past sys.get_int_max_str_digits()
+        raise PolyExpError(f"a coefficient exceeds Python's limit of "
+                           f"{sys.get_int_max_str_digits()} digits for integer text; "
+                           "use fewer --terms") from exc
+    obj = {"method": series.method.value, "terms": series.n, "components": components}
     return json.dumps(obj, indent=1) + "\n"
 
 

@@ -548,6 +548,7 @@ class PolyExp1D(_PolyExpBase):
         """Float value at (x, t); see ``_PolyExpBase._evaluate``."""
         return self._evaluate([[x]], t)[0]
 
+    @np.errstate(over="ignore", invalid="ignore")  # an overflow prints as inf or nan, not a warning
     def eval_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         """Vectorised float evaluation at many x for one t.
 

@@ -134,6 +134,7 @@ def sample_initial(problem: Model, spec: GridSpec) -> GridFunction:
     return GridFunction(spec, vals, 0.0)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a blow-up is InstabilityError's to report
 def integrate(problem: Model, spec: GridSpec) -> GridFunction:
     """March the sampled initial state to t_end with classical RK4."""
     _require_1d(problem)

@@ -25,10 +25,10 @@ X, Y, T = sp.symbols("x y t")
 settings.register_profile(
     "pbeseries", derandomize=True, max_examples=40, deadline=None, database=None
 )
-# Ten times the examples, as deterministic, for the algebra's laws and the
-# sup-norm's root finding in CI:
+# Ten times the examples, as deterministic, for the algebra's laws, the
+# sup-norm's root finding and the CLI fuzz in CI:
 #     pytest tests/test_polyexp_kernel.py tests/test_polyexp.py tests/test_analysis.py \
-#         --hypothesis-profile=ci-deep
+#         tests/test_cli_fuzz.py --hypothesis-profile=ci-deep
 settings.register_profile("ci-deep", settings.get_profile("pbeseries"), max_examples=400)
 settings.load_profile("pbeseries")
 

@@ -30,7 +30,7 @@ from pbeseries.analysis import (
 )
 from pbeseries.cli import main
 from pbeseries.exact import ConstantKernelSolution, SumKernelSolution
-from pbeseries.polyexp import PolyExp1D, ZeroRateError, tpoly_eval
+from pbeseries.polyexp import MixedRatesError, PolyExp1D, ZeroRateError, tpoly_eval
 from pbeseries.problems import exponential_ic
 from pbeseries.series import iterate_accelerated
 
@@ -181,14 +181,6 @@ def _no_quad(*args, **kwargs):
     raise AssertionError("quad called on a single-rate value")
 
 
-def _counting_quad(calls):
-    def quad(*args, **kwargs):
-        calls.append(args[1:3])
-        return integrate.quad(*args, **kwargs)
-
-    return SimpleNamespace(quad=quad)
-
-
 def _from_roots(c, roots, rate, tpow=1):
     """c * prod (x - r) * t^tpow * e^{-rate x} with exact coefficients."""
     coeffs = [F(c)]
@@ -282,24 +274,22 @@ class TestExactSupNorm:
             sup_l1_norm(f, 0.0)
 
     def test_rate_zero_group_that_vanishes_at_s_is_dropped(self, monkeypatch):
-        # f = t + (x - 1) e^{-x}: at s = 0 only the rate-1 part is left, whose
-        # L1 norm is 2/e; every later sample diverges
+        # f = t + (x - 1) e^{-x}: the rate-0 group diverges at s = 0 too, where
+        # it vanishes, and the sup-norm refuses f's two t powers at any t0
         monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
         f = PolyExp1D({0: {(0, 1): 1}, 1: {(1, 0): 1, (0, 0): -1}})
-        assert sup_l1_norm(f, 0.0) == pytest.approx(2 / math.e, rel=1e-15)
-        with pytest.raises(ZeroRateError):
-            sup_l1_norm(f, 0.5)
+        for s in (0.0, 0.5):
+            with pytest.raises(ZeroRateError):
+                analysis._l1_at_time(f, s)
+            with pytest.raises(InvalidSpecError):
+                sup_l1_norm(f, s)
 
     def test_two_rates_go_through_quad(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(analysis, "integrate", _counting_quad(calls))
+        # several rates are refused with the error that exits 3, and nothing integrates
+        monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
         f = PolyExp1D({1: {(1, 0): 1, (0, 0): -1}, 2: {(0, 0): F(1, 2)}})
-        got = sup_l1_norm(f, 0.0)
-        assert calls == [(0.0, 50.0)]
-        ref, _ = integrate.quad(
-            lambda x: abs((x - 1) * math.exp(-x) + 0.5 * math.exp(-2 * x)), 0, 50,
-            points=[0.5, 1.0], epsrel=1e-12, limit=200)
-        assert got == pytest.approx(ref, rel=1e-9)
+        with pytest.raises(MixedRatesError):
+            sup_l1_norm(f, 0.0)
 
     @pytest.mark.parametrize("t0", [0.05, 0.25, 1.0])
     def test_first_components_in_closed_form(
@@ -384,18 +374,17 @@ class TestSupNormShapes:
             for f in iterate_accelerated(problem, 3).components[2:]:
                 assert len({e[-1] for _, e, _ in f.terms()}) > 1
                 for t0 in (0.25, 1.283):
-                    assert sup_l1_norm(f, t0) == self.per_sample_max(f, t0)
+                    with pytest.raises(InvalidSpecError, match="one power of t"):
+                        sup_l1_norm(f, t0)
 
     @pytest.mark.parametrize("t0", [0.05, 0.25, 1.283])
     def test_one_t_power_is_evaluated_once_at_t0(self, monkeypatch, request, t0):
-        # e^{-x} takes the single-signed path, (x - 1) e^{-2x} the certified one
+        # e^{-x} has no sign variation, (x - 1) e^{-2x} one certified root
         mixed = PolyExp1D.monomial(1, xpow=1, rate=2) - PolyExp1D.monomial(1, rate=2)
         v1s = [_first_components(request.getfixturevalue(name))[1] for name in ONE_D]
         v2 = iterate_accelerated(request.getfixturevalue("constant_kernel_problem"),
                                  2).components[2]
-        every_sample = [float(s) for s in np.linspace(0.0, t0, 101)]
-        cases = [(f, self.per_sample_max(f, t0), [t0]) for f in (exponential_ic(), mixed, *v1s)]
-        cases.append((v2, self.per_sample_max(v2, t0), every_sample))
+        cases = [(f, self.per_sample_max(f, t0)) for f in (exponential_ic(), mixed, *v1s)]
         calls, real = [], analysis._l1_at_time
 
         def spy(f, s):
@@ -403,21 +392,48 @@ class TestSupNormShapes:
             return real(f, s)
 
         monkeypatch.setattr(analysis, "_l1_at_time", spy)
-        for f, expected, samples in cases:
+        for f, expected in cases:
             calls.clear()
             assert sup_l1_norm(f, t0) == expected
-            assert calls == samples
+            assert calls == [t0]
+        calls.clear()
+        with pytest.raises(InvalidSpecError):
+            sup_l1_norm(v2, t0)
+        assert calls == []
+
+
+SHORTCUT_T0 = [0.05, 0.173, 1.283]
+
+
+@given(NONZERO, st.integers(0, 60), st.fractions(F(1, 100), 100, max_denominator=100),
+       st.sampled_from(SHORTCUT_T0))
+def test_single_signed_monomials_keep_the_moment_shortcut_floats(c, p, a, t0):
+    # no sign variation: one rounding of the exact int_0^inf P e^{-ax} dx, the
+    # same rational the removed |moment(0)| shortcut rounded once
+    f = PolyExp1D.monomial(c, xpow=p, rate=a)
+    assert sup_l1_norm(f, t0) == abs(tpoly_eval(f.moment(0), t0))
+
+
+@pytest.mark.parametrize("fixture", ONE_D)
+@pytest.mark.parametrize("t0", SHORTCUT_T0)
+def test_single_signed_u0_keep_the_moment_shortcut_floats(fixture, t0, request):
+    # every 1-D v_1 has mixed-sign coefficients, so u0 is what took the shortcut
+    u0, v1 = _first_components(request.getfixturevalue(fixture))
+    assert {c > 0 for _, _, c in v1.terms()} == {True, False}
+    assert sup_l1_norm(u0, t0) == abs(tpoly_eval(u0.moment(0), t0))
 
 
 @pytest.mark.parametrize("t0", [0.01, 0.173, 1.0])
 def test_sup_abs_moment00_equals_the_per_sample_max(bivariate_problem, t0):
     # u0 and v_1 have one t power each, v_2 several
-    components = iterate_accelerated(bivariate_problem, 2).components
-    assert len({e[-1] for _, e, _ in components[2].terms()}) > 1
+    *components, v2 = iterate_accelerated(bivariate_problem, 2).components
+    assert len({e[-1] for _, e, _ in v2.terms()}) > 1
     for f in components:
         mu00 = f.moment(0, 0)
         assert sup_abs_moment00(f, t0) == max(abs(tpoly_eval(mu00, float(s)))
                                               for s in np.linspace(0.0, t0, 101))
+    with pytest.raises(InvalidSpecError, match="one power of t"):
+        sup_abs_moment00(v2, t0)
 
 
 # the 1-D bounds commands of the README and the published tables
@@ -438,8 +454,8 @@ class TestStructure:
         self, monkeypatch, capsys, constant_series, binary_breakage_problem
     ):
         monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
-        frag = iterate_accelerated(binary_breakage_problem, 2)
-        for f in (*constant_series.components, *frag.components):
+        frag = iterate_accelerated(binary_breakage_problem, 1)
+        for f in (*constant_series.components[:2], *frag.components):
             assert sup_l1_norm(f, 0.25) >= 0.0
         for argv in BOUNDS_1D:
             assert main(["bounds", *argv]) == 0

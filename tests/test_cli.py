@@ -240,6 +240,16 @@ class TestBounds:
         ratio = float(vals["contraction_statement"]) / float(vals["contraction_derived"])
         assert abs(ratio - 2.0) <= 1e-12
 
+    def test_contraction_overflow_exits_before_the_engine(self, capsys, monkeypatch):
+        # the contraction needs only ||u0||; v_1's norm here took 14 s before it
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        code, out, err = run(
+            capsys, "bounds", "--model", "ccfe", "--kernel", "constant", "--frag", "2,1,1,1",
+            "--u0", "monoexp:1,60,1", "--t0", "0.05", "--T", "1", "--m", "3",
+        )
+        assert (code, out) == (3, "")
+        assert err == "error: a value overflows the float range: math range error\n"
+
     @pytest.mark.parametrize("problem", [
         ["--model", "coag", "--kernel", "constant", "--u0", "exp:1"],
         ["--model", "coag2d", "--u0", "monoexp2:6250000,1,1,50,50"],
@@ -247,6 +257,14 @@ class TestBounds:
     def test_negative_t0_has_one_message(self, capsys, problem):
         code, out, err = run(capsys, "bounds", *problem, "--t0=-0.01", "--T", "1", "--m", "3")
         assert (code, out, err) == (2, "", "error: sup norm needs t0 >= 0\n")
+
+
+@pytest.mark.xfail(strict=True, reason="eval_grid's float Horner overflows to inf * 0 = nan "
+                                        "at x = 1e308, where the density underflows to 0")
+def test_density_far_in_the_tail_is_zero(capsys):
+    code, out, err = run(capsys, "density", *COAG, "--terms", "2", "--t", "0.5", "--x", "1e308")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "1e+308,0.5,0"
 
 
 class TestReferenceCheck:
@@ -286,6 +304,16 @@ class TestDumpSymbolic:
         series = iterate_accelerated(problem, 2)
         rebuilt = [from_obj(c) for c in obj["components"]]
         assert tuple(rebuilt) == series.components
+
+    def test_coefficient_past_the_int_text_limit_is_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "dump-symbolic", "--model", "coag", "--kernel", "constant",
+            "--u0", "monoexp:1e300,0,1", "--method", "classical", "--terms", "16",
+        )
+        assert (code, out) == (3, "")
+        assert err == (f"error: a coefficient exceeds Python's limit of "
+                       f"{sys.get_int_max_str_digits()} digits for integer text; "
+                       "use fewer --terms\n")
 
 
 class TestErrorPaths:
