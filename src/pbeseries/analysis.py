@@ -12,8 +12,11 @@ below 1e-20.  Error tables sample the exact solution with one vectorised
 ``evaluate_grid`` call per time, bit-identical to the scalar reference,
 and reuse that grid for every truncation order.
 
-The sup-norm behind the convergence bounds takes what they pass, u0 and
-v_1 = t g(x): one positive rate and one power of t, so the sup over
+The convergence bounds follow the paper's two steps: Theorem 3's
+contraction of Q~ (``coag_contraction`` from ||u0||, ``frag_contraction``
+from k, lambda and t0), then Theorem 4's one ``geometric_bound`` from that
+contraction and ||v_1||.  The sup-norm behind them takes what they pass,
+u0 and v_1 = t g(x): one positive rate and one power of t, so the sup over
 [0, t0] is the exact value at t0; anything else is refused.  The half
 line is split at the sign changes of the x-polynomial, which Sturm counts
 isolate and exact-sign bisection refines, and the exact tail
@@ -295,56 +298,36 @@ class ConvergenceBound:
         return self.contraction < 1.0
 
 
-def _geometric_bound(lipschitz: float, contraction: float, m: int,
-                     v1_norm: float) -> ConvergenceBound:
-    bound = math.inf if contraction >= 1.0 else contraction**m / (1.0 - contraction) * v1_norm
-    return ConvergenceBound(lipschitz, contraction, bound)
-
-
 def coag_contraction(u0_norm: float, T: float, t0: float) -> tuple[float, float]:
-    """L = ||u0|| (T+1) and the contraction t0^2 e^{2 t0 L} (||u0|| + 2 t0 L^2 + 2 t0 L).
-
-    Neither needs v_1, so ``bounds`` computes them before the engine runs.
-    """
+    """L = ||u0|| (T+1) and the contraction t0^2 e^{2 t0 L} (||u0|| + 2 t0 L^2 + 2 t0 L)."""
     if min(u0_norm, T, t0) <= 0:
-        raise InvalidSpecError("bound inputs must be positive (m, v1_norm >= 0)")
+        raise InvalidSpecError("bound inputs out of range")
     L = u0_norm * (T + 1.0)
     return L, t0**2 * math.exp(2.0 * t0 * L) * (u0_norm + 2.0 * t0 * L**2 + 2.0 * t0 * L)
 
 
-def coag_bound(
-    u0_norm: float, T: float, t0: float, m: int, v1_norm: float
-) -> ConvergenceBound:
-    """Coagulation contraction constant (``coag_contraction``) and error bound."""
-    if m < 0 or v1_norm < 0:
-        raise InvalidSpecError("bound inputs must be positive (m, v1_norm >= 0)")
-    return _geometric_bound(*coag_contraction(u0_norm, T, t0), m, v1_norm)
-
-
-def frag_bound(
-    k: int, lam: float, t0: float, m: int, v1_norm: float
-) -> ConvergenceBound:
-    """Fragmentation contraction factor k! t0^2 / lambda^{k+1} and bound."""
-    if k < 1 or lam <= 0 or t0 <= 0 or m < 0 or v1_norm < 0:
+def frag_contraction(k: int, lam: float, t0: float) -> float:
+    """The fragmentation contraction factor k! t0^2 / lambda^{k+1}."""
+    if k < 1 or lam <= 0 or t0 <= 0:
         raise InvalidSpecError("bound inputs out of range")
     if not lam ** (k + 1):  # so k! t0^2 / lambda^{k+1} is past the float range
         raise OverflowError(f"lambda^{k + 1} underflows to 0")
-    theta = math.factorial(k) * t0**2 / lam ** (k + 1)
-    return _geometric_bound(lam, theta, m, v1_norm)
+    return math.factorial(k) * t0**2 / lam ** (k + 1)
 
 
-def coag2d_bounds(
-    u0_norm: float, T: float, t0: float, m: int, v1_norm: float
-) -> dict[str, ConvergenceBound]:
-    """Bivariate constants, in both published variants.
+# The 2-D contraction's factor in both published variants: the statement carries
+# an extra 2 relative to what the derivation chain yields.  Both are exposed,
+# labeled, so callers see the discrepancy instead of having it silently resolved.
+COAG2D_FACTORS = {"statement": 2.0, "derived": 1.0}
 
-    The statement-level factor carries an extra 2 relative to what the
-    derivation chain yields; both are exposed, labeled, so callers can
-    see the discrepancy instead of having it silently resolved.
-    """
-    base = coag_bound(u0_norm, T, t0, m, v1_norm)
-    return {label: _geometric_bound(base.lipschitz, factor * base.contraction, m, v1_norm)
-            for label, factor in (("statement", 2.0), ("derived", 1.0))}
+
+def geometric_bound(lipschitz: float, contraction: float, m: int,
+                    v1_norm: float) -> ConvergenceBound:
+    """Theorem 4's bound on a ``coag_contraction`` or ``frag_contraction``; inf past 1."""
+    if m < 0 or v1_norm < 0:
+        raise InvalidSpecError("bound inputs out of range")
+    bound = math.inf if contraction >= 1.0 else contraction**m / (1.0 - contraction) * v1_norm
+    return ConvergenceBound(lipschitz, contraction, bound)
 
 
 # ---------------------------------------------------------------------------

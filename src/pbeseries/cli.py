@@ -21,10 +21,10 @@ flags: density --t --x --y --compare; error-table --t --x; moments --t --j
 --t-end --cells --dt --xmax.  Any other flag is a usage error, and so is a
 setting the chosen model does not use: --y on a 1-D model, --lam with a
 coagulation kernel, --T on frag, --frag or --kernel on the wrong model.  A
-negative time in --t or size in --x or --y is a configuration error.  The
-u0 grammar accepts ``exp:a`` for e^{-ax}, ``monoexp:c,p,a`` for
-c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the bivariate analogue;
-every number may be a rational like 1/2.
+negative time in --t or size in --x or --y, or a --t0 <= 0, is a
+configuration error.  The u0 grammar accepts ``exp:a`` for e^{-ax},
+``monoexp:c,p,a`` for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the
+bivariate analogue; every number may be a rational like 1/2.
 
 ``--config`` names a file of flat ``key = value`` lines with the long flag
 names as keys.  A flag overrides its config value, which overrides the
@@ -439,39 +439,33 @@ def cmd_moments(s: _Settings) -> str:
     return format_rows(columns, rows, s.format, header)
 
 
-def _bound_rows(b: analysis.ConvergenceBound, label: str = "") -> list[tuple]:
-    return [(f"contraction{label}", b.contraction),
-            (f"contractive{label}", str(b.contractive).lower()), (f"bound{label}", b.bound)]
-
-
 def cmd_bounds(s: _Settings) -> str:
     problem = build_problem(s)
     t0, m = s.get("t0"), s.get("m")
+    if t0 <= 0:
+        raise ConfigError(f"--t0 must be positive, got {t0:g}")
     norm = analysis.sup_abs_moment00 if problem.dim == 2 else analysis.sup_l1_norm
+    # Theorem 3: the contraction needs u0 alone (or k, lambda and t0), so its
+    # overflow exits before the engine runs
     if problem.kernel is None:
         reject_unused(s, "T")
-        lam = s.get("lam")
+        lipschitz = s.get("lam")
+        contraction = analysis.frag_contraction(problem.frag.k, lipschitz, t0)
+        rows = [("lambda", lipschitz)]
     else:
         reject_unused(s, "lam")
         T = s.get("T", default=max(1.0, t0))
         u0_norm = norm(problem.u0, t0)
-        # the contraction needs u0 alone, so its overflow exits before the engine runs
-        analysis.coag_contraction(u0_norm, T, t0)
-    # the bounds read u0 and v_1 = T[rhs(u0)] only, which every engine and order shares
+        lipschitz, contraction = analysis.coag_contraction(u0_norm, T, t0)
+        rows = [("u0_norm", u0_norm), ("L", lipschitz)]
+    # Theorem 4 reads v_1 = T[rhs(u0)] only, which every engine and order shares
     v1_norm = norm(iterate(problem, Method.ACCELERATED, 1).components[1], t0)
-    if problem.kernel is None:
-        b = analysis.frag_bound(problem.frag.k, lam, t0, m, v1_norm)
-        rows = [("v1_norm", v1_norm), ("lambda", lam), *_bound_rows(b)]
-    else:
-        rows = [("u0_norm", u0_norm), ("v1_norm", v1_norm)]
-        if problem.dim == 2:
-            pair = analysis.coag2d_bounds(u0_norm, T, t0, m, v1_norm)
-            rows.append(("L", pair["statement"].lipschitz))
-            for label, b in pair.items():
-                rows += _bound_rows(b, f"_{label}")
-        else:
-            b = analysis.coag_bound(u0_norm, T, t0, m, v1_norm)
-            rows += [("L", b.lipschitz), *_bound_rows(b)]
+    rows.insert(-1, ("v1_norm", v1_norm))  # ahead of lambda or L
+    for label, factor in (analysis.COAG2D_FACTORS if problem.dim == 2 else {"": 1.0}).items():
+        b = analysis.geometric_bound(lipschitz, factor * contraction, m, v1_norm)
+        label = label and f"_{label}"
+        rows += [(f"contraction{label}", b.contraction),
+                 (f"contractive{label}", str(b.contractive).lower()), (f"bound{label}", b.bound)]
     return format_rows(["quantity", "value"], rows, s.format, [f"t0 = {t0:g}", f"m = {m}"])
 
 

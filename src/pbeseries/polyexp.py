@@ -411,8 +411,8 @@ class _PolyExpBase:
             den, poly = self._terms[rate]
             tables = []
             for axis, (j, (p, q)) in enumerate(zip(orders, rate)):
-                top = max(e[axis] for e in poly)
-                tables.append([math.factorial(i + j) * q ** (i + j + 1) * p ** (top - i)
+                top = _check_exponent(max(e[axis] for e in poly) + j) - j
+                tables.append([_FACTORIAL[i + j] * q ** (i + j + 1) * p ** (top - i)
                                for i in range(top + 1)])
                 den *= p ** (top + j + 1)
             sums: defaultdict = defaultdict(int)
@@ -472,6 +472,21 @@ class _PolyExpBase:
     @classmethod
     def zero(cls):
         return cls._wrap({})
+
+
+def _log_space_sum(groups: list, xs: np.ndarray) -> np.ndarray:
+    """sum of c_k x^k e^{-a x} over float groups (a, [c_0, c_1, ...]), as sign * e^l per term.
+
+    l = log|c_k| + k log|x| - a x is scaled by the largest l of its lane, so a
+    lane overflows only when its value does.
+    """
+    logx, signx = np.log(np.abs(xs)), np.sign(xs)
+    signs, logs = np.array([(math.copysign(1.0, c) * signx**k,
+                             math.log(abs(c)) + (k * logx if k else 0.0) - a * xs)
+                            for a, cs in groups for k, c in enumerate(cs) if c]).swapaxes(0, 1)
+    top = logs.max(axis=0)
+    top[~np.isfinite(top)] = 0.0  # every term 0 (or one inf) in that lane
+    return np.sum(signs * np.exp(logs - top), axis=0) * np.exp(top)
 
 
 class PolyExp1D(_PolyExpBase):
@@ -548,21 +563,26 @@ class PolyExp1D(_PolyExpBase):
         """Float value at (x, t); see ``_PolyExpBase._evaluate``."""
         return self._evaluate([[x]], t)[0]
 
-    @np.errstate(over="ignore", invalid="ignore")  # an overflow prints as inf or nan, not a warning
+    @np.errstate(all="ignore")  # an overflow prints as inf, not a warning
     def eval_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         """Vectorised float evaluation at many x for one t.
 
-        The time substitution is exact; the x polynomial is then evaluated
-        by Horner in float64, which is accurate to ~1e-13 relative of the
-        largest intermediate term.
+        The time substitution is exact; the x polynomial is then evaluated by
+        Horner in float64, accurate to ~1e-13 relative of the largest intermediate
+        term.  A lane where it overflows is recomputed by ``_log_space_sum``.
         """
         xs = np.asarray(xs, dtype=float)
+        groups = [(float(a), [float(c) for c in cs])
+                  for a, cs in self.collapse_t(Fraction(t)).items()]
         total = np.zeros_like(xs)
-        for a, coeffs in self.collapse_t(Fraction(t)).items():
+        for a, coeffs in groups:
             acc = np.zeros_like(xs)
             for c in reversed(coeffs):
-                acc = acc * xs + float(c)
-            total += acc * np.exp(-float(a) * xs)
+                acc = acc * xs + c
+            total += acc * np.exp(-a * xs)
+        bad = ~np.isfinite(total)
+        if bad.any():
+            total[bad] = _log_space_sum(groups, xs[bad])
         return total
 
     def to_obj(self) -> dict:

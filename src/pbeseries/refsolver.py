@@ -131,6 +131,8 @@ def sample_initial(problem: Model, spec: GridSpec) -> GridFunction:
     _require_1d(problem)
     xs = spec.nodes()
     vals = problem.u0.eval_grid(xs, 0.0)
+    if not np.all(np.isfinite(vals)):
+        raise OverflowError("u0 sampled on the grid is not finite")
     return GridFunction(spec, vals, 0.0)
 
 

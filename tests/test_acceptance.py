@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from pbeseries.analysis import coag_bound, l1_error, pointwise, series_moment, sup_l1_norm
+from pbeseries.analysis import (
+    coag_contraction,
+    geometric_bound,
+    l1_error,
+    pointwise,
+    series_moment,
+    sup_l1_norm,
+)
 from pbeseries.exact import ConstantKernelSolution, SumKernelSolution
 from pbeseries.polyexp import PolyExp2D
 from pbeseries.problems import rhs
@@ -261,7 +268,7 @@ def test_criterion_9_error_bound(constant_kernel_problem):
         u0_norm = sup_l1_norm(constant_kernel_problem.u0, t0)
         v1_norm = sup_l1_norm(series.components[1], t0)
         for m in (1, 2, 3):
-            b = coag_bound(u0_norm, horizon, t0, m, v1_norm)
+            b = geometric_bound(*coag_contraction(u0_norm, horizon, t0), m, v1_norm)
             assert b.contractive
             measured = max(
                 l1_error(series.truncated(m), sol, float(s))

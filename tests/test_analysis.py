@@ -16,12 +16,13 @@ from scipy import integrate
 from pbeseries import analysis
 from pbeseries.analysis import (
     ErrorTable,
+    COAG2D_FACTORS,
     InvalidSpecError,
-    coag2d_bounds,
-    coag_bound,
+    coag_contraction,
     error_table_l1,
     error_table_pointwise,
-    frag_bound,
+    frag_contraction,
+    geometric_bound,
     l1_error,
     pointwise,
     series_moment,
@@ -103,7 +104,7 @@ class TestSeriesMoment:
 
 class TestBounds:
     def test_coag_reference_point(self):
-        b = coag_bound(1.0, 1.0, 0.05, 3, 1.0)
+        b = geometric_bound(*coag_contraction(1.0, 1.0, 0.05), 3, 1.0)
         assert b.lipschitz == 2.0
         assert abs(b.contraction - 0.05**2 * math.exp(0.2) * 1.6) <= 1e-15
         assert abs(b.contraction - 4.886e-3) <= 2e-6
@@ -111,47 +112,60 @@ class TestBounds:
 
     def test_vanishing_horizon(self):
         for t0 in (1e-3, 1e-5):
-            b = coag_bound(1.0, 1.0, t0, 1, 1.0)
+            b = geometric_bound(*coag_contraction(1.0, 1.0, t0), 1, 1.0)
             assert b.contraction < 4 * t0**2
             assert b.bound < 5 * t0**2
 
     def test_zeroth_order_bound(self):
-        b = coag_bound(1.0, 1.0, 0.05, 0, 2.0)
+        b = geometric_bound(*coag_contraction(1.0, 1.0, 0.05), 0, 2.0)
         assert abs(b.bound - 2.0 / (1.0 - b.contraction)) <= 1e-15
 
     def test_frag_quarter(self):
-        b = frag_bound(1, 1.0, 0.5, 1, 1.0)
+        b = geometric_bound(1.0, frag_contraction(1, 1.0, 0.5), 1, 1.0)
         assert b.contraction == 0.25
 
     def test_frag_boundary_not_contractive(self):
-        b = frag_bound(1, 1.0, 1.0, 2, 1.0)
+        b = geometric_bound(1.0, frag_contraction(1, 1.0, 1.0), 2, 1.0)
         assert not b.contractive
         assert math.isinf(b.bound)
 
     def test_frag_rational_case(self):
-        b = frag_bound(2, 2.0, 0.5, 3, 1.0)
+        b = geometric_bound(2.0, frag_contraction(2, 2.0, 0.5), 3, 1.0)
         assert abs(b.contraction - 1.0 / 16.0) <= 1e-15
         assert abs(b.bound - (1.0 / 16.0) ** 3 / (15.0 / 16.0)) <= 1e-18
 
     def test_monotone_in_t0_and_m(self):
-        bounds = [coag_bound(1.0, 1.0, t0, 2, 1.0) for t0 in (0.05, 0.10, 0.15)]
+        bounds = [geometric_bound(*coag_contraction(1.0, 1.0, t0), 2, 1.0)
+                  for t0 in (0.05, 0.10, 0.15)]
         assert bounds[0].contraction < bounds[1].contraction < bounds[2].contraction
         assert bounds[0].bound < bounds[1].bound < bounds[2].bound
-        by_m = [coag_bound(1.0, 1.0, 0.1, m, 1.0).bound for m in (1, 2, 3)]
+        by_m = [geometric_bound(*coag_contraction(1.0, 1.0, 0.1), m, 1.0).bound
+                for m in (1, 2, 3)]
         assert by_m[0] > by_m[1] > by_m[2]
-        thetas = [frag_bound(1, 1.0, t0, 2, 1.0).contraction for t0 in (0.3, 0.5, 0.7)]
+        thetas = [geometric_bound(1.0, frag_contraction(1, 1.0, t0), 2, 1.0).contraction
+                  for t0 in (0.3, 0.5, 0.7)]
         assert thetas[0] < thetas[1] < thetas[2]
 
     def test_2d_variants(self):
-        pair = coag2d_bounds(1.0, 1.0, 0.05, 3, 1.0)
+        L, contraction = coag_contraction(1.0, 1.0, 0.05)
+        pair = {label: geometric_bound(L, factor * contraction, 3, 1.0)
+                for label, factor in COAG2D_FACTORS.items()}
         assert abs(pair["statement"].contraction - 2 * pair["derived"].contraction) <= 1e-18
-        assert pair["derived"].contraction == coag_bound(1.0, 1.0, 0.05, 3, 1.0).contraction
+        coag = geometric_bound(*coag_contraction(1.0, 1.0, 0.05), 3, 1.0)
+        assert pair["derived"].contraction == coag.contraction
 
     def test_input_validation(self):
         with pytest.raises(InvalidSpecError):
-            coag_bound(-1.0, 1.0, 0.1, 1, 1.0)
+            geometric_bound(*coag_contraction(-1.0, 1.0, 0.1), 1, 1.0)
         with pytest.raises(InvalidSpecError):
-            frag_bound(0, 1.0, 0.1, 1, 1.0)
+            geometric_bound(1.0, frag_contraction(0, 1.0, 0.1), 1, 1.0)
+        for bad in ({"m": -1, "v1_norm": 1.0}, {"m": 1, "v1_norm": -1.0}):
+            with pytest.raises(InvalidSpecError, match="bound inputs out of range"):
+                geometric_bound(2.0, 0.5, **bad)
+
+    def test_lambda_underflow_is_an_overflow(self):
+        with pytest.raises(OverflowError, match="underflows to 0"):
+            frag_contraction(3, 1e-100, 0.25)
 
 
 class TestSupNorm:

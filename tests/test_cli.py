@@ -180,6 +180,15 @@ class TestMoments:
         assert len(partial_sums) == 2
         assert moments_of_sums.count(True) == 2
 
+    @pytest.mark.parametrize("u0, j, cap", [("exp:1", "100000", 100003),
+                                            ("exp:1e300", "600", 603)])
+    def test_order_past_the_exponent_cap_exits_3(self, capsys, u0, j, cap):
+        # the moment of exp:1 at j = 100000 took 1.1 s before a float overflow,
+        # and exp:1e300 at j = 600 printed 0
+        code, out, err = run(capsys, "moments", "--model", "coag", "--kernel", "constant",
+                             "--u0", u0, "--terms", "2", "--j", j, "--t", "1")
+        assert (code, out, err) == (3, "", f"error: exponent {cap} exceeds cap 512\n")
+
     def test_2d_moment_orders(self, capsys):
         code, out, _ = run(
             capsys, "moments", "--model", "coag2d", "--u0", "monoexp2:6250000,1,1,50,50",
@@ -250,21 +259,69 @@ class TestBounds:
         assert (code, out) == (3, "")
         assert err == "error: a value overflows the float range: math range error\n"
 
-    @pytest.mark.parametrize("problem", [
-        ["--model", "coag", "--kernel", "constant", "--u0", "exp:1"],
-        ["--model", "coag2d", "--u0", "monoexp2:6250000,1,1,50,50"],
-    ], ids=["coag", "coag2d"])
-    def test_negative_t0_has_one_message(self, capsys, problem):
-        code, out, err = run(capsys, "bounds", *problem, "--t0=-0.01", "--T", "1", "--m", "3")
-        assert (code, out, err) == (2, "", "error: sup norm needs t0 >= 0\n")
+    def test_frag_contraction_overflow_exits_before_the_engine(self, capsys, monkeypatch):
+        # k! = 400! is past the float range; v_1's norm here took 3.3 s before it
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        code, out, err = run(
+            capsys, "bounds", "--model", "frag", "--frag", "2,1,1,400", "--u0", "exp:1",
+            "--t0", "0.25", "--lam", "1", "--m", "3",
+        )
+        assert (code, out) == (3, "")
+        assert err == ("error: a value overflows the float range: "
+                       "int too large to convert to float\n")
+
+    BOUNDS_PROBLEMS = {
+        "coag": ["--model", "coag", "--kernel", "constant", "--u0", "exp:1", "--T", "1"],
+        "ccfe": ["--model", "ccfe", "--kernel", "constant", "--frag", "2,1,1/2,1",
+                 "--u0", "monoexp:4,1,2", "--T", "1"],
+        "frag": ["--model", "frag", "--frag", "2,1,1,1", "--u0", "exp:1", "--lam", "1"],
+        "coag2d": ["--model", "coag2d", "--u0", "monoexp2:6250000,1,1,50,50", "--T", "1"],
+    }
+
+    @pytest.mark.parametrize("problem, t0", [
+        *((name, "-0.01") for name in BOUNDS_PROBLEMS),
+        *((name, "0") for name in BOUNDS_PROBLEMS),
+    ], ids=[*BOUNDS_PROBLEMS, *(f"{name}-t0=0" for name in BOUNDS_PROBLEMS)])
+    def test_negative_t0_has_one_message(self, capsys, monkeypatch, problem, t0):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        code, out, err = run(capsys, "bounds", *self.BOUNDS_PROBLEMS[problem], f"--t0={t0}",
+                             "--m", "3")
+        assert (code, out, err) == (2, "", f"error: --t0 must be positive, got {float(t0):g}\n")
 
 
-@pytest.mark.xfail(strict=True, reason="eval_grid's float Horner overflows to inf * 0 = nan "
-                                        "at x = 1e308, where the density underflows to 0")
 def test_density_far_in_the_tail_is_zero(capsys):
     code, out, err = run(capsys, "density", *COAG, "--terms", "2", "--t", "0.5", "--x", "1e308")
     assert (code, err) == (0, "")
     assert out.splitlines()[-1] == "1e+308,0.5,0"
+
+
+def test_density_past_a_horner_overflow(capsys):
+    # Horner forms 1e300 * 50^7, past the float range, before the factor e^{-50}
+    code, out, err = run(capsys, "density", "--model", "coag", "--kernel", "constant",
+                         "--u0", "monoexp:1e300,7,1", "--terms", "1", "--t", "0", "--x", "50")
+    assert (code, err) == (0, "")
+    value = float(out.splitlines()[-1].split(",")[-1])
+    expected = 1.50683581872181076798e290  # 1e300 50^7 e^{-50}, 30-digit mpmath
+    assert abs(value - expected) <= 1e-12 * expected
+
+
+EDGE_U0 = [f"monoexp:{c},{p},{a}" for c in ("1", "1e300", "1e308") for p in (0, 7)
+           for a in ("1/1000", "1", "1e300")]
+
+
+@pytest.mark.parametrize("command", [
+    ["density", "--t", "0", "--x", "50,1e308"],
+    # v_1's coefficients pass the float range from u0's 1e300 on: exit 3
+    ["density", "--t", "0.5", "--x", "50,1e308"],
+    ["reference-check", "--t-end", "0", "--cells", "16"],
+], ids=["density-t0", "density", "reference-check"])
+@pytest.mark.parametrize("u0", EDGE_U0)
+def test_u0_edge_grid(capsys, command, u0):
+    code, out, err = run(capsys, *command, "--model", "coag", "--kernel", "constant",
+                         "--u0", u0, "--terms", "1")
+    assert code in (0, 3)
+    assert err.count("error:") <= 1 and err.count("\n") <= 1
+    assert "nan" not in out
 
 
 class TestReferenceCheck:
@@ -277,6 +334,18 @@ class TestReferenceCheck:
         summary = [l for l in out.splitlines() if l.startswith("# max_deviation")]
         assert len(summary) == 1
         assert float(summary[0].split("=")[1]) <= 1e-12
+
+    @pytest.mark.parametrize("t_end", ["0", "0.01"])
+    def test_u0_past_the_float_range_exits_3(self, capsys, t_end):
+        # 1e308 x^7 e^{-x/1000} at x = 50 is about 7e319
+        code, out, err = run(
+            capsys, "reference-check", "--model=coag", "--kernel=constant",
+            "--u0=monoexp:1e308,7,1/1000", "--terms=1", f"--t-end={t_end}", "--cells=16",
+            "--dt=0.01", "--xmax=50",
+        )
+        assert (code, out) == (3, "")
+        assert err == ("error: a value overflows the float range: "
+                       "u0 sampled on the grid is not finite\n")
 
     def test_2d_rejected(self, capsys):
         code, _, err = run(

@@ -168,6 +168,16 @@ class TestMoment:
         with pytest.raises(ZeroRateError):
             PolyExp2D.monomial(1, xrate=0, yrate=1).moment(0, 0)
 
+    def test_order_past_the_exponent_cap(self):
+        # x^10 e^{-x} has moment (10 + j)!; the cap bounds 10 + j on every axis
+        f = mono(1, xpow=10, rate=1)
+        assert f.moment(pe.MAX_EXPONENT - 10) == {0: F(math.factorial(pe.MAX_EXPONENT))}
+        with pytest.raises(DegreeOverflowError, match=f"exponent {pe.MAX_EXPONENT + 1} exceeds"):
+            f.moment(pe.MAX_EXPONENT - 9)
+        g = PolyExp2D.monomial(1, xpow=2, ypow=3, xrate=1, yrate=1)
+        with pytest.raises(DegreeOverflowError, match=f"exponent {pe.MAX_EXPONENT + 1} exceeds"):
+            g.moment(0, pe.MAX_EXPONENT - 2)
+
 
 class TestTailIntegral:
     def test_unit_exponential(self):
