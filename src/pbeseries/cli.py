@@ -532,10 +532,13 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None) -> _Parser:
-    """The parser with the flags of ``command`` only; other subcommands keep their help line."""
+    """The parser of subcommand ``command`` alone, or with ``command`` None every
+    subcommand's name and help line, for the program help and its errors."""
     parser = _Parser(prog="pbeseries", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, keys) in _COMMANDS.items():
+        if command is not None and name != command:
+            continue
         # no abbreviations: a flag the subcommand does not take must not
         # pass as the prefix of one it does (--t for --t0, --x for --xmax)
         p = sub.add_parser(name, help=text, allow_abbrev=False)
@@ -559,9 +562,10 @@ def _check_writable(path: str) -> None:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option with a value, so the first
-    # argument that is not an option names the subcommand
-    command = next((a for a in argv if not a.startswith("-")), None)
+    # the top-level parser takes no option but --help, so a subcommand named
+    # first needs only its own parser; anything else (the program help, a
+    # missing or unknown subcommand) gets the parser that lists them all
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
         args = build_parser(command).parse_args(argv)
     except _UsageError as exc:

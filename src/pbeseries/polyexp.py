@@ -29,12 +29,19 @@ one lcm of the two denominators, and scaling, time integration and the
 tail integral rescale numerators and denominator.  ``_group_product``
 pre-scales numerators by i! on every size axis that is convolved (the
 Borel/Laplace trick, which turns the weight i! j!/(i+j+1)! into a plain
-product), accumulates the pair products keyed by packed exponents, and
-puts the group over den_a den_b top!.  A self-product (both operands the
-same rate group, as in every coagulation gain Q(u, u)) loops over i <= j
-only.  Degree caps are checked on every axis before the pair loop.  One
-substitution, ``_substitute``, serves time polynomials, ``collapse_t`` and
-point values: for p/q one integer table p^j q^(top-j) serves a whole group.
+product), sums the pair products keyed by packed exponents, and puts the
+group over den_a den_b top!.  A self-product (both operands the same rate
+group, as in every coagulation gain Q(u, u)) forms each unordered pair
+once.  A large product sums its pairs column by column instead: the
+numerators of one t-column (in 2-D, one (y - x, t) column) share most of
+their bits, so each column goes over its gcd into one integer, its small
+cofactors packed along x, and one big-integer product stands for all of
+a column pair's term pairs (Kronecker substitution).  The kernel keeps
+the pair loop where packing would do more work: few pairs per column
+pair, or slots wider than the raw numerators.  Degree caps are checked
+on every axis before any pair is formed.  One substitution,
+``_substitute``, serves time polynomials, ``collapse_t`` and point
+values: for p/q one integer table p^j q^(top-j) serves a whole group.
 
 Everything is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -174,17 +181,123 @@ def _rate_sum(a: tuple, b: tuple) -> tuple:
     return tuple((p // math.gcd(p, q), q // math.gcd(p, q)) for p, q in sums)
 
 
+# Products with more term pairs than this may multiply packed columns
+# (``_packed_sums``); below it, splitting the operands into columns costs
+# more than the pairs, and the pair loop always runs.
+_PACKED_MIN_PAIRS = 1024
+
+
+def _columns(rows: list, mask: int, xunit: int) -> dict:
+    """Rows (packed key, n) split into columns, {key - x xunit: {x: n}} with x = key & mask.
+
+    A column holds t fixed, and a size axis after x at a fixed excess over
+    x, so that the diagonal x^i y^i terms of a 2-D value share one.  Column
+    keys add as packed keys do, and key + x xunit is a term's packed key
+    again, so a column key that stood for two columns would still be exact.
+    """
+    cols: defaultdict = defaultdict(dict)
+    for key, n in rows:
+        x = key & mask
+        cols[key - x * xunit][x] = n
+    return cols
+
+
+def _cofactors(col: dict) -> tuple:
+    """A column {x: n} over its content: (lo, content, cofactors dense from x^lo, count, bits).
+
+    The content is the positive gcd, count the number of nonzero entries and
+    bits the largest cofactor's bit length.
+    """
+    content, lo = math.gcd(*col.values()), min(col)
+    cofactors = [col.get(x, 0) // content for x in range(lo, max(col) + 1)]
+    return lo, content, cofactors, len(col), max(map(abs, cofactors)).bit_length()
+
+
+def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, mask: int, xunit: int):
+    """The pair loop's sums by one integer product per column pair; None where that costs more.
+
+    Each column goes along x into one integer, a cofactor per W-bit slot.
+    The products that land in one output column are summed packed, each
+    times its contents' product over the gcd of all of them, and W bounds
+    every slot of that sum: it is unpacked once, with signed slots.  The
+    loop wins when a column pair stands for few term pairs, or when the
+    slots (W bits, over the column spans) outweigh the raw numerators.
+    """
+    split_a = _columns(rows_a, mask, xunit)
+    split_b = split_a if same else _columns(rows_b, mask, xunit)
+    count = len(split_a) * (len(split_a) + 1) // 2 if same else len(split_a) * len(split_b)
+    if pairs < 32 * count:
+        return None  # too few term pairs per column pair
+    cols_a = {key: _cofactors(col) for key, col in split_a.items()}
+    cols_b = cols_a if same else {key: _cofactors(col) for key, col in split_b.items()}
+    items_a, items_b = list(cols_a.items()), list(cols_b.items())
+    spans_a, spans_b = ([len(col[2]) for _, col in items] for items in (items_a, items_b))
+    slots = ((sum(spans_a) ** 2 + sum(s * s for s in spans_a)) // 2 if same
+             else sum(spans_a) * sum(spans_b))
+    raw_a, raw_b = (sum(abs(n).bit_length() for _, n in rows) / len(rows)
+                    for rows in (rows_a, rows_b))
+
+    def cheaper(width):  # the slots' bit work against the raw pairs', within a factor 2
+        return slots * width * width <= 2 * pairs * raw_a * raw_b
+
+    if not cheaper(max(c[4] for _, c in items_a) + max(c[4] for _, c in items_b)):
+        return None  # even a W of the widest cofactors' bits together costs more
+    plan: defaultdict = defaultdict(list)  # output column -> [(scale, lo, a, b, bits)]
+    for i, (ka, (lo_a, g_a, _, n_a, bits_a)) in enumerate(items_a):
+        for kb, (lo_b, g_b, _, n_b, bits_b) in items_b[i:] if same else items_b:
+            # a self-product's off-diagonal column pairs count twice
+            scale = g_a * g_b << (same and ka != kb)
+            bits = bits_a + bits_b + min(n_a, n_b).bit_length()
+            plan[ka + kb].append((scale, lo_a + lo_b, ka, kb, bits))
+    # a product's slot sums at most count terms under 2^(bits_a + bits_b), so it is
+    # under 2^bits; W adds the scale's bits, the number of products and a sign bit
+    contents, width = {}, 0
+    for key, products in plan.items():
+        g = contents[key] = math.gcd(*(scale for scale, *_ in products))
+        width = max(width, len(products).bit_length() + 1
+                    + max(bits + (scale // g).bit_length() for scale, _, _, _, bits in products))
+    if not cheaper(width):
+        return None
+
+    def packed(cols):
+        out = {}
+        for key, (_, _, cofactors, _, _) in cols.items():
+            out[key] = 0
+            for c in reversed(cofactors):
+                out[key] = (out[key] << width) + c
+        return out
+
+    packed_a = packed(cols_a)
+    packed_b = packed_a if same else packed(cols_b)
+    slot_mask, half = (1 << width) - 1, 1 << (width - 1)
+    acc = {}
+    for key, products in plan.items():
+        g, lo = contents[key], min(lo for _, lo, *_ in products)
+        total = sum(packed_a[a] * packed_b[b] * (scale // g) << width * (start - lo)
+                    for scale, start, a, b, _ in products)
+        at = key + lo * xunit
+        while total:
+            slot = total & slot_mask
+            slot -= (slot >= half) << width
+            if slot:
+                acc[at] = slot * g
+            total = (total - slot) >> width
+            at += xunit
+    return acc
+
+
 def _group_product(ga: tuple, gb: tuple, borel: int = 0):
     """Exact product of two rate groups (den, nums) on integers; None if it is 0.
 
     Monomials multiply pairwise and their exponents add, except on the
     first ``borel`` axes, which are convolved on [0, x]: there x^i against
     x^j gives i! j!/(i+j+1)! x^{i+j+1}.  With numerators pre-scaled by i!
-    and j! that weight is 1/(i+j+1)!, so the pair loop is one integer
-    multiply-add; the group then goes over Da Db prod top! with a top!/k!
-    factor per term and one gcd.  A self-product (``ga is gb``) loops over
-    i <= j only.  Every axis is checked against MAX_EXPONENT before any
-    pair is formed; checked sums fit the packed fields.
+    and j! that weight is 1/(i+j+1)!, so each pair is one integer
+    multiply-add, done by ``_packed_sums`` or by the pair loop; the group
+    then goes over Da Db prod top! with a top!/k! factor per term and one
+    gcd.  A self-product (``ga is gb``) forms each unordered pair once.
+    Every axis is checked against MAX_EXPONENT before any pair is formed;
+    checked sums fit the packed fields.
     """
     (den_a, pa), (den_b, pb) = ga, gb
     if not pa or not pb:
@@ -195,31 +308,37 @@ def _group_product(ga: tuple, gb: tuple, borel: int = 0):
     width = MAX_EXPONENT.bit_length()
     shifts = [width * axis for axis in range(nvars)]
 
-    def packed(nums):
+    def scaled(nums):
         rows = []
         for e, n in nums.items():
             for i in e[:borel]:
                 n *= _FACTORIAL[i]
-            rows.append((sum(i << s for i, s in zip(e, shifts)), n))
+            rows.append((sum([i << s for i, s in zip(e, shifts)]), n))
         return rows
 
-    packed_a = packed(pa)
-    acc: defaultdict = defaultdict(int)
-    if ga is gb:
-        # the pair weight and the exponent sum are symmetric, so each
-        # unordered pair is formed once and the off-diagonal ones count twice
-        for i, (ka, na) in enumerate(packed_a):
-            acc[ka + ka] += na * na
-            twice = na + na
-            for kb, nb in packed_a[i + 1:]:
-                acc[ka + kb] += twice * nb
-    else:
-        packed_b = packed(pb)
-        for ka, na in packed_a:
-            for kb, nb in packed_b:
-                acc[ka + kb] += na * nb
-    offset = sum(1 << s for s in shifts[:borel])
+    same = ga is gb
+    rows_a = scaled(pa)
+    rows_b = rows_a if same else scaled(pb)
+    pairs = len(pa) * (len(pa) + 1) // 2 if same else len(pa) * len(pb)
+    xunit = sum(1 << s for s in shifts[:-1])  # x^1 on every size axis: the column step
     mask = (1 << width) - 1
+    acc = (_packed_sums(rows_a, rows_b, same, pairs, mask, xunit)
+           if pairs > _PACKED_MIN_PAIRS else None)
+    if acc is None:
+        acc = defaultdict(int)
+        if same:
+            # the pair weight and the exponent sum are symmetric, so each
+            # unordered pair is formed once and the off-diagonal ones count twice
+            for i, (ka, na) in enumerate(rows_a):
+                acc[ka + ka] += na * na
+                twice = na + na
+                for kb, nb in rows_a[i + 1:]:
+                    acc[ka + kb] += twice * nb
+        else:
+            for ka, na in rows_a:
+                for kb, nb in rows_b:
+                    acc[ka + kb] += na * nb
+    offset = sum(1 << s for s in shifts[:borel])
     den = den_a * den_b * math.prod(_FACTORIAL[top] for top in tops[:borel])
     # ratios[axis][k] = top!/k!
     ratios = [list(accumulate(range(top, 0, -1), mul, initial=1))[::-1] for top in tops[:borel]]
@@ -227,7 +346,7 @@ def _group_product(ga: tuple, gb: tuple, borel: int = 0):
     for key, total in acc.items():
         if total:
             key += offset
-            exps = tuple((key >> s) & mask for s in shifts)
+            exps = tuple([(key >> s) & mask for s in shifts])
             for ratio, i in zip(ratios, exps):
                 total *= ratio[i]
             nums[exps] = total
@@ -432,6 +551,8 @@ class _PolyExpBase:
         Inputs convert exactly and each rate group sums one integer numerator
         over one denominator, so a point rounds once per group in a division,
         an exp and a multiply: a few ulp for |x| <= 100, degree <= 60.  A group
+        whose division overflows is summed as e^(log|value| - log den - rate.x)
+        instead, which overflows only when the term does.  A group
         substitutes t once, then each size axis, last first, once per point of
         the axes after it; the axis just substituted varies slowest.
         """
@@ -443,7 +564,11 @@ class _PolyExpBase:
                 level = [_substitute(nums, d, v) for v in coords for nums, d in level]
             for k, (point, (value, d)) in enumerate(zip(points, level)):
                 arg = sum(p / q * v for (p, q), v in zip(rate, point))
-                totals[k] += value[()] / d * math.exp(-arg)
+                try:
+                    totals[k] += value[()] / d * math.exp(-arg)
+                except OverflowError:  # the polynomial part alone passes the float range
+                    log = math.log(abs(value[()])) - math.log(d) - arg
+                    totals[k] += math.exp(log) if value[()] > 0 else -math.exp(log)
         return totals
 
     def _to_obj(self) -> dict:
@@ -474,15 +599,31 @@ class _PolyExpBase:
         return cls._wrap({})
 
 
+def _float(c: Fraction) -> float:
+    """float(c), or +-inf where c is past the float range."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
+def _log_abs(c: Fraction) -> float:
+    """log|c| of an exact c != 0: math.log(abs(float(c))) wherever float(c) is normal."""
+    shift = abs(c.numerator).bit_length() - c.denominator.bit_length()
+    shift = 0 if abs(shift) < 1000 else shift
+    return math.log(abs(float(c / Fraction(2) ** shift))) + shift * math.log(2)
+
+
 def _log_space_sum(groups: list, xs: np.ndarray) -> np.ndarray:
-    """sum of c_k x^k e^{-a x} over float groups (a, [c_0, c_1, ...]), as sign * e^l per term.
+    """sum of c_k x^k e^{-a x} over exact groups (a, [c_0, c_1, ...]), as sign * e^l per term.
 
     l = log|c_k| + k log|x| - a x is scaled by the largest l of its lane, so a
-    lane overflows only when its value does.
+    lane overflows only when its value does, also where a c_k is past the
+    float range.
     """
     logx, signx = np.log(np.abs(xs)), np.sign(xs)
-    signs, logs = np.array([(math.copysign(1.0, c) * signx**k,
-                             math.log(abs(c)) + (k * logx if k else 0.0) - a * xs)
+    signs, logs = np.array([((1.0 if c > 0 else -1.0) * signx**k,
+                             _log_abs(c) + (k * logx if k else 0.0) - float(a) * xs)
                             for a, cs in groups for k, c in enumerate(cs) if c]).swapaxes(0, 1)
     top = logs.max(axis=0)
     top[~np.isfinite(top)] = 0.0  # every term 0 (or one inf) in that lane
@@ -569,20 +710,28 @@ class PolyExp1D(_PolyExpBase):
 
         The time substitution is exact; the x polynomial is then evaluated by
         Horner in float64, accurate to ~1e-13 relative of the largest intermediate
-        term.  A lane where it overflows is recomputed by ``_log_space_sum``.
+        term.  A lane where it overflows, or meets a coefficient past the float
+        range (as inf), is recomputed from the exact coefficients by
+        ``_log_space_sum``; a lane of the latter kind whose value overflows
+        too raises OverflowError.
         """
         xs = np.asarray(xs, dtype=float)
-        groups = [(float(a), [float(c) for c in cs])
-                  for a, cs in self.collapse_t(Fraction(t)).items()]
+        groups = list(self.collapse_t(Fraction(t)).items())
         total = np.zeros_like(xs)
+        wide = False  # some coefficient is past the float range
         for a, coeffs in groups:
             acc = np.zeros_like(xs)
             for c in reversed(coeffs):
+                c = _float(c)
+                wide = wide or math.isinf(c)
                 acc = acc * xs + c
-            total += acc * np.exp(-a * xs)
+            total += acc * np.exp(-float(a) * xs)
         bad = ~np.isfinite(total)
         if bad.any():
             total[bad] = _log_space_sum(groups, xs[bad])
+            if wide and not np.isfinite(total).all():
+                x = xs[~np.isfinite(total)][0]
+                raise OverflowError(f"the value at x = {x:g} is past the float range")
         return total
 
     def to_obj(self) -> dict:

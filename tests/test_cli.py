@@ -295,6 +295,23 @@ def test_density_far_in_the_tail_is_zero(capsys):
     assert out.splitlines()[-1] == "1e+308,0.5,0"
 
 
+def test_density_with_coefficients_past_the_float_range(capsys):
+    # v_1 carries 1e300^2 x, past the float range, against e^{-1e300 x} = 0 at x = 50
+    code, out, err = run(capsys, "density", "--model", "coag", "--kernel", "constant",
+                         "--u0", "monoexp:1e300,0,1e300", "--terms", "1", "--t", "0.5",
+                         "--x", "50")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "50,0.5,0"
+
+
+def test_pointwise_table_far_in_the_tail_is_zero(capsys):
+    # the exact x = 1e308 makes psi_2's integer sum pass the float range; e^{-x} = 0
+    code, out, err = run(capsys, "error-table", *COAG, "--terms", "2", "--x", "1e308",
+                         "--t", "0.5")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "0.5,0,0,0"
+
+
 def test_density_past_a_horner_overflow(capsys):
     # Horner forms 1e300 * 50^7, past the float range, before the factor e^{-50}
     code, out, err = run(capsys, "density", "--model", "coag", "--kernel", "constant",
@@ -684,14 +701,17 @@ class TestSettingsPath:
         assert err.startswith("error: unrecognized arguments:") and err.count("\n") == 1
         assert foreign[0] in err
 
-    def test_parser_holds_only_the_dispatched_subcommand_flags(self):
-        parser = cli.build_parser("bounds")
-        assert parser.parse_args(["bounds", "--t0", "1"]).t0 == "1"
-        with pytest.raises(cli._UsageError, match="unrecognized arguments: --t 1"):
-            parser.parse_args(["density", "--t", "1"])
-        # every subcommand still has its name and help line
-        for name, (_, text, _) in cli._COMMANDS.items():
-            assert name in parser.format_help() and text in parser.format_help()
+    def test_parser_holds_only_the_dispatched_subcommand_flags(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        # --t belongs to density, not to the dispatched bounds
+        code, out, err = run(capsys, "bounds", *COAG, "--t0", "1", "--t", "1")
+        assert (code, out, err) == (2, "", "error: unrecognized arguments: --t 1\n")
+        # the program help lists every subcommand, also ahead of a subcommand name
+        for argv in (["--help"], ["--help", "bounds"], ["-h", "density", "--t", "1"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "") and out.startswith("usage: pbeseries")
+            for name, (_, text, _) in cli._COMMANDS.items():
+                assert name in out and text in out
 
     @pytest.mark.parametrize("command, flags, config", [
         ("density", ["--terms", "7", "--t", "bogus", "--x", "1"], ""),

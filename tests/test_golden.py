@@ -8,8 +8,12 @@ two error tables (L1 and pointwise) again as ``--format json``, a
 commands at times that are not dyadic rationals, six commands whose rates
 are not integers (1-D and 2-D dumps, a 2-D ``density``, a product-kernel
 ``bounds`` and a sum-kernel ``moments``), ``reference-check`` on the sum,
-product, breakage and coupled problems, and the ``--help`` text of the
-program and of each subcommand (at a pinned 80-column width).  A
+product, breakage and coupled problems, three deeper ``ahpetm`` dumps
+(constant n = 6 and sum n = 5, whose large products multiply packed
+columns, and ``coag2d`` n = 5, whose wide, sparse columns keep them on the
+pair loop), the ``--help`` text of the program (also ahead of a
+subcommand name) and of each subcommand (at a pinned 80-column width),
+and an unknown subcommand's usage error.  A
 refactor that claims unchanged behaviour must pass this file unchanged.
 
 Regenerate the data only for an intended output change, from the commit
@@ -96,7 +100,13 @@ COMMANDS = {
     **{f"reference-check-{name}": f"reference-check {_PROBLEMS[name]} --terms 4 "
                                   "--t-end 0.25 --cells 400 --dt 5e-3"
        for name in ("sum", "product", "breakage", "halfx")},
+    # deep iterates, whose large products multiply packed t-columns
+    **{f"deep-dump-ahpetm-{name}": f"dump-symbolic {_PROBLEMS[name]} --method ahpetm --terms {n}"
+       for name, n in (("constant", 6), ("sum", 5), ("coag2d", 5))},
     "help": "--help",
+    # program help ahead of a subcommand name, and a subcommand that does not exist
+    "help-before-bounds": "--help bounds",
+    "unknown-command": "frobnicate --model coag",
     **{f"help-{cmd}": f"{cmd} --help" for cmd in (
         "density", "error-table", "moments", "bounds", "reference-check", "dump-symbolic")},
 }

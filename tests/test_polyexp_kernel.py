@@ -1,10 +1,12 @@
 """Property tests of the fraction-free product kernel against the Fraction oracle."""
 
+import contextlib
 import itertools
 import json
 import math
 import random
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
 from hypothesis import given
@@ -269,6 +271,131 @@ def test_coagulation_gain_is_a_self_product(monkeypatch):
         calls.clear()
         rhs(model, value)
         assert (True, model.dim) in calls, model.kernel
+
+
+# -- the two pair-sum paths ------------------------------------------------------
+
+
+@contextlib.contextmanager
+def kernel_path(packed: bool):
+    """Every product of ``_group_product`` by packed columns, or by the pair loop alone."""
+    real = pe._packed_sums
+
+    def forced(rows_a, rows_b, same, pairs, *rest):
+        # with unbounded pairs every selection test passes
+        return real(rows_a, rows_b, same, math.inf, *rest)
+
+    with mock.patch.object(pe, "_PACKED_MIN_PAIRS", -1 if packed else math.inf), \
+            mock.patch.object(pe, "_packed_sums", forced):
+        yield
+
+
+# A content that every t-column shares, as the Borel-scaled iterates' columns do.
+BIG = (2**61 - 1) ** 3 * 3**40
+
+
+@st.composite
+def dense_1d(draw, rate=F(1)):
+    """One rate group, dense along x in each t-column, each column a multiple of BIG."""
+    den = draw(st.sampled_from(DENOMINATORS))
+    poly = {}
+    for t in range(draw(st.integers(2, 6))):
+        lo, span = draw(st.integers(0, 3)), draw(st.integers(1, 10))
+        scale = draw(st.integers(1, 255))
+        for x in range(lo, lo + span):
+            poly[x, t] = F(BIG * scale * draw(st.integers(-(2**12), 2**12)), den)
+    return PolyExp1D({rate: poly}) if any(poly.values()) else PolyExp1D.monomial(BIG, rate=rate)
+
+
+def diagonal_2d(rng: random.Random, wide_bits: int = 0, cols: int = 6, span: int = 8):
+    """x^i y^i t^j terms over shared column contents; with wide_bits, t-column 0's
+    cofactors are that wide where the others' stay under 12 bits."""
+    poly = {}
+    for t in range(cols):
+        scale = rng.randint(1, 255)
+        for x in range(span):
+            bits = wide_bits if t == 0 and wide_bits else 12
+            poly[x, x, t] = F(BIG * scale * rng.randint(-(2**bits), 2**bits) or 1, 7)
+    return PolyExp2D({(F(1), F(2)): poly})
+
+
+DIAGONAL_2D = st.builds(diagonal_2d, st.randoms(use_true_random=False),
+                        st.sampled_from([0, 0, 700]), st.integers(1, 5), st.integers(1, 6))
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["pair-loop", "packed"])
+@given(values(PolyExp1D, RATES_1D), values(PolyExp1D, RATES_1D),
+       values(PolyExp2D, RATES_2D), values(PolyExp2D, RATES_2D),
+       same_rate_pairs(PolyExp1D, RATES_1D), same_rate_pairs(PolyExp2D, RATES_2D), TPOLYS)
+def test_both_kernel_paths_match_oracle(packed, f, g, h, k, pair1, pair2, tp):
+    with kernel_path(packed):
+        for a, b in ((f, g), (h, k), (f, f), (h, h)):
+            assert_same(a * b, oracle.mul(a, b))
+        for a, b in (pair1, pair2):
+            assert_same(a.convolve(b), oracle.convolve(a, b))
+            assert_same(a.convolve(a), oracle.convolve(a, a))
+        assert_same(f.mul_tpoly(tp), oracle.mul_tpoly(f, tp))
+        assert_same(h.mul_tpoly(tp), oracle.mul_tpoly(h, tp))
+
+
+@pytest.mark.parametrize("packed", [False, True], ids=["pair-loop", "packed"])
+@given(dense_1d(), dense_1d(), DIAGONAL_2D, DIAGONAL_2D)
+def test_both_kernel_paths_match_oracle_on_dense_columns(packed, f, g, h, k):
+    with kernel_path(packed):
+        for a, b in ((f, g), (f, f), (h, k), (h, h)):
+            assert_same(a.convolve(b), oracle.convolve(a, b))
+            assert_same(a * b, oracle.mul(a, b))
+
+
+@given(dense_1d(), dense_1d(), DIAGONAL_2D, DIAGONAL_2D, st.integers(0, 2))
+def test_both_kernel_paths_agree_on_every_borel_axis_count(f, g, h, k, borel):
+    # borel = 1 in 2-D and 2 in 1-D convolve axes that no operator convolves alone
+    for a, b in ((f, g), (f, f), (h, k), (h, h)):
+        ga, gb = next(iter(a._terms.values())), next(iter(b._terms.values()))
+        with kernel_path(False):
+            loop = pe._group_product(ga, gb, borel)
+        with kernel_path(True):
+            assert pe._group_product(ga, gb, borel) == loop
+
+
+def test_packed_slots_hold_their_largest_sums():
+    # cofactors at the widest and of one sign: a slot of the square sums up to
+    # 63 products of nearly 2^40, the most that the slot width must hold
+    top = 2**20 - 1
+    f = PolyExp1D({1: {(x, t): top - x % 2 for x in range(63) for t in range(2)}})
+    with kernel_path(True):
+        for a, b in ((f, f), (f, -f)):
+            assert_same(a * b, oracle.mul(a, b))
+
+
+def test_selection_takes_each_path(monkeypatch):
+    chosen = []
+    real = pe._packed_sums
+
+    def spy(*args):
+        acc = real(*args)
+        chosen.append(acc is not None)
+        return acc
+
+    monkeypatch.setattr(pe, "_packed_sums", spy)
+    rng = random.Random(18)
+    # few pairs: never offered to the packed path
+    small = PolyExp1D({1: {(i, j): F(rng.randint(1, 99), 7) for i in range(4) for j in range(4)}})
+    small.convolve(small)
+    assert chosen == []
+    # dense t-columns that share their content: packed
+    dense = PolyExp1D({1: {(x, t): F(BIG * (t + 1) * rng.randint(-99, 99) or 1, 7)
+                           for x in range(12) for t in range(6)}})
+    assert_same(dense.convolve(dense), oracle.convolve(dense, dense))
+    assert chosen == [True]
+    # one wide-cofactor column widens every slot past the raw numerators: the pair loop
+    wide = diagonal_2d(rng, wide_bits=700, cols=6, span=12)
+    assert_same(wide.convolve(wide), oracle.convolve(wide, wide))
+    assert chosen == [True, False]
+    # the same shape without the wide column packs
+    narrow = diagonal_2d(rng, cols=6, span=12)
+    assert_same(narrow.convolve(narrow), oracle.convolve(narrow, narrow))
+    assert chosen == [True, False, True]
 
 
 # -- exact time substitution -----------------------------------------------------
