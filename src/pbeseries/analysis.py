@@ -222,18 +222,13 @@ def _sign_changes(coeffs: list[Fraction]) -> list[float]:
     return roots
 
 
-def _exact_abs_integral(a: Fraction, coeffs: list[Fraction], roots: list[float]) -> float:
-    """int_0^inf |P(x)| e^{-ax} dx from the tail antiderivative e^{-ax} Q(x).
+def _exact_abs_integral(a: Fraction, q: list[Fraction], roots: list[float]) -> float:
+    """int_0^inf |P(x)| e^{-ax} dx from the tail antiderivative e^{-ax} Q(x) of P e^{-ax}.
 
-    Q is what ``PolyExp1D.tail_integral(0)`` gives for P e^{-ax}, built by
-    its recurrence a Q_k = c_k + (k+1) Q_{k+1} in time linear in the degree.
-    Between consecutive sign changes the integral is the difference of the
-    antiderivative at the ends; each end is rounded once.
+    Between consecutive sign changes of P the integral is the difference of
+    the antiderivative at the ends; each end is rounded once.
     """
-    q = [Fraction(0)] * (len(coeffs) + 1)
-    for k in range(len(coeffs) - 1, -1, -1):
-        q[k] = (coeffs[k] + (k + 1) * q[k + 1]) / a
-    q, qden = _as_integers(q[:-1])
+    q, qden = _as_integers(q)
     ends = []
     for r in [0.0, *roots]:
         num, den = _value(q, Fraction(r))
@@ -252,7 +247,8 @@ def _l1_at_time(f: PolyExp1D, s: float) -> float:
     if not collapsed:
         return 0.0
     (a, poly), = collapsed.items()
-    return _exact_abs_integral(a, poly, _sign_changes(poly))
+    (_, q), = f.tail_integral(0).collapse_t(Fraction(s)).items()
+    return _exact_abs_integral(a, q, _sign_changes(poly))
 
 
 def _sup_time(f, t0: float) -> float:

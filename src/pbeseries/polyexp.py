@@ -548,13 +548,12 @@ class _PolyExpBase:
     def _evaluate(self, axes: list, t: float) -> list[float]:
         """Float values at time t on the outer grid of the size ``axes``, first axis slowest.
 
-        Inputs convert exactly and each rate group sums one integer numerator
-        over one denominator, so a point rounds once per group in a division,
-        an exp and a multiply: a few ulp for |x| <= 100, degree <= 60.  A group
-        whose division overflows is summed as e^(log|value| - log den - rate.x)
-        instead, which overflows only when the term does.  A group
-        substitutes t once, then each size axis, last first, once per point of
-        the axes after it; the axis just substituted varies slowest.
+        Inputs convert exactly and each rate group sums one integer numerator v over one
+        denominator d, so a point rounds once per group in a division, an exp and a
+        multiply: a few ulp for |x| <= 100, degree <= 60.  A v/d past the float range is
+        taken as m 2^e, m in [1/2, 2); a value past it raises OverflowError.  A group
+        substitutes t once, then each size axis, last first, once per point of the axes
+        after it; the axis just substituted varies slowest.
         """
         points = list(product(*axes))
         totals = [0.0] * len(points)
@@ -566,9 +565,11 @@ class _PolyExpBase:
                 arg = sum(p / q * v for (p, q), v in zip(rate, point))
                 try:
                     totals[k] += value[()] / d * math.exp(-arg)
-                except OverflowError:  # the polynomial part alone passes the float range
-                    log = math.log(abs(value[()])) - math.log(d) - arg
-                    totals[k] += math.exp(log) if value[()] > 0 else -math.exp(log)
+                except OverflowError:  # v/d = m 2^e is past the float range, so e > 1000
+                    e = abs(value[()]).bit_length() - d.bit_length()
+                    m, decay = value[()] / (d << e), math.exp(-arg)
+                    totals[k] += (math.ldexp(m * decay, e) if decay >= 2.0**-1022
+                                  else m * math.exp(e * math.log(2) - arg))  # decay underflows
         return totals
 
     def _to_obj(self) -> dict:
@@ -597,37 +598,6 @@ class _PolyExpBase:
     @classmethod
     def zero(cls):
         return cls._wrap({})
-
-
-def _float(c: Fraction) -> float:
-    """float(c), or +-inf where c is past the float range."""
-    try:
-        return float(c)
-    except OverflowError:
-        return math.inf if c > 0 else -math.inf
-
-
-def _log_abs(c: Fraction) -> float:
-    """log|c| of an exact c != 0: math.log(abs(float(c))) wherever float(c) is normal."""
-    shift = abs(c.numerator).bit_length() - c.denominator.bit_length()
-    shift = 0 if abs(shift) < 1000 else shift
-    return math.log(abs(float(c / Fraction(2) ** shift))) + shift * math.log(2)
-
-
-def _log_space_sum(groups: list, xs: np.ndarray) -> np.ndarray:
-    """sum of c_k x^k e^{-a x} over exact groups (a, [c_0, c_1, ...]), as sign * e^l per term.
-
-    l = log|c_k| + k log|x| - a x is scaled by the largest l of its lane, so a
-    lane overflows only when its value does, also where a c_k is past the
-    float range.
-    """
-    logx, signx = np.log(np.abs(xs)), np.sign(xs)
-    signs, logs = np.array([((1.0 if c > 0 else -1.0) * signx**k,
-                             _log_abs(c) + (k * logx if k else 0.0) - float(a) * xs)
-                            for a, cs in groups for k, c in enumerate(cs) if c]).swapaxes(0, 1)
-    top = logs.max(axis=0)
-    top[~np.isfinite(top)] = 0.0  # every term 0 (or one inf) in that lane
-    return np.sum(signs * np.exp(logs - top), axis=0) * np.exp(top)
 
 
 class PolyExp1D(_PolyExpBase):
@@ -704,34 +674,28 @@ class PolyExp1D(_PolyExpBase):
         """Float value at (x, t); see ``_PolyExpBase._evaluate``."""
         return self._evaluate([[x]], t)[0]
 
-    @np.errstate(all="ignore")  # an overflow prints as inf, not a warning
+    @np.errstate(all="ignore")  # a lane that is not finite goes to ``_evaluate``
     def eval_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         """Vectorised float evaluation at many x for one t.
 
         The time substitution is exact; the x polynomial is then evaluated by
         Horner in float64, accurate to ~1e-13 relative of the largest intermediate
-        term.  A lane where it overflows, or meets a coefficient past the float
-        range (as inf), is recomputed from the exact coefficients by
-        ``_log_space_sum``; a lane of the latter kind whose value overflows
-        too raises OverflowError.
+        term.  The lanes where it is not finite (all, where a coefficient is past
+        the float range) go in one call to ``_evaluate``, as ``evaluate`` does.
         """
         xs = np.asarray(xs, dtype=float)
-        groups = list(self.collapse_t(Fraction(t)).items())
         total = np.zeros_like(xs)
-        wide = False  # some coefficient is past the float range
-        for a, coeffs in groups:
-            acc = np.zeros_like(xs)
-            for c in reversed(coeffs):
-                c = _float(c)
-                wide = wide or math.isinf(c)
-                acc = acc * xs + c
-            total += acc * np.exp(-float(a) * xs)
+        try:
+            for a, coeffs in self.collapse_t(Fraction(t)).items():
+                acc = np.zeros_like(xs)
+                for c in reversed(coeffs):
+                    acc = acc * xs + float(c)
+                total += acc * np.exp(-float(a) * xs)
+        except OverflowError:  # an inf coefficient would leave no lane finite
+            total[:] = np.inf
         bad = ~np.isfinite(total)
         if bad.any():
-            total[bad] = _log_space_sum(groups, xs[bad])
-            if wide and not np.isfinite(total).all():
-                x = xs[~np.isfinite(total)][0]
-                raise OverflowError(f"the value at x = {x:g} is past the float range")
+            total[bad] = self._evaluate([xs[bad].tolist()], t)
         return total
 
     def to_obj(self) -> dict:

@@ -313,13 +313,23 @@ def test_pointwise_table_far_in_the_tail_is_zero(capsys):
 
 
 def test_density_past_a_horner_overflow(capsys):
-    # Horner forms 1e300 * 50^7, past the float range, before the factor e^{-50}
+    # Horner forms 1e300 x^7, past the float range, before the factor e^{-x}
+    for x, expected, rel in [
+        ("50", 1.50683581872181076798e290, 1e-15),  # 1e300 x^7 e^{-x}, 30-digit mpmath
+        ("100", 3.72007597602083596296e270, 1e-15),
+        ("1000", 5.07595889754945676529e-114, 1e-13),  # e^{-1000} underflows
+    ]:
+        code, out, err = run(capsys, "density", "--model", "coag", "--kernel", "constant",
+                             "--u0", "monoexp:1e300,7,1", "--terms", "1", "--t", "0", "--x", x)
+        assert (code, err) == (0, "")
+        value = float(out.splitlines()[-1].split(",")[-1])
+        assert abs(value - expected) <= rel * expected
+    # psi_1's x coefficient is past the float range; at x = 0 psi_1(0) rounds once
     code, out, err = run(capsys, "density", "--model", "coag", "--kernel", "constant",
-                         "--u0", "monoexp:1e300,7,1", "--terms", "1", "--t", "0", "--x", "50")
+                         "--u0", "monoexp:1e300,0,1e300", "--terms", "1", "--t", "0.5",
+                         "--x", "0")
     assert (code, err) == (0, "")
-    value = float(out.splitlines()[-1].split(",")[-1])
-    expected = 1.50683581872181076798e290  # 1e300 50^7 e^{-50}, 30-digit mpmath
-    assert abs(value - expected) <= 1e-12 * expected
+    assert out.splitlines()[-1] == "0,0.5,5.0000000000000003e+299"
 
 
 EDGE_U0 = [f"monoexp:{c},{p},{a}" for c in ("1", "1e300", "1e308") for p in (0, 7)
@@ -361,8 +371,7 @@ class TestReferenceCheck:
             "--dt=0.01", "--xmax=50",
         )
         assert (code, out) == (3, "")
-        assert err == ("error: a value overflows the float range: "
-                       "u0 sampled on the grid is not finite\n")
+        assert err == "error: a value overflows the float range: math range error\n"
 
     def test_2d_rejected(self, capsys):
         code, _, err = run(

@@ -7,6 +7,8 @@ from fractions import Fraction as F
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate
 
 import pbeseries.polyexp as pe
@@ -25,6 +27,33 @@ from conftest import random_polyexp
 
 def mono(c, xpow=0, tpow=0, rate=0):
     return PolyExp1D.monomial(c, xpow=xpow, tpow=tpow, rate=rate)
+
+
+@st.composite
+def past_horner(draw):
+    """A value, sizes and a time where Horner meets coefficients >= 1e300 or x >= 1e100."""
+    tens = st.sampled_from([0, 3, 300, 306, 320])
+    coeff = st.builds(lambda m, e: F(m, 7) * F(10) ** e, st.integers(1, 99) | st.integers(-99, -1),
+                      tens)
+    rate = st.sampled_from([F(0), F(1, 1000), F(1), F(7, 2), F(10) ** 300])
+    terms = draw(st.lists(st.tuples(coeff, st.integers(0, 7), st.integers(0, 2), rate),
+                          min_size=1, max_size=5))
+    f = sum((mono(c, i, j, a) for c, i, j, a in terms), PolyExp1D.zero())
+    xs = draw(st.lists(st.one_of(st.floats(0, 100), st.floats(1e100, 1e308)),
+                       min_size=1, max_size=6))
+    return f, xs, draw(st.sampled_from([0.0, 0.5, 1.25]))
+
+
+def float_horner(f, xs, t):
+    """The float Horner pass that ``eval_grid`` keeps wherever it is finite."""
+    total = np.zeros_like(xs)
+    with np.errstate(all="ignore"):
+        for a, coeffs in f.collapse_t(F(t)).items():
+            acc = np.zeros_like(xs)
+            for c in reversed(coeffs):
+                acc = acc * xs + float(c)
+            total += acc * np.exp(-float(a) * xs)
+    return total
 
 
 class TestLinearOps:
@@ -259,6 +288,21 @@ class TestEvaluate:
         grid = f.eval_grid(xs, 0.7)
         for x, v in zip(xs, grid):
             assert abs(v - f.evaluate(float(x), 0.7)) <= 1e-12 * max(1.0, abs(v))
+
+    @given(past_horner())
+    def test_eval_grid_lanes_past_horner_are_evaluate(self, case):
+        f, xs, t = case
+        try:
+            horner = float_horner(f, np.array(xs), t).tolist()
+        except OverflowError:  # a coefficient past the float range leaves no lane finite
+            horner = [math.inf] * len(xs)
+        try:
+            expected = [h if math.isfinite(h) else f.evaluate(x, t) for x, h in zip(xs, horner)]
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                f.eval_grid(xs, t)
+            return
+        assert [v.hex() for v in f.eval_grid(xs, t).tolist()] == [v.hex() for v in expected]
 
     def test_2d(self):
         f = PolyExp2D.monomial(2, xpow=1, ypow=2, tpow=1, xrate=1, yrate=2)
