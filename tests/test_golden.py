@@ -8,7 +8,8 @@ two error tables (L1 and pointwise) again as ``--format json``, a
 commands at times that are not dyadic rationals, six commands whose rates
 are not integers (1-D and 2-D dumps, a 2-D ``density``, a product-kernel
 ``bounds`` and a sum-kernel ``moments``), ``reference-check`` on the sum,
-product, breakage and coupled problems, three deeper ``ahpetm`` dumps
+product, breakage and both coupled problems and for ten steps on a
+4,001-node constant-kernel grid, three deeper ``ahpetm`` dumps
 (constant n = 6 and sum n = 5, whose large products multiply packed
 columns, and ``coag2d`` n = 5, whose wide, sparse columns keep them on the
 pair loop), the ``--help`` text of the program (also ahead of a
@@ -96,10 +97,13 @@ COMMANDS = {
                            "--t0 0.1 --T 1 --m 3",
     "frac-moments-sum": "moments --model coag --kernel sum --u0 exp:1/3 --terms 3 "
                         "--j 0,1,2 --t 0:1:0.25",
-    # the grid oracle beyond the constant kernel: sum, product, breakage, coupled
+    # the grid oracle beyond the constant kernel: sum, product, breakage, both coupled
     **{f"reference-check-{name}": f"reference-check {_PROBLEMS[name]} --terms 4 "
                                   "--t-end 0.25 --cells 400 --dt 5e-3"
-       for name in ("sum", "product", "breakage", "halfx")},
+       for name in ("sum", "product", "breakage", "halfx", "twox")},
+    # ten RK4 steps on the 4,001-node grid, the largest the benchmark runs
+    "reference-check-constant-4000": f"reference-check {_PROBLEMS['constant']} --terms 4 "
+                                     "--t-end 0.01 --cells 4000 --dt 1e-3",
     # deep iterates, whose large products multiply packed t-columns
     **{f"deep-dump-ahpetm-{name}": f"dump-symbolic {_PROBLEMS[name]} --method ahpetm --terms {n}"
        for name, n in (("constant", 6), ("sum", 5), ("coag2d", 5))},

@@ -5,6 +5,8 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pbeseries.exact import ConstantKernelSolution
 from pbeseries.problems import (
@@ -19,6 +21,7 @@ from pbeseries.refsolver import (
     GridSpec,
     InstabilityError,
     Unsupported2DError,
+    _coag_rhs,
     discrete_rhs,
     integrate,
     sample_initial,
@@ -37,6 +40,38 @@ def all_problems():
         Model(mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1)),
         Model(mono_exponential_ic(32, 1, 4), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(2), 1)),
     ]
+
+
+def _spy_on_correlate(monkeypatch, calls):
+    """Record (a, v, result) of every np.correlate call."""
+    real = np.correlate
+
+    def spy(a, v, mode="valid"):
+        out = real(a, v, mode)
+        calls.append((a, v, out))
+        return out
+
+    monkeypatch.setattr(np, "correlate", spy)
+
+
+# both signs, zeros (so -0.0 too) and magnitudes whose products overflow or underflow
+_SIGNED = st.tuples(
+    st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(1e-301, 1e-299),
+              st.floats(1e299, 1e301)),
+    st.booleans(),
+).map(lambda m: -m[0] if m[1] else m[0])
+
+
+@st.composite
+def conv_operands(draw):
+    """A dense operand: normal draws at one scale, some zeros, some drawn values."""
+    n = draw(st.integers(17, 4001))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = rng.standard_normal(n) * draw(st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]))
+    g[rng.random(n) < draw(st.sampled_from([0.0, 0.1, 0.5]))] = 0.0
+    for i, value in draw(st.lists(st.tuples(st.integers(0, n - 1), _SIGNED), max_size=24)):
+        g[i] = value
+    return g
 
 
 class TestGridSpec:
@@ -83,6 +118,35 @@ class TestDiscreteRhs:
             sample_initial(bivariate_problem, SPEC)
 
 
+class TestConvolution:
+    @given(conv_operands())
+    def test_bit_identical_to_np_convolve(self, g):
+        # np.convolve(g, g) reads g in place, so place it at every 8-byte offset mod 64
+        n = len(g)
+        xs = np.linspace(0.0, 1.0, n)
+        buf = np.empty(n + 16)
+        base = (-buf.ctypes.data % 64) // 8
+        for offset in range(8):
+            placed = buf[base + offset : base + offset + n]
+            placed[...] = g
+            calls = []
+            with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+                _spy_on_correlate(mp, calls)
+                _coag_rhs(CoagKernel.CONSTANT, placed, xs, 1.0)
+                (_, _, conv), = calls
+                expected = np.convolve(placed, placed)
+            assert conv[:n].tobytes() == expected[:n].tobytes()
+
+    @pytest.mark.parametrize("kernel", [CoagKernel.CONSTANT, CoagKernel.SUM, CoagKernel.PRODUCT])
+    def test_operands_are_64_byte_aligned(self, kernel, monkeypatch):
+        calls = []
+        _spy_on_correlate(monkeypatch, calls)
+        integrate(Model(exponential_ic(1), kernel), GridSpec(50.0, 200, 1e-2, 2e-2))
+        assert len(calls) == 8  # four RK4 stages on each of two steps
+        for a, v, _ in calls:
+            assert a.ctypes.data % 64 == 0 and v.ctypes.data % 64 == 0
+
+
 class TestIntegrate:
     def test_zero_horizon_returns_sample(self):
         problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
@@ -90,7 +154,9 @@ class TestIntegrate:
         gf = integrate(problem, spec)
         assert np.array_equal(gf.values, sample_initial(problem, spec).values)
 
-    @pytest.mark.parametrize("problem", all_problems()[2:4])
+    @pytest.mark.parametrize(
+        "problem", all_problems() + [Model(exponential_ic(1), frag=FragSpec(2, 1, 1, 1))]
+    )
     def test_step_is_rk4_over_discrete_rhs(self, problem):
         # integrate steps the same right-hand side that discrete_rhs exposes
         spec = GridSpec(50.0, 200, 1e-2, 1e-2)
