@@ -25,7 +25,6 @@ from .problems import (
     coag_bilinear,
     exponential_ic,
     frag_rhs,
-    mono_exponential_ic,
     rhs,
 )
 from .series import (
@@ -59,7 +58,6 @@ __all__ = [
     "iterate",
     "iterate_accelerated",
     "iterate_classical",
-    "mono_exponential_ic",
     "rhs",
 ]
 

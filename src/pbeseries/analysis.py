@@ -1,8 +1,7 @@
 """Error norms, series moments, convergence-bound calculators and tables.
 
 The error tables and bounds are computed here and returned as data
-(``ErrorTable``, ``ConvergenceBound``, floats); ``cli`` formats and
-writes them.
+(``ErrorTable``, floats); ``cli`` formats and writes them.
 
 The density error norm is the L1 distance on [0, XMAX] computed with a
 composite Simpson rule (XMAX = 50, STEP = 1e-2).  Truncating
@@ -281,19 +280,6 @@ def sup_abs_moment00(f: PolyExp2D, t0: float) -> float:
     return abs(tpoly_eval(f.moment(0, 0), _sup_time(f, t0)))
 
 
-@dataclass(frozen=True)
-class ConvergenceBound:
-    """Geometric error bound (contraction)^m / (1 - contraction) * ||v1||."""
-
-    lipschitz: float
-    contraction: float
-    bound: float
-
-    @property
-    def contractive(self) -> bool:
-        return self.contraction < 1.0
-
-
 def coag_contraction(u0_norm: float, T: float, t0: float) -> tuple[float, float]:
     """L = ||u0|| (T+1) and the contraction t0^2 e^{2 t0 L} (||u0|| + 2 t0 L^2 + 2 t0 L)."""
     if min(u0_norm, T, t0) <= 0:
@@ -317,13 +303,11 @@ def frag_contraction(k: int, lam: float, t0: float) -> float:
 COAG2D_FACTORS = {"statement": 2.0, "derived": 1.0}
 
 
-def geometric_bound(lipschitz: float, contraction: float, m: int,
-                    v1_norm: float) -> ConvergenceBound:
-    """Theorem 4's bound on a ``coag_contraction`` or ``frag_contraction``; inf past 1."""
+def geometric_bound(contraction: float, m: int, v1_norm: float) -> float:
+    """Theorem 4's contraction^m / (1 - contraction) ||v_1||; inf for a contraction >= 1."""
     if m < 0 or v1_norm < 0:
         raise InvalidSpecError("bound inputs out of range")
-    bound = math.inf if contraction >= 1.0 else contraction**m / (1.0 - contraction) * v1_norm
-    return ConvergenceBound(lipschitz, contraction, bound)
+    return math.inf if contraction >= 1.0 else contraction**m / (1.0 - contraction) * v1_norm
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,8 @@ tables included, is written by ``format_rows``.  It does not import
 numpy; reference-check takes its deviation with the arrays' own operators.
 
 Exit status: 0 success, 2 configuration error, 3 engine error
-(mixed rates, out-of-class breakage, degree/term/float overflow, instability),
+(mixed rates, out-of-class breakage, degree/term/float overflow, grid budget,
+instability),
 4 I/O error, and an --out path whose directory is missing exits 4 before
 any work.  Errors print one diagnostic line on stderr.  Output is
 byte-deterministic for a fixed configuration: data values are printed
@@ -462,10 +463,10 @@ def cmd_bounds(s: _Settings) -> str:
     v1_norm = norm(iterate(problem, Method.ACCELERATED, 1).components[1], t0)
     rows.insert(-1, ("v1_norm", v1_norm))  # ahead of lambda or L
     for label, factor in (analysis.COAG2D_FACTORS if problem.dim == 2 else {"": 1.0}).items():
-        b = analysis.geometric_bound(lipschitz, factor * contraction, m, v1_norm)
+        theta = factor * contraction
         label = label and f"_{label}"
-        rows += [(f"contraction{label}", b.contraction),
-                 (f"contractive{label}", str(b.contractive).lower()), (f"bound{label}", b.bound)]
+        rows += [(f"contraction{label}", theta), (f"contractive{label}", str(theta < 1).lower()),
+                 (f"bound{label}", analysis.geometric_bound(theta, m, v1_norm))]
     return format_rows(["quantity", "value"], rows, s.format, [f"t0 = {t0:g}", f"m = {m}"])
 
 
@@ -479,19 +480,20 @@ def cmd_reference_check(s: _Settings) -> str:
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    spec.steps()  # the grid budget trips before the engine runs
     series = iterate(problem, s.get("method"), s.get("terms"))
     psi = series.truncated(series.n)
     grid = refsolver.integrate(problem, spec)
     xs = spec.nodes()
     approx = psi.eval_grid(xs, spec.t_end)
-    dev = abs(approx - grid.values)
+    dev = abs(approx - grid)
     header = [
         f"terms = {series.n}", f"t_end = {spec.t_end:g}",
         f"cells = {spec.n_cells}", f"dt = {spec.dt:g}",
         f"max_deviation = {float(dev.max()):.17g}",
     ]
     rows = [(float(x), float(a), float(g), float(d))
-            for x, a, g, d in zip(xs, approx, grid.values, dev)]
+            for x, a, g, d in zip(xs, approx, grid, dev)]
     return format_rows(["x", "series", "grid", "deviation"], rows, s.format, header)
 
 
@@ -588,7 +590,8 @@ def main(argv=None) -> int:
     except (ConfigError, refsolver.Unsupported2DError, analysis.InvalidSpecError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (PolyExpError, refsolver.InstabilityError, exact.NonConvergenceError) as exc:
+    except (PolyExpError, refsolver.GridBudgetError, refsolver.InstabilityError,
+            exact.NonConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OverflowError as exc:  # float ** gives an (errno, text) pair, the rest a text

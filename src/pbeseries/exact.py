@@ -356,7 +356,7 @@ ExactSolution1D = Union[
 ExactSolution = Union[ExactSolution1D, BivariateConstantSolution]
 
 
-def _numeric_moment(sol, j: int, xmax: float = 60.0) -> Callable[[float], float]:
+def _numeric_moment(sol, j: int, xmax: float) -> Callable[[float], float]:
     def mom(t: float) -> float:
         from scipy import integrate
 

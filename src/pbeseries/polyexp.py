@@ -7,9 +7,10 @@ The whole symbolic layer works inside one function class:
 
 where every P is a sparse polynomial with exact rational coefficients and
 nonnegative integer exponents.  This class is closed under addition,
-multiplication, the size convolution on [0, x], the tail integral on
-[x, inf), full-line moments, and time integration from 0 -- which is all
-the iteration engines ever apply.
+scaling, multiplication by x^k or by a polynomial in t, the size
+convolution on [0, x], the tail integral on [x, inf), full-line moments,
+and time integration from 0 -- which is all the iteration engines ever
+apply.
 
 Representation: a PolyExp stores ``{rate: (den, {exponent_tuple: int})}``,
 with exponents ``(xpow, tpow)`` and rate ``((p, q),)`` in 1-D,
@@ -173,12 +174,6 @@ def _merge(out: dict, rate, group: tuple) -> None:
         out[rate] = _reduced(den, nums)
     else:
         del out[rate]
-
-
-def _rate_sum(a: tuple, b: tuple) -> tuple:
-    """The stored rate of a product: the pairs add axis by axis, reduced."""
-    sums = [(pa * qb + pb * qa, qa * qb) for (pa, qa), (pb, qb) in zip(a, b)]
-    return tuple((p // math.gcd(p, q), q // math.gcd(p, q)) for p, q in sums)
 
 
 # Products with more term pairs than this may multiply packed columns
@@ -431,9 +426,6 @@ class _PolyExpBase:
         """Highest t exponent, or -1 for the zero function."""
         return max((e[-1] for _, nums in self._terms.values() for e in nums), default=-1)
 
-    def x_degree(self) -> int:
-        return max((e[0] for _, nums in self._terms.values() for e in nums), default=-1)
-
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
             return NotImplemented
@@ -470,21 +462,6 @@ class _PolyExpBase:
             return self._wrap({})
         return self._wrap({r: _reduced(d * q, {e: n * p for e, n in nums.items()})
                            for r, (d, nums) in self._terms.items()})
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
-        if type(other) is not type(self):
-            return NotImplemented
-        out: dict = {}
-        for ra, ga in self._terms.items():
-            for rb, gb in other._terms.items():
-                group = _group_product(ga, gb)
-                if group:
-                    _merge(out, _rate_sum(ra, rb), group)
-        return self._wrap(out)
-
-    __rmul__ = __mul__
 
     def mul_tpoly(self, tp: TPoly):
         """Multiply by a polynomial in t (rates are unchanged)."""

@@ -66,11 +66,6 @@ class FragSpec:
         if self.k < 0:
             raise ValueError("selection exponent k must be a nonnegative integer")
 
-    @property
-    def mass_conserving(self) -> bool:
-        """True when int_0^y x B(x, y) dx = y exactly, i.e. c = r + 1."""
-        return self.c == self.r + 1
-
 
 @dataclass(frozen=True)
 class Model:
@@ -155,10 +150,3 @@ def rhs(model: Model, u):
 def exponential_ic(rate: RationalLike = 1) -> PolyExp1D:
     """e^{-a x}, the workhorse initial condition."""
     return PolyExp1D.monomial(1, rate=rate)
-
-
-def mono_exponential_ic(
-    coeff: RationalLike, xpow: int, rate: RationalLike
-) -> PolyExp1D:
-    """c x^p e^{-a x}."""
-    return PolyExp1D.monomial(coeff, xpow=xpow, rate=rate)

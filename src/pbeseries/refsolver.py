@@ -7,6 +7,11 @@ time with classical fourth-order Runge-Kutta; the product kernel x y runs as
 the constant kernel on x u.  The self-convolution is ``np.correlate`` on
 64-byte-aligned copies, bit-identical to ``np.convolve``.  No symbolic integral
 code is reused: agreement with the series engine is evidence, not a tautology.
+
+Grid functions are bare arrays of node values: ``sample_initial`` gives u0 at
+``GridSpec.nodes()``, ``discrete_rhs`` the right-hand side RK4 steps, and
+``integrate`` the values at t_end.  ``GridSpec.steps`` refuses a run whose
+steps x (cells + 1)^2 passes ``MAX_CELL_STEPS`` before any work.
 """
 
 from __future__ import annotations
@@ -19,9 +24,18 @@ from .problems import CoagKernel, Model
 
 VALUE_BLOWUP_LIMIT = 1e6
 
+# Cap on RK4 steps x (cells + 1)^2, the convolution work of a run (a run of 0
+# steps counts as 1): 25 times the largest benchmark job, 4,000 cells for 250
+# steps (4001^2 * 250 = 4.0e9).
+MAX_CELL_STEPS = 1e11
+
 
 class Unsupported2DError(ValueError):
     """The grid oracle covers the 1-D models only."""
+
+
+class GridBudgetError(RuntimeError):
+    """The run would pass ``MAX_CELL_STEPS``."""
 
 
 class InstabilityError(RuntimeError):
@@ -59,31 +73,14 @@ class GridSpec:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.xmax, self.n_cells + 1)
 
-
-@dataclass
-class GridFunction:
-    spec: GridSpec
-    values: np.ndarray
-    time: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.spec.n_cells + 1,):
-            raise ValueError("values must live on the node grid")
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("grid values must be finite")
-        if not 0.0 <= self.time <= self.spec.t_end:
-            raise ValueError("time stamp outside [0, t_end]")
-
-    def moment(self, j: int) -> float:
-        """Trapezoid moment int x^j u dx over the grid."""
-        xs = self.spec.nodes()
-        return float(np.trapezoid(xs**j * self.values, dx=self.spec.h))
-
-
-def _require_1d(problem: Model) -> None:
-    if problem.dim == 2:
-        raise Unsupported2DError("the reference solver does not handle 2-D problems")
+    def steps(self) -> int:
+        """The RK4 steps to t_end; GridBudgetError past ``MAX_CELL_STEPS``, before any work."""
+        steps = max(1, int(round(self.t_end / self.dt))) if self.t_end else 0
+        if max(steps, 1) * (self.n_cells + 1) ** 2 > MAX_CELL_STEPS:
+            raise GridBudgetError(
+                f"{steps:.3g} RK4 steps on {self.n_cells + 1} nodes exceed the grid budget of "
+                f"{MAX_CELL_STEPS:g} steps x nodes^2; raise dt or lower t_end or the cell count")
+        return steps
 
 
 def _aligned(v: np.ndarray) -> np.ndarray:
@@ -121,8 +118,8 @@ def _frag_rhs(frag, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
     return birth - death
 
 
-def _rhs_values(problem: Model, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
-    """Right-hand side on bare node values: the one path RK4 and discrete_rhs share."""
+def discrete_rhs(problem: Model, u: np.ndarray, xs: np.ndarray, h: float) -> np.ndarray:
+    """Trapezoid discretisation of the model right-hand side at the node values u."""
     out = np.zeros_like(u)
     if problem.kernel is not None:
         out += _coag_rhs(problem.kernel, u, xs, h)
@@ -131,42 +128,34 @@ def _rhs_values(problem: Model, u: np.ndarray, xs: np.ndarray, h: float) -> np.n
     return out
 
 
-def discrete_rhs(problem: Model, u: GridFunction) -> GridFunction:
-    """Trapezoid discretisation of the model right-hand side."""
-    _require_1d(problem)
-    return GridFunction(u.spec, _rhs_values(problem, u.values, u.spec.nodes(), u.spec.h), u.time)
-
-
-def sample_initial(problem: Model, spec: GridSpec) -> GridFunction:
-    _require_1d(problem)
-    xs = spec.nodes()
-    vals = problem.u0.eval_grid(xs, 0.0)
+def sample_initial(problem: Model, spec: GridSpec) -> np.ndarray:
+    """u0 at the nodes of spec."""
+    if problem.dim == 2:
+        raise Unsupported2DError("the reference solver does not handle 2-D problems")
+    vals = problem.u0.eval_grid(spec.nodes(), 0.0)
     if not np.all(np.isfinite(vals)):
         raise OverflowError("u0 sampled on the grid is not finite")
-    return GridFunction(spec, vals, 0.0)
+    return vals
 
 
 @np.errstate(over="ignore", invalid="ignore")  # a blow-up is InstabilityError's to report
-def integrate(problem: Model, spec: GridSpec) -> GridFunction:
-    """March the sampled initial state to t_end with classical RK4."""
-    _require_1d(problem)
-    state = sample_initial(problem, spec)
-    if spec.t_end == 0:
-        return state
-    steps = max(1, int(round(spec.t_end / spec.dt)))
+def integrate(problem: Model, spec: GridSpec) -> np.ndarray:
+    """The node values at t_end, from the sampled u0 by classical RK4 over ``discrete_rhs``."""
+    steps = spec.steps()
+    u = sample_initial(problem, spec)
+    if not steps:
+        return u
     dt = spec.t_end / steps
     xs = spec.nodes()
     h = spec.h
-
-    u = state.values
     t = 0.0
     for _ in range(steps):
-        k1 = _rhs_values(problem, u, xs, h)
-        k2 = _rhs_values(problem, u + 0.5 * dt * k1, xs, h)
-        k3 = _rhs_values(problem, u + 0.5 * dt * k2, xs, h)
-        k4 = _rhs_values(problem, u + dt * k3, xs, h)
+        k1 = discrete_rhs(problem, u, xs, h)
+        k2 = discrete_rhs(problem, u + 0.5 * dt * k1, xs, h)
+        k3 = discrete_rhs(problem, u + 0.5 * dt * k2, xs, h)
+        k4 = discrete_rhs(problem, u + dt * k3, xs, h)
         u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         t += dt
         if not np.all(np.isfinite(u)) or np.max(np.abs(u)) > VALUE_BLOWUP_LIMIT:
             raise InstabilityError(t)
-    return GridFunction(spec, u, spec.t_end)
+    return u

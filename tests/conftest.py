@@ -9,14 +9,9 @@ import pytest
 import sympy as sp
 from hypothesis import settings
 
+import pbeseries.polyexp as pe
 from pbeseries.polyexp import PolyExp1D, PolyExp2D
-from pbeseries.problems import (
-    CoagKernel,
-    FragSpec,
-    Model,
-    exponential_ic,
-    mono_exponential_ic,
-)
+from pbeseries.problems import CoagKernel, FragSpec, Model, exponential_ic
 
 X, Y, T = sp.symbols("x y t")
 
@@ -79,6 +74,23 @@ def random_polyexp(
     return f if not f.is_zero() else PolyExp1D.monomial(1, rate=rate_pool[0])
 
 
+def product(f, g):
+    """The pointwise product f g: ``_group_product`` without a convolved axis, rates added.
+
+    No operator forms it (``mul_tpoly`` is its case of a t-only factor), so
+    the tests check the kernel's plain product through it.
+    """
+    out: dict = {}
+    for ra, ga in f._terms.items():
+        for rb, gb in g._terms.items():
+            group = pe._group_product(ga, gb)
+            if group:
+                rate = tuple((Fraction(*a) + Fraction(*b)).as_integer_ratio()
+                             for a, b in zip(ra, rb))
+                pe._merge(out, rate, group)
+    return f._wrap(out)
+
+
 # -- the six benchmark problems --------------------------------------------
 
 
@@ -107,7 +119,7 @@ def binary_breakage_problem():
 def coupled_halfx_problem():
     """Constant coagulation plus binary breakage, S = x/2, u0 = 4x e^{-2x}."""
     return Model(
-        mono_exponential_ic(4, 1, 2),
+        PolyExp1D.monomial(4, xpow=1, rate=2),
         CoagKernel.CONSTANT,
         FragSpec(Fraction(2), 1, Fraction(1, 2), 1),
     )
@@ -117,7 +129,7 @@ def coupled_halfx_problem():
 def coupled_twox_problem():
     """Constant coagulation plus binary breakage, S = 2x, u0 = 32x e^{-4x}."""
     return Model(
-        mono_exponential_ic(32, 1, 4),
+        PolyExp1D.monomial(32, xpow=1, rate=4),
         CoagKernel.CONSTANT,
         FragSpec(Fraction(2), 1, Fraction(2), 1),
     )

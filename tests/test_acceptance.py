@@ -241,7 +241,7 @@ def test_criterion_8_grid_oracle(constant_kernel_problem, coupled_halfx_problem)
             for grid_name, grid in (("fine", fine), ("coarse", coarse)):
                 spec = GridSpec(xmax=50.0, t_end=0.25, **grid)
                 gf = integrate(problem, spec)
-                dev = np.abs(psi.eval_grid(spec.nodes(), 0.25) - gf.values)
+                dev = np.abs(psi.eval_grid(spec.nodes(), 0.25) - gf)
                 deviations[(name, grid_name)] = float(np.max(dev))
             assert deviations[(name, "fine")] <= 5e-4, name
         # halving h and dt at least halves the deviation from the exact
@@ -252,7 +252,7 @@ def test_criterion_8_grid_oracle(constant_kernel_problem, coupled_halfx_problem)
             spec = GridSpec(xmax=50.0, t_end=0.25, **grid)
             gf = integrate(constant_kernel_problem, spec)
             exact = np.array([sol.evaluate(float(x), 0.25) for x in spec.nodes()])
-            exact_dev[grid_name] = float(np.max(np.abs(gf.values - exact)))
+            exact_dev[grid_name] = float(np.max(np.abs(gf - exact)))
         assert exact_dev["coarse"] / exact_dev["fine"] >= 2.0
 
 
@@ -268,10 +268,11 @@ def test_criterion_9_error_bound(constant_kernel_problem):
         u0_norm = sup_l1_norm(constant_kernel_problem.u0, t0)
         v1_norm = sup_l1_norm(series.components[1], t0)
         for m in (1, 2, 3):
-            b = geometric_bound(*coag_contraction(u0_norm, horizon, t0), m, v1_norm)
-            assert b.contractive
+            _, contraction = coag_contraction(u0_norm, horizon, t0)
+            assert contraction < 1
+            bound = geometric_bound(contraction, m, v1_norm)
             measured = max(
                 l1_error(series.truncated(m), sol, float(s))
                 for s in np.linspace(0.0, t0, 21)
             )
-            assert measured <= b.bound, f"m={m}: {measured} > {b.bound}"
+            assert measured <= bound, f"m={m}: {measured} > {bound}"

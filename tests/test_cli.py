@@ -373,6 +373,15 @@ class TestReferenceCheck:
         assert (code, out) == (3, "")
         assert err == "error: a value overflows the float range: math range error\n"
 
+    @pytest.mark.parametrize("timing", [["--t-end", "1e-300", "--dt", "1e-320", "--cells", "16"],
+                                        ["--t-end", "100", "--cells", "4000"]])
+    def test_over_the_grid_budget_exits_3_before_the_engine(self, capsys, monkeypatch, timing):
+        monkeypatch.setattr(cli, "iterate", None)  # a call would raise TypeError
+        code, out, err = run(capsys, "reference-check", *COAG, "--terms", "1", *timing)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "exceed the grid budget of 1e+11 steps x nodes^2" in err
+
     def test_2d_rejected(self, capsys):
         code, _, err = run(
             capsys, "reference-check", "--model", "coag2d",
@@ -391,11 +400,10 @@ class TestDumpSymbolic:
         assert code == 0
         obj = json.loads(out)
         from pbeseries.series import iterate_accelerated
-        from pbeseries.problems import CoagKernel, FragSpec, Model, mono_exponential_ic
+        from pbeseries.problems import CoagKernel, FragSpec, Model
 
-        problem = Model(
-            mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1)
-        )
+        problem = Model(PolyExp1D.monomial(4, xpow=1, rate=2), CoagKernel.CONSTANT,
+                        FragSpec(F(2), 1, F(1, 2), 1))
         series = iterate_accelerated(problem, 2)
         rebuilt = [from_obj(c) for c in obj["components"]]
         assert tuple(rebuilt) == series.components

@@ -6,7 +6,9 @@ rates and degenerate ranges.  It runs in process through ``cli.main`` and
 must exit 0, 2, 3 or 4, print at most one ``error:`` line on stderr, and
 on success write CSV or JSON that parses.  The work per example stays
 small: at most 4 terms, 343 sampled points, 400 grid cells and 50 RK4
-steps.  ``--out`` and ``--config`` name files and are not drawn.
+steps, apart from reference-check runs drawn past the grid budget
+(1e20 steps, or 4,000 cells for 10^4 steps and more), which must not
+succeed: they exit 3 before any work, or 2 on a bad setting drawn with them.  ``--out`` and ``--config`` name files and are not drawn.
 
 Run it with ten times the examples:
     pytest tests/test_cli_fuzz.py --hypothesis-profile=ci-deep
@@ -80,7 +82,7 @@ VALUES = {
     "T": NUMBER,
     "m": SMALL_INT | st.just("1000000"),
     "lam": NUMBER,
-    # t_end / dt is at most 50 RK4 steps, or overflows
+    # t_end / dt is at most 50 RK4 steps, or overflows; OVER_BUDGET adds runs past the grid budget
     "t_end": _mostly(["0", "0.01", "0.05"]),
     "dt": _mostly(["0.01", "0.001"], ["1e308", "1e-320", "0", "-1", "nan", "inf"]),
     "cells": _mostly(["16", "100", "400"], ["15", "0", "-1", "x"]),
@@ -88,6 +90,15 @@ VALUES = {
     "format": _mostly(cli._KEYS["format"][2], ["xml"]),
 }
 assert set(VALUES) == set(cli._KEYS) - {"model", "out", "config"}
+
+# reference-check timings past refsolver.MAX_CELL_STEPS whatever else is drawn,
+# given together so that every accepted run keeps to 50 steps and 400 cells
+OVER_BUDGET = st.sampled_from([
+    {"t_end": "1e-300", "dt": "1e-320"},
+    {"t_end": "1e-300", "dt": "1e-320", "cells": "4000"},
+    {"t_end": "100", "dt": "0.001", "cells": "4000"},
+    {"t_end": "100", "dt": "0.01", "cells": "4000"},
+])
 
 
 # the settings given one time in eight: those the model does not use, which
@@ -108,6 +119,10 @@ def _draw_argv(data, command: str, model: str) -> list[str]:
             drawn = data.draw(st.integers(0, 7), label=f"{key}?")
             if (drawn < 7) == (key not in RARE.get(model, set()) | {"compare"}):
                 argv.append(f"--{key.replace('_', '-')}={data.draw(values[key], label=key)}")
+    if command == "reference-check" and data.draw(st.integers(0, 7), label="over budget?") == 0:
+        over = data.draw(OVER_BUDGET, label="over budget")
+        argv = [a for a in argv if a.partition("=")[0][2:].replace("-", "_") not in over]
+        argv += [f"--{key.replace('_', '-')}={value}" for key, value in over.items()]
     return argv
 
 
@@ -136,6 +151,8 @@ def test_every_input_exits_with_a_status_and_one_line(command, model, data):
     out, err = out.getvalue(), err.getvalue()
     assert not caught, (argv, [str(w.message) for w in caught])
     assert code in (0, 2, 3, 4), (argv, code, err)
+    if "--t-end=1e-300" in argv or "--cells=4000" in argv:  # an OVER_BUDGET draw
+        assert code in (2, 3), (argv, code, err)
     assert err == "" or (err.startswith("error: ") and err.count("\n") == 1
                          and err.endswith("\n")), (argv, err)
     if code == 0:

@@ -20,13 +20,8 @@ from pbeseries.exact import (
     bessel_i1,
     matching_exact_solution,
 )
-from pbeseries.problems import (
-    CoagKernel,
-    FragSpec,
-    Model,
-    exponential_ic,
-    mono_exponential_ic,
-)
+from pbeseries.polyexp import PolyExp1D
+from pbeseries.problems import CoagKernel, FragSpec, Model, exponential_ic
 from pbeseries.series import iterate_accelerated
 
 
@@ -306,7 +301,7 @@ class TestMatching:
         assert matching_exact_solution(Model(exponential_ic(2), CoagKernel.CONSTANT)) is None
         assert (
             matching_exact_solution(
-                Model(mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT,
+                Model(PolyExp1D.monomial(4, xpow=1, rate=2), CoagKernel.CONSTANT,
                       FragSpec(F(2), 1, F(1, 2), 1))
             )
             is None

@@ -22,11 +22,15 @@ from pbeseries.polyexp import (
     from_obj,
 )
 
-from conftest import random_polyexp
+from conftest import product, random_polyexp
 
 
 def mono(c, xpow=0, tpow=0, rate=0):
     return PolyExp1D.monomial(c, xpow=xpow, tpow=tpow, rate=rate)
+
+
+def x_degree(f):
+    return max(e[0] for _, e, _ in f.terms())
 
 
 @st.composite
@@ -66,7 +70,7 @@ class TestLinearOps:
 
     def test_mul_adds_rates(self):
         f = mono(1, rate=1)
-        assert f * f == mono(1, rate=2)
+        assert product(f, f) == mono(1, rate=2)
 
     def test_random_cancellation(self):
         rng = random.Random(7)
@@ -77,8 +81,8 @@ class TestLinearOps:
 
     def test_mul_by_scalar_matches_scale(self):
         f = mono(3, xpow=2, tpow=1, rate=2)
-        assert 2 * f == f.scale(2)
-        assert f * F(1, 3) == f.scale(F(1, 3))
+        assert product(mono(2), f) == f.scale(2)
+        assert product(f, mono(F(1, 3))) == f.scale(F(1, 3))
 
     def test_construction_merges_duplicates(self):
         f = PolyExp1D({1: {(0, 0): F(1, 2)}}) + PolyExp1D({1: {(0, 0): F(1, 2)}})
@@ -120,7 +124,7 @@ class TestConvolve:
             f = random_polyexp(rng, single_rate=True)
             g = random_polyexp(rng, single_rate=True, rates=(f.rates()[0],))
             assert f.convolve(g) == g.convolve(f)
-            assert f.convolve(g).x_degree() == f.x_degree() + g.x_degree() + 1
+            assert x_degree(f.convolve(g)) == x_degree(f) + x_degree(g) + 1
 
     def test_bilinear(self):
         rng = random.Random(13)
@@ -318,7 +322,7 @@ class TestGuards:
     def test_exponent_cap_via_multiplication(self):
         f = mono(1, xpow=400, rate=1)
         with pytest.raises(DegreeOverflowError):
-            f * f
+            product(f, f)
 
     def test_negative_rate_rejected(self):
         with pytest.raises(OutOfClassError):

@@ -14,7 +14,6 @@ from pbeseries.problems import (
     coag_bilinear,
     exponential_ic,
     frag_rhs,
-    mono_exponential_ic,
     rhs,
 )
 
@@ -105,7 +104,7 @@ class TestFragRhs:
     def test_mass_conservation_when_balanced(self):
         rng = random.Random(59)
         for spec in (self.BINARY_HALF, FragSpec(F(3), 2, F(1), 2)):
-            assert spec.mass_conserving
+            assert spec.c == spec.r + 1  # int_0^y x B(x, y) dx = y
             for _ in range(10):
                 u = random_polyexp(rng)
                 assert frag_rhs(spec, u).moment(1) == {}
@@ -139,15 +138,14 @@ class TestCoag2D:
 class TestRhsDispatch:
     def test_coupled_is_sum_of_parts(self):
         spec = FragSpec(F(2), 1, F(1, 2), 1)
-        u0 = mono_exponential_ic(4, 1, 2)
+        u0 = PolyExp1D.monomial(4, xpow=1, rate=2)
         problem = Model(u0, CoagKernel.CONSTANT, spec)
         u = u0 + mono(F(1, 3), xpow=2, tpow=1, rate=2)
         assert rhs(problem, u) == coag_bilinear(CoagKernel.CONSTANT, u, u) + frag_rhs(spec, u)
 
     def test_coupled_example_value(self):
-        problem = Model(
-            mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1)
-        )
+        problem = Model(PolyExp1D.monomial(4, xpow=1, rate=2), CoagKernel.CONSTANT,
+                        FragSpec(F(2), 1, F(1, 2), 1))
         expected = (
             mono(F(4, 3), xpow=3, rate=2)
             + mono(-2, xpow=2, rate=2)
@@ -175,10 +173,6 @@ class TestValidation:
             FragSpec(F(2), 1, F(0), 1)
         with pytest.raises(ValueError):
             FragSpec(F(2), 1, F(1), -1)
-
-    def test_mass_conserving_flag(self):
-        assert FragSpec(F(2), 1, F(1), 1).mass_conserving
-        assert not FragSpec(F(1), 1, F(1), 1).mass_conserving
 
     def test_u0_needs_positive_rates(self):
         with pytest.raises(ValueError):

@@ -9,15 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pbeseries.exact import ConstantKernelSolution
-from pbeseries.problems import (
-    CoagKernel,
-    FragSpec,
-    Model,
-    exponential_ic,
-    mono_exponential_ic,
-)
+from pbeseries.polyexp import PolyExp1D
+from pbeseries.problems import CoagKernel, FragSpec, Model, exponential_ic
+from pbeseries import refsolver
 from pbeseries.refsolver import (
-    GridFunction,
+    MAX_CELL_STEPS,
+    GridBudgetError,
     GridSpec,
     InstabilityError,
     Unsupported2DError,
@@ -37,8 +34,10 @@ def all_problems():
         Model(exponential_ic(1), CoagKernel.CONSTANT),
         Model(exponential_ic(1), CoagKernel.SUM),
         Model(exponential_ic(1), CoagKernel.PRODUCT),
-        Model(mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1)),
-        Model(mono_exponential_ic(32, 1, 4), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(2), 1)),
+        Model(PolyExp1D.monomial(4, xpow=1, rate=2), CoagKernel.CONSTANT,
+              FragSpec(F(2), 1, F(1, 2), 1)),
+        Model(PolyExp1D.monomial(32, xpow=1, rate=4), CoagKernel.CONSTANT,
+              FragSpec(F(2), 1, F(2), 1)),
     ]
 
 
@@ -85,6 +84,17 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(50.0, 100, 1e-3, -1.0)
 
+    def test_budget_counts_steps_times_nodes_squared(self):
+        assert SPEC.steps() == 500
+        # the benchmark's largest run: 4001^2 * 250 = 4.0e9, about a 25th of the cap
+        assert 24 * GridSpec(50.0, 4000, 1e-3, 0.25).steps() * 4001**2 < MAX_CELL_STEPS
+        # 10^5 nodes: 10 steps are the cap itself, 11 pass it
+        assert GridSpec(50.0, 99_999, 0.1, 1.0).steps() == 10
+        for spec in (GridSpec(50.0, 99_999, 0.1, 1.1), GridSpec(50.0, 16, 1e-320, 1e-300),
+                     GridSpec(50.0, 4000, 1e-3, 100.0), GridSpec(50.0, 10**6, 1e-3, 0.0)):
+            with pytest.raises(GridBudgetError, match="exceed the grid budget"):
+                spec.steps()
+
     def test_nodes(self):
         spec = GridSpec(10.0, 20, 0.1, 1.0)
         xs = spec.nodes()
@@ -92,26 +102,32 @@ class TestGridSpec:
         assert abs(spec.h - 0.5) <= 1e-15
 
 
+def rhs_at(problem, u, spec=SPEC):
+    return discrete_rhs(problem, u, spec.nodes(), spec.h)
+
+
+def trapezoid_moment(u, j, spec=SPEC):
+    """int x^j u dx over the node values u by the trapezoid rule."""
+    return float(np.trapezoid(spec.nodes() ** j * u, dx=spec.h))
+
+
 class TestDiscreteRhs:
     def test_symbolic_consistency_at_unit_size(self):
         # trapezoid loss carries an h^2/12 floor (~1.9e-5 at h = 0.025),
         # so agreement with the exact operator sits just above it
         problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
-        r = discrete_rhs(problem, sample_initial(problem, SPEC))
+        r = rhs_at(problem, sample_initial(problem, SPEC))
         i = round(1.0 / SPEC.h)
         target = math.exp(-1.0) * (0.5 - 1.0)
-        assert abs(r.values[i] - target) <= 5e-5
+        assert abs(r[i] - target) <= 5e-5
 
     def test_zero_state(self):
         problem = Model(exponential_ic(1), CoagKernel.SUM)
-        zero = GridFunction(SPEC, np.zeros(SPEC.n_cells + 1), 0.0)
-        assert np.all(discrete_rhs(problem, zero).values == 0.0)
+        assert np.all(rhs_at(problem, np.zeros(SPEC.n_cells + 1)) == 0.0)
 
     @pytest.mark.parametrize("problem", all_problems())
     def test_discrete_mass_balance(self, problem):
-        r = discrete_rhs(problem, sample_initial(problem, SPEC))
-        xs = SPEC.nodes()
-        assert abs(np.trapezoid(xs * r.values, dx=SPEC.h)) <= 1e-6
+        assert abs(trapezoid_moment(rhs_at(problem, sample_initial(problem, SPEC)), 1)) <= 1e-6
 
     def test_rejects_2d(self, bivariate_problem):
         with pytest.raises(Unsupported2DError):
@@ -152,7 +168,7 @@ class TestIntegrate:
         problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
         spec = GridSpec(50.0, 500, 1e-2, 0.0)
         gf = integrate(problem, spec)
-        assert np.array_equal(gf.values, sample_initial(problem, spec).values)
+        assert np.array_equal(gf, sample_initial(problem, spec))
 
     @pytest.mark.parametrize(
         "problem", all_problems() + [Model(exponential_ic(1), frag=FragSpec(2, 1, 1, 1))]
@@ -161,30 +177,24 @@ class TestIntegrate:
         # integrate steps the same right-hand side that discrete_rhs exposes
         spec = GridSpec(50.0, 200, 1e-2, 1e-2)
         u = sample_initial(problem, spec)
-
-        def rhs(vals):
-            return discrete_rhs(problem, GridFunction(spec, vals, 0.0)).values
-
-        k1 = rhs(u.values)
-        k2 = rhs(u.values + 0.5 * spec.dt * k1)
-        k3 = rhs(u.values + 0.5 * spec.dt * k2)
-        k4 = rhs(u.values + spec.dt * k3)
-        by_hand = u.values + (spec.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        assert np.array_equal(integrate(problem, spec).values, by_hand)
+        k1 = rhs_at(problem, u, spec)
+        k2 = rhs_at(problem, u + 0.5 * spec.dt * k1, spec)
+        k3 = rhs_at(problem, u + 0.5 * spec.dt * k2, spec)
+        k4 = rhs_at(problem, u + spec.dt * k3, spec)
+        by_hand = u + (spec.dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        assert np.array_equal(integrate(problem, spec), by_hand)
 
     def test_against_exact_solution(self):
         problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
         gf = integrate(problem, SPEC)
         sol = ConstantKernelSolution()
         exact = np.array([sol.evaluate(float(x), 0.5) for x in SPEC.nodes()])
-        assert np.max(np.abs(gf.values - exact)) <= 1e-4
+        assert np.max(np.abs(gf - exact)) <= 1e-4
 
     def test_steady_count_coupled(self):
-        problem = Model(
-            mono_exponential_ic(4, 1, 2), CoagKernel.CONSTANT, FragSpec(F(2), 1, F(1, 2), 1)
-        )
-        gf = integrate(problem, SPEC)
-        assert abs(gf.moment(0) - 1.0) <= 1e-3
+        problem = Model(PolyExp1D.monomial(4, xpow=1, rate=2), CoagKernel.CONSTANT,
+                        FragSpec(F(2), 1, F(1, 2), 1))
+        assert abs(trapezoid_moment(integrate(problem, SPEC), 0) - 1.0) <= 1e-3
 
     @pytest.mark.parametrize("problem", all_problems())
     def test_mass_drift(self, problem):
@@ -192,9 +202,9 @@ class TestIntegrate:
         # so its box is widened to keep the truncation flux out of the test
         wide = problem.kernel is CoagKernel.PRODUCT
         spec = GridSpec(100.0 if wide else 50.0, 4000 if wide else 2000, 1e-3, 0.2)
-        g0 = sample_initial(problem, spec)
-        gf = integrate(problem, spec)
-        assert abs(gf.moment(1) - g0.moment(1)) / g0.moment(1) <= 1e-4
+        m0 = trapezoid_moment(sample_initial(problem, spec), 1, spec)
+        mf = trapezoid_moment(integrate(problem, spec), 1, spec)
+        assert abs(mf - m0) / m0 <= 1e-4
 
     def test_refinement_improves_accuracy(self):
         problem = Model(exponential_ic(1), CoagKernel.CONSTANT)
@@ -204,7 +214,7 @@ class TestIntegrate:
             spec = GridSpec(50.0, cells, dt, 0.25)
             gf = integrate(problem, spec)
             exact = np.array([sol.evaluate(float(x), 0.25) for x in spec.nodes()])
-            devs[cells] = np.max(np.abs(gf.values - exact))
+            devs[cells] = np.max(np.abs(gf - exact))
         assert devs[500] / devs[1000] >= 2.0
 
     def test_series_agreement(self):
@@ -212,11 +222,11 @@ class TestIntegrate:
         psi = iterate_accelerated(problem, 4).truncated(4)
         spec = GridSpec(50.0, 2000, 1e-3, 0.25)
         gf = integrate(problem, spec)
-        dev = np.abs(psi.eval_grid(spec.nodes(), 0.25) - gf.values)
+        dev = np.abs(psi.eval_grid(spec.nodes(), 0.25) - gf)
         assert np.max(dev) <= 5e-4
 
     def test_instability_guard(self):
-        problem = Model(mono_exponential_ic(100000, 0, 1), CoagKernel.SUM)
+        problem = Model(PolyExp1D.monomial(100000, xpow=0, rate=1), CoagKernel.SUM)
         with pytest.raises(InstabilityError):
             integrate(problem, GridSpec(50.0, 64, 0.5, 5.0))
 
@@ -224,18 +234,11 @@ class TestIntegrate:
         with pytest.raises(Unsupported2DError):
             integrate(bivariate_problem, SPEC)
 
+    def test_budget_trips_before_sampling(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled u0 past the budget")
 
-class TestGridFunction:
-    def test_shape_check(self):
-        spec = GridSpec(1.0, 16, 0.5, 1.0)
-        with pytest.raises(ValueError):
-            GridFunction(spec, np.zeros(5), 0.0)
-
-    def test_value_and_time_validation(self):
-        spec = GridSpec(1.0, 16, 0.5, 1.0)
-        bad = np.zeros(17)
-        bad[3] = math.nan
-        with pytest.raises(ValueError):
-            GridFunction(spec, bad, 0.0)
-        with pytest.raises(ValueError):
-            GridFunction(spec, np.zeros(17), 2.0)
+        monkeypatch.setattr(refsolver, "sample_initial", refuse)
+        with pytest.raises(GridBudgetError):
+            integrate(Model(exponential_ic(1), CoagKernel.CONSTANT),
+                      GridSpec(50.0, 16, 1e-320, 1e-300))
