@@ -17,8 +17,8 @@ from k, lambda and t0), then Theorem 4's one ``geometric_bound`` from that
 contraction and ||v_1||.  The sup-norm behind them takes what they pass,
 u0 and v_1 = t g(x): one positive rate and one power of t, so the sup over
 [0, t0] is the exact value at t0; anything else is refused.  The half
-line is split at the sign changes of the x-polynomial, which Sturm counts
-isolate and exact-sign bisection refines, and the exact tail
+line is split at the sign changes of the x-polynomial, which Descartes' rule
+on each bracket isolates and exact-sign bisection refines, and the exact tail
 antiderivative is differenced between them.  The 2-D bounds read |mu_00|
 at t0 (``sup_abs_moment00``), not the L1 norm of a sign-changing value.
 """
@@ -32,7 +32,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .polyexp import MixedRatesError, PolyExp1D, PolyExp2D, TPoly, ZeroRateError, tpoly_eval
+from .polyexp import (MixedRatesError, PolyExp1D, PolyExp2D, TPoly, ZeroRateError,
+                       ratio_times_exp, tpoly_eval)
 from .series import SeriesSolution
 
 
@@ -128,29 +129,24 @@ def _sign_variations(values) -> int:
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
-def _sturm_sequence(p: list[int]) -> list[list[int]]:
-    """The Sturm sequence p, p', -rem(p, p'), ... of p, in integers.
+def _taylor_shift(p: list[int], a: int) -> list[int]:
+    """The coefficients of p(x + a), shifted in place."""
+    for i in range(len(p) - 1):
+        for j in range(len(p) - 2, i - 1, -1):
+            p[j] += a * p[j + 1]
+    return p
 
-    Remainders are taken as positive multiples (pseudo-division by the
-    absolute leading coefficient) and reduced to primitive parts, which
-    keeps every sign of the sequence and all arithmetic in integers.
+
+def _descartes(p: list[int], lo: Fraction, hi: Fraction) -> int:
+    """Sign variations of (1 + y)^d p((lo + hi y) / (1 + y)), for dyadic lo < hi.
+
+    0 means no root of p in (lo, hi) and 1 one simple root.  With n = den lo and
+    w = den (hi - lo) it is P(n + w z), P(z) = den^d p(z / den), reversed and shifted by 1.
     """
-    seq = [p, [i * c for i, c in enumerate(p)][1:]]
-    while len(seq[-1]) > 1:
-        num, den = seq[-2], seq[-1]
-        lead, sign = abs(den[-1]), (1 if den[-1] > 0 else -1)
-        while len(num) >= len(den):
-            k, shift = sign * num[-1], len(num) - len(den)
-            num = [lead * c for c in num]
-            for i, c in enumerate(den):
-                num[shift + i] -= k * c
-            while num and num[-1] == 0:
-                num.pop()
-        if not num:
-            break
-        g = math.gcd(*num)
-        seq.append([-c // g for c in num])
-    return seq
+    den, d = max(lo.denominator, hi.denominator), len(p) - 1
+    n, w = int(lo * den), int((hi - lo) * den)
+    shifted = _taylor_shift([c * den ** (d - k) for k, c in enumerate(p)], n)
+    return _sign_variations(_taylor_shift([c * w**k for k, c in enumerate(shifted)][::-1], 1))
 
 
 def _root_bound(p: list[int]) -> Fraction:
@@ -192,48 +188,50 @@ def _sign_changes(coeffs: list[Fraction]) -> list[float]:
     """The points in (0, inf) where the polynomial changes sign, ascending.
 
     Coefficients without a sign variation have no positive root (Descartes'
-    rule of signs).  Otherwise Sturm counts of distinct roots isolate the
-    positive roots on (0, ``_root_bound``) by bisection that never splits at
-    a root.  A bracket with one distinct root holds a sign change only when
-    p changes sign across it (an odd multiplicity), and each is refined by
-    ``_refine_root``.
+    rule of signs).  Otherwise bisection of (0, ``_root_bound``) that never
+    splits at a root isolates them by ``_descartes`` counts; ``_refine_root``
+    refines each bracket with one simple root.  A bracket that keeps 2 or more
+    (a multiple root, or roots within one float gap) is bisected until the
+    float neighbours of its middle's float enclose it; it holds a sign change,
+    refined between those neighbours, when p's signs at its ends differ.
     """
     p = _stripped(coeffs)
     if not _sign_variations(p):
         return []
-    seq = _sturm_sequence(p)
-
-    def point(x: Fraction) -> tuple[Fraction, int, int]:
-        """x, the sign variations of the Sturm sequence at x and the sign of p(x)."""
-        values = [_value(q, x)[0] for q in seq]
-        return x, _sign_variations(values), (values[0] > 0) - (values[0] < 0)
-
-    roots, stack = [], [(point(Fraction(0)), point(_root_bound(p)))]
+    roots, stack = [], [(Fraction(0), _root_bound(p))]
     while stack:  # the lower half is popped first, so roots come in order
-        (lo, vlo, slo), (hi, vhi, shi) = ends = stack.pop()
-        if vlo - vhi == 1 and slo != shi:
+        lo, hi = stack.pop()
+        count, near = _descartes(p, lo, hi), None
+        if count > 1 and (hi - lo) * 2**52 <= hi:  # narrow: a wide one may pass the float range
+            near = [Fraction(math.nextafter(float((lo + hi) / 2), end)) for end in (0.0, math.inf)]
+        if count == 1:
             roots.append(_refine_root(p, lo, hi))
-        elif vlo - vhi > 1:
-            mid = point((lo + hi) / 2)
-            while mid[2] == 0:  # p(lo) != 0, so this ends within deg p steps
-                mid = point((lo + mid[0]) / 2)
-            stack += [(mid, ends[1]), (ends[0], mid)]
+        elif near and near[0] <= lo and hi <= near[1]:
+            if (_value(p, lo)[0] > 0) != (_value(p, hi)[0] > 0):
+                roots.append(_refine_root(p, *near))
+        elif count:
+            mid = (lo + hi) / 2
+            while not _value(p, mid)[0]:  # p(lo) != 0, so this ends within deg p steps
+                mid = (lo + mid) / 2
+            stack += [(mid, hi), (lo, mid)]
     return roots
 
 
 def _exact_abs_integral(a: Fraction, q: list[Fraction], roots: list[float]) -> float:
     """int_0^inf |P(x)| e^{-ax} dx from the tail antiderivative e^{-ax} Q(x) of P e^{-ax}.
 
-    Between consecutive sign changes of P the integral is the difference of
-    the antiderivative at the ends; each end is rounded once.
+    Between consecutive sign changes of P it is the antiderivative's difference at
+    the ends, each rounded once (``ratio_times_exp``); an inf sum raises OverflowError.
     """
     q, qden = _as_integers(q)
     ends = []
     for r in [0.0, *roots]:
         num, den = _value(q, Fraction(r))
-        ends.append(num / (den * qden) * math.exp(-float(a) * r))
-    ends.append(0.0)
-    return sum(abs(u - v) for u, v in zip(ends, ends[1:]))
+        ends.append(ratio_times_exp(num, den * qden, float(a) * r))
+    total = sum(abs(u - v) for u, v in zip(ends, [*ends[1:], 0.0]))
+    if not math.isfinite(total):
+        raise OverflowError("the L1 norm sums to inf")
+    return total
 
 
 def _l1_at_time(f: PolyExp1D, s: float) -> float:

@@ -23,7 +23,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable
 
 import numpy as np
 
@@ -347,15 +347,6 @@ class BivariateConstantSolution:
         return mom
 
 
-ExactSolution1D = Union[
-    ConstantKernelSolution,
-    SumKernelSolution,
-    ProductKernelSolution,
-    LinearBreakageSolution,
-]
-ExactSolution = Union[ExactSolution1D, BivariateConstantSolution]
-
-
 def _numeric_moment(sol, j: int, xmax: float) -> Callable[[float], float]:
     def mom(t: float) -> float:
         from scipy import integrate
@@ -369,8 +360,8 @@ def _numeric_moment(sol, j: int, xmax: float) -> Callable[[float], float]:
     return mom
 
 
-def matching_exact_solution(problem: Model) -> Optional[ExactSolution]:
-    """Map a problem spec to its known closed-form solution, if any."""
+def matching_exact_solution(problem: Model):
+    """The problem's closed-form solution (one of the classes above), or None."""
     if problem.dim == 2:
         terms = list(problem.u0.terms())
         if len(terms) != 1:

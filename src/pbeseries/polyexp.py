@@ -139,6 +139,17 @@ def tpoly_eval(tp: TPoly, t: float) -> float:
     return sums[()] / den
 
 
+def ratio_times_exp(num: int, den: int, arg: float) -> float:
+    """num / den * e^{-arg} as a float, also where num / den alone is past the float range."""
+    try:
+        return num / den * math.exp(-arg)
+    except OverflowError:  # num/den = m 2^e is past the float range, so e > 1000
+        e = abs(num).bit_length() - den.bit_length()
+        m, decay = num / (den << e), math.exp(-arg)
+        return (math.ldexp(m * decay, e) if decay >= 2.0**-1022
+                else m * math.exp(e * math.log(2) - arg))  # decay underflows
+
+
 def _over_lcm(poly: Mapping) -> tuple[int, dict]:
     """Nonzero exact coefficients as (den, {key: numerator}) over their lcm denominator."""
     poly = {e: c for e, c in poly.items() if c}
@@ -527,8 +538,7 @@ class _PolyExpBase:
 
         Inputs convert exactly and each rate group sums one integer numerator v over one
         denominator d, so a point rounds once per group in a division, an exp and a
-        multiply: a few ulp for |x| <= 100, degree <= 60.  A v/d past the float range is
-        taken as m 2^e, m in [1/2, 2); a value past it raises OverflowError.  A group
+        multiply (``ratio_times_exp``): a few ulp for |x| <= 100, degree <= 60.  A group
         substitutes t once, then each size axis, last first, once per point of the axes
         after it; the axis just substituted varies slowest.
         """
@@ -540,13 +550,7 @@ class _PolyExpBase:
                 level = [_substitute(nums, d, v) for v in coords for nums, d in level]
             for k, (point, (value, d)) in enumerate(zip(points, level)):
                 arg = sum(p / q * v for (p, q), v in zip(rate, point))
-                try:
-                    totals[k] += value[()] / d * math.exp(-arg)
-                except OverflowError:  # v/d = m 2^e is past the float range, so e > 1000
-                    e = abs(value[()]).bit_length() - d.bit_length()
-                    m, decay = value[()] / (d << e), math.exp(-arg)
-                    totals[k] += (math.ldexp(m * decay, e) if decay >= 2.0**-1022
-                                  else m * math.exp(e * math.log(2) - arg))  # decay underflows
+                totals[k] += ratio_times_exp(value[()], d, arg)
         return totals
 
     def _to_obj(self) -> dict:

@@ -30,7 +30,8 @@ from pbeseries.analysis import (
     sup_l1_norm,
 )
 from pbeseries.cli import main
-from pbeseries.exact import ConstantKernelSolution, LinearBreakageSolution, SumKernelSolution
+from pbeseries.exact import (ConstantKernelSolution, LinearBreakageSolution, ProductKernelSolution,
+                             SumKernelSolution)
 from pbeseries.polyexp import MixedRatesError, PolyExp1D, ZeroRateError, tpoly_eval
 from pbeseries.problems import CoagKernel, FragSpec, Model, exponential_ic
 from pbeseries.series import iterate_accelerated
@@ -167,23 +168,28 @@ class TestBounds:
 
 # Whether Theorem 4's bound is at least the largest measured l1_error(Psi_m)
 # over 11 times in [0, t0], for u0 = e^{-x} and T = lambda = 1.  The bound
-# scales as t0^{2m+1} and the error as t0^{m+1}, so small t0 fall below: on
-# the constant kernel the bound holds only from t0 = 0.15, on linear breakage
-# nowhere here.  A change to the bound, the norm or the engines shows up as a
-# flipped cell.
+# scales as t0^{2m+1} and the error as t0^{m+1}, so small t0 fall below: the
+# bound holds on the constant kernel from t0 = 0.15, on the sum and product
+# kernels from t0 = 0.2, and on linear breakage nowhere here.  A change to the
+# bound, the norm or the engines shows up as a flipped cell.
+NO, YES = (False, False, False), (True, True, True)  # for m = 1, 2, 3
 BOUND_HOLDS = {
-    "constant": {0.05: (False, False, False), 0.1: (False, False, False),
-                 0.15: (True, True, True), 0.25: (True, True, True)},
-    "breakage": {0.05: (False, False, False), 0.1: (False, False, False),
-                 0.15: (False, False, False), 0.25: (False, False, False)},
+    "constant": {0.05: NO, 0.1: NO, 0.15: YES, 0.2: YES, 0.25: YES},
+    "sum": {0.05: NO, 0.1: NO, 0.15: NO, 0.2: YES, 0.25: YES},
+    "product": {0.05: NO, 0.1: NO, 0.15: NO, 0.2: YES, 0.25: YES},
+    "breakage": {0.05: NO, 0.1: NO, 0.15: NO, 0.2: NO, 0.25: NO},
 }
+KERNELS = {"constant": (CoagKernel.CONSTANT, ConstantKernelSolution),
+           "sum": (CoagKernel.SUM, SumKernelSolution),
+           "product": (CoagKernel.PRODUCT, ProductKernelSolution)}
 
 
 @pytest.mark.parametrize("name", list(BOUND_HOLDS))
 def test_theorem_4_against_the_measured_error(name):
     u0 = exponential_ic(1)
-    if name == "constant":
-        problem, sol = Model(u0, CoagKernel.CONSTANT), ConstantKernelSolution()
+    if name in KERNELS:
+        kernel, solution = KERNELS[name]
+        problem, sol = Model(u0, kernel), solution()
     else:
         problem = Model(u0, frag=FragSpec(F(2), 1, F(1), 1))
         sol = LinearBreakageSolution()
@@ -195,10 +201,10 @@ def test_theorem_4_against_the_measured_error(name):
         else:
             _, contraction = coag_contraction(sup_l1_norm(u0, t0), 1.0, t0)
         v1_norm = sup_l1_norm(series.components[1], t0)
-        holds[t0] = tuple(
-            geometric_bound(contraction, m, v1_norm)
-            >= max(l1_error(series.truncated(m), sol, s) for s in np.linspace(0.0, t0, 11))
-            for m in (1, 2, 3))
+        # the cells are l1_error(Psi_m) at each time, the exact solution sampled once
+        table = error_table_l1(series, sol, (1, 2, 3), np.linspace(0.0, t0, 11).tolist())
+        holds[t0] = tuple(geometric_bound(contraction, m, v1_norm) >= max(row)
+                          for m, row in zip((1, 2, 3), table.cells))
     assert holds == BOUND_HOLDS[name]
 
 
@@ -270,8 +276,8 @@ class TestExactSupNorm:
             assert got == pytest.approx(ref, rel=1e-12, abs=0.0), (c, roots, rate)
 
     def test_complex_roots_do_not_count(self, monkeypatch):
-        # (x^2 - 2x + 5)(x - 3): Descartes allows three positive roots,
-        # Sturm certifies the single one at x = 3
+        # (x^2 - 2x + 5)(x - 3): Descartes allows three positive roots on
+        # (0, inf), and bisection narrows them to the one bracket holding x = 3
         monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
         f = PolyExp1D({1: {(3, 0): 1, (2, 0): -5, (1, 0): 11, (0, 0): -15}})
         ref, _ = integrate.quad(
@@ -290,20 +296,36 @@ class TestExactSupNorm:
         got = sup_l1_norm(f, 0.0)
         assert got == pytest.approx(_split_quad(1.0, roots, 1), rel=1e-12)
 
-    @pytest.mark.parametrize("gap", [F(1, 10**9), F(1, 10**12), F(1, 10**15)])
+    @pytest.mark.parametrize("gap", [F(1, 10**9), F(1, 10**12), F(1, 10**15), F(1, 10**17)])
     def test_clustered_roots_are_exact(self, monkeypatch, gap):
-        # 1 and 1 + gap lie closer together than numpy.roots separates roots
+        # 1 and 1 + gap lie closer together than numpy.roots separates roots;
+        # 1e-17 is within one float gap of 1, where p's sign does not change net
         monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
         roots = [F(1), 1 + gap, F(3)]
         f = _from_roots(1, roots, 1, tpow=0)
-        low, middle, high = analysis._sign_changes(f.collapse_t(0)[1])
-        assert (low, high) == (1.0, 3.0)
-        assert abs(F(middle) - roots[1]) < F(math.ulp(middle))
+        if gap < math.ulp(1.0):
+            assert analysis._sign_changes(f.collapse_t(0)[1]) == [3.0]
+        else:
+            low, middle, high = analysis._sign_changes(f.collapse_t(0)[1])
+            assert (low, high) == (1.0, 3.0)
+            assert abs(F(middle) - roots[1]) < F(math.ulp(middle))
         with mpmath.workdps(30):
             r = [mpmath.mpf(k.numerator) / k.denominator for k in roots]
             ref = mpmath.quad(lambda x: abs((x - r[0]) * (x - r[1]) * (x - r[2])) * mpmath.exp(-x),
                               [0, *r, mpmath.inf])
         assert sup_l1_norm(f, 0.0) == pytest.approx(float(ref), rel=1e-14)
+
+    def test_triple_root_gives_the_even_neighbour(self):
+        # 224/9 lies between two floats; the nearest is 24.88888888888889, and a
+        # root that p changes sign across rounds to the even one of the two
+        coeffs = _polynomial(1, [F(224, 9)] * 3, [1], 0)
+        assert analysis._sign_changes(coeffs) == [24.888888888888886]
+        assert float(F(224, 9)) == 24.88888888888889
+        # 1 + 2^-53 lies halfway between 1.0 and the next float, and no bracket
+        # around it has ends that round to one float
+        tie = 1 + F(1, 2**53)
+        assert analysis._sign_changes(_polynomial(1, [tie] * 3, [1], 0)) == [1.0]
+        assert analysis._sign_changes(_polynomial(1, [tie, tie, F(3)], [1], 0)) == [3.0]
 
     def test_root_on_a_split_point(self):
         # the bound is 32, so bisection halves (0, 32) to (0, 8), whose
@@ -349,6 +371,20 @@ class TestExactSupNorm:
         v1 = iterate_accelerated(binary_breakage_problem, 1).components[1]
         assert sup_l1_norm(v1, t0) == pytest.approx(t0 * (1 + 2 * math.exp(-2)), rel=1e-14)
 
+    def test_norm_whose_antiderivative_passes_the_float_range(self):
+        # binary breakage of x^p e^{-x}: Q(r) at the root near 134.4 is past the
+        # float range but Q(r) e^{-r} is not.  The reference is mpmath at 60
+        # digits through the same antiderivative, and quadrature between the roots.
+        def v1(p):
+            problem = Model(PolyExp1D.monomial(1, xpow=p, rate=1), frag=FragSpec(F(2), 1, F(1), 1))
+            return iterate_accelerated(problem, 1).components[1]
+
+        got = sup_l1_norm(v1(150), 0.1)
+        assert got == pytest.approx(2.074363766597545652472065e264, rel=1e-14)
+        # p = 170: the norm is 3.0157e308, past the float range
+        with pytest.raises(OverflowError, match="sums to inf"):
+            sup_l1_norm(v1(170), 0.1)
+
 
 def _polynomial(c, roots, extra, m):
     """x^m * c * prod (x - r) * extra(x) as a Fraction coefficient list."""
@@ -376,7 +412,7 @@ def test_sign_changes_ignore_a_constant_factor(c, roots, extra, m, lam):
 
 
 POSITIVE_ROOTS = st.dictionaries(st.fractions(F(1, 10), 10, max_denominator=50),
-                                 st.integers(1, 3), max_size=4)
+                                 st.integers(1, 4), max_size=4)
 
 
 @given(NONZERO, POSITIVE_ROOTS, st.integers(0, 9), st.booleans())

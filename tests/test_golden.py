@@ -4,7 +4,9 @@
 status and the stderr text.  It covers the README commands, the README's
 two error tables (L1 and pointwise) again as ``--format json``, a
 ``dump-symbolic`` of each benchmark problem under both engines, the 2-D
-``density``/``moments`` comparisons, each branch of ``bounds``, three
+``density``/``moments`` comparisons, each branch of ``bounds``, a
+``bounds`` on a degree-121 v_1 and two whose exact norm meets the float
+range (one fits, one exits 3), three
 commands at times that are not dyadic rationals, six commands whose rates
 are not integers (1-D and 2-D dumps, a 2-D ``density``, a product-kernel
 ``bounds`` and a sum-kernel ``moments``), ``reference-check`` on the sum,
@@ -79,6 +81,12 @@ COMMANDS = {
                       "--j 0,0;1,0;0,1;2,1 --t 0:0.02:0.005 --compare exact",
     "bounds-frag": f"bounds {_PROBLEMS['breakage']} --t0 0.25 --lam 1 --m 3",
     "bounds-coag2d": f"bounds {_PROBLEMS['coag2d']} --t0 0.01 --T 1 --m 3",
+    # a high-degree v_1 whose sign changes are isolated, and exact norms whose
+    # antiderivative passes the float range: the norm fits at p = 150, not at p = 170
+    "bounds-ccfe-deep": "bounds --model ccfe --kernel constant --frag 2,1,1,1 "
+                        "--u0 monoexp:1,60,1 --t0 1e-100 --T 1 --m 3",
+    **{f"bounds-frag-p{p}": f"bounds --model frag --frag 2,1,1,1 --u0 monoexp:1,{p},1 "
+                            "--t0 0.1 --lam 1 --m 3" for p in (150, 170)},
     # times that are not dyadic rationals, so that exact time substitution
     # meets large denominators
     "drawn-l1": f"error-table {_PROBLEMS['constant']} --terms 3:6 --t 0.437,1.283",
