@@ -343,7 +343,7 @@ def error_table_l1(
 
     The exact solution is sampled once per time and shared by every order.
     """
-    if not orders or not times:
+    if not len(orders) or not len(times):
         raise InvalidSpecError("error table needs nonempty order and time lists")
     xs, w = _simpson_grid()
     exact = [sol.evaluate_grid(xs, t) for t in times]
@@ -368,7 +368,7 @@ def error_table_pointwise(
     times: Sequence[float],
 ) -> ErrorTable:
     """Pointwise table at fixed x: rows are times, columns exact/approx/error."""
-    if not times:
+    if not len(times):
         raise InvalidSpecError("error table needs a nonempty time list")
     psi = series.truncated(series.n)
     cells = []

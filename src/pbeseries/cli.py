@@ -56,7 +56,7 @@ import math
 import os
 import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import analysis, exact, refsolver
 from .polyexp import PolyExp1D, PolyExp2D, PolyExpError, tpoly_eval
@@ -68,20 +68,9 @@ class ConfigError(ValueError):
     pass
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _HelpShown(Exception):
-    """--help has printed its text."""
-
-
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        raise _UsageError(message)
-
-    def exit(self, status=0, message=None):
-        raise _HelpShown
+    def error(self, message):  # a usage error exits 2 as a configuration error does
+        raise ConfigError(message)
 
 
 # ---------------------------------------------------------------------------
@@ -533,19 +522,15 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: str | None) -> _Parser:
-    """The parser of subcommand ``command`` alone, or with ``command`` None every
-    subcommand's name and help line, for the program help and its errors."""
+@cache
+def build_parser() -> _Parser:
+    """The program parser, built once: every subcommand with its own flags."""
     parser = _Parser(prog="pbeseries", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, text, keys) in _COMMANDS.items():
-        if command is not None and name != command:
-            continue
         # no abbreviations: a flag the subcommand does not take must not
         # pass as the prefix of one it does (--t for --t0, --x for --xmax)
         p = sub.add_parser(name, help=text, allow_abbrev=False)
-        if name != command:
-            continue
         for key in keys:
             hint = _KEYS[key][2]
             choices, hint = (hint, None) if isinstance(hint, list) else (None, hint)
@@ -563,19 +548,8 @@ def _check_writable(path: str) -> None:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    # the top-level parser takes no option but --help, so a subcommand named
-    # first needs only its own parser; anything else (the program help, a
-    # missing or unknown subcommand) gets the parser that lists them all
-    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        args = build_parser(command).parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except _HelpShown:
-        return 0
-    try:
+        args = build_parser().parse_args(argv)
         settings = _Settings(args)
         out = settings.get("out")
         if out != "-":
@@ -600,6 +574,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    except SystemExit as exc:  # --help has printed its text
+        return exc.code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -57,8 +57,6 @@ from itertools import accumulate, product
 from operator import mul
 from typing import Iterator, Mapping, Union
 
-import numpy as np
-
 RationalLike = Union[int, str, Fraction]
 
 # Hard cap on any stored exponent.  Product-kernel iterations grow the
@@ -655,7 +653,6 @@ class PolyExp1D(_PolyExpBase):
         """Float value at (x, t); see ``_PolyExpBase._evaluate``."""
         return self._evaluate([[x]], t)[0]
 
-    @np.errstate(all="ignore")  # a lane that is not finite goes to ``_evaluate``
     def eval_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         """Vectorised float evaluation at many x for one t.
 
@@ -664,19 +661,22 @@ class PolyExp1D(_PolyExpBase):
         term.  The lanes where it is not finite (all, where a coefficient is past
         the float range) go in one call to ``_evaluate``, as ``evaluate`` does.
         """
+        import numpy as np  # here, so that ``import pbeseries`` does not load numpy
+
         xs = np.asarray(xs, dtype=float)
         total = np.zeros_like(xs)
-        try:
-            for a, coeffs in self.collapse_t(Fraction(t)).items():
-                acc = np.zeros_like(xs)
-                for c in reversed(coeffs):
-                    acc = acc * xs + float(c)
-                total += acc * np.exp(-float(a) * xs)
-        except OverflowError:  # an inf coefficient would leave no lane finite
-            total[:] = np.inf
-        bad = ~np.isfinite(total)
-        if bad.any():
-            total[bad] = self._evaluate([xs[bad].tolist()], t)
+        with np.errstate(all="ignore"):  # a lane that is not finite goes to ``_evaluate``
+            try:
+                for a, coeffs in self.collapse_t(Fraction(t)).items():
+                    acc = np.zeros_like(xs)
+                    for c in reversed(coeffs):
+                        acc = acc * xs + float(c)
+                    total += acc * np.exp(-float(a) * xs)
+            except OverflowError:  # an inf coefficient would leave no lane finite
+                total[:] = np.inf
+            bad = ~np.isfinite(total)
+            if bad.any():
+                total[bad] = self._evaluate([xs[bad].tolist()], t)
         return total
 
     def to_obj(self) -> dict:

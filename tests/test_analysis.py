@@ -586,11 +586,26 @@ class TestErrorTables:
         obj = json.loads(capsys.readouterr().out)
         assert obj["row_labels"] == [0.2, 0.4]
 
-    def test_empty_axes_rejected(self, constant_series):
+    def test_empty_axes_rejected(self, constant_series, sum_series):
         with pytest.raises(InvalidSpecError):
             error_table_l1(constant_series, ConstantKernelSolution(), [], [1.0])
         with pytest.raises(InvalidSpecError):
             error_table_pointwise(sum_series, SumKernelSolution(), 5.0, [])
+
+    def test_arrays_are_sequences_like_lists(self, constant_series, sum_series):
+        """A numpy array passes where the equal list does, and gives the same cells."""
+        sol, times = ConstantKernelSolution(), np.linspace(0.0, 0.2, 3)
+        assert (error_table_l1(constant_series, sol, np.array([1, 2]), times).cells
+                == error_table_l1(constant_series, sol, [1, 2], times.tolist()).cells)
+        sol, times = SumKernelSolution(), np.array([0.1, 0.2])
+        assert (error_table_pointwise(sum_series, sol, 5.0, times).cells
+                == error_table_pointwise(sum_series, sol, 5.0, times.tolist()).cells)
+        with pytest.raises(InvalidSpecError):
+            error_table_l1(constant_series, ConstantKernelSolution(), np.array([], int), [1.0])
+        with pytest.raises(InvalidSpecError):
+            error_table_l1(constant_series, ConstantKernelSolution(), [1], np.array([]))
+        with pytest.raises(InvalidSpecError):
+            error_table_pointwise(sum_series, SumKernelSolution(), 5.0, np.array([]))
 
     def test_nonfinite_cells_rejected(self):
         with pytest.raises(InvalidSpecError):

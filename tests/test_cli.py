@@ -718,7 +718,8 @@ class TestSettingsPath:
         assert err.startswith("error: unrecognized arguments:") and err.count("\n") == 1
         assert foreign[0] in err
 
-    def test_parser_holds_only_the_dispatched_subcommand_flags(self, capsys, monkeypatch):
+    def test_another_subcommands_flag_is_foreign_and_help_lists_every_subcommand(
+            self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "iterate", _refuse_iterate)
         # --t belongs to density, not to the dispatched bounds
         code, out, err = run(capsys, "bounds", *COAG, "--t0", "1", "--t", "1")
@@ -729,6 +730,16 @@ class TestSettingsPath:
             assert (code, err) == (0, "") and out.startswith("usage: pbeseries")
             for name, (_, text, _) in cli._COMMANDS.items():
                 assert name in out and text in out
+
+    def test_one_parser_per_process(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        cli.build_parser.cache_clear()
+        assert run(capsys, "bounds", *COAG, "--t0", "1", "--m", "x")[0] == 2
+        code, out, err = run(capsys, "density", "-h")
+        assert (code, err) == (0, "") and out.startswith("usage: pbeseries density")
+        assert "--t0" not in out  # a subcommand's help shows its own flags only
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
 
     @pytest.mark.parametrize("command, flags, config", [
         ("density", ["--terms", "7", "--t", "bogus", "--x", "1"], ""),
@@ -803,10 +814,20 @@ def _refuse_iterate(*args, **kwargs):
     raise AssertionError("the engine ran before every setting was checked")
 
 
-def test_import_leaves_scipy_unloaded():
-    # a fresh interpreter, since this one has long imported scipy
-    code = "import sys, pbeseries.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a fresh interpreter, since this one has long imported numpy and scipy."""
     path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
                           env={**os.environ, "PYTHONPATH": path}, check=True)
-    assert done.stdout == "[]\n"
+
+
+def test_import_leaves_scipy_unloaded():
+    code = "import sys, pbeseries.cli; print(sorted(m for m in sys.modules if 'scipy' in m))"
+    assert _fresh_python("-c", code).stdout == "[]\n"
+
+
+def test_import_leaves_numpy_unloaded():
+    code = "import sys, pbeseries; print(sorted(m for m in sys.modules if 'numpy' in m))"
+    assert _fresh_python("-c", code).stdout == "[]\n"
+    imported = _fresh_python("-X", "importtime", "-c", "import pbeseries.polyexp").stderr
+    assert "pbeseries.polyexp" in imported and "numpy" not in imported
