@@ -19,9 +19,10 @@ dump-symbolic, which always writes JSON, take --format csv|json.  Their own
 flags: density --t --x --y --compare; error-table --t --x; moments --t --j
 --compare; bounds --t0 --T (default max(1, t0)) --m --lam; reference-check
 --t-end --cells --dt --xmax.  Any other flag is a usage error, and so is a
-setting the chosen model does not use: --y on a 1-D model, --lam with a
-coagulation kernel, --T on frag, --frag or --kernel on the wrong model.  A
-negative time in --t or size in --x or --y, or a --t0 <= 0, is a
+setting the chosen model does not use (``_UNUSED``: --y on a 1-D model, --lam
+with a coagulation kernel, --T on frag, --frag or --kernel on the wrong
+model), checked right after the model is built, before the subcommand's own
+settings.  A negative time in --t or size in --x or --y, or a --t0 <= 0, is a
 configuration error.  The u0 grammar accepts ``exp:a`` for e^{-ax},
 ``monoexp:c,p,a`` for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the
 bivariate analogue; every number may be a rational like 1/2.
@@ -219,7 +220,7 @@ _KEYS = {
 def _read_config(path: str) -> dict[str, str]:
     cfg = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:  # skips a leading byte order mark
             for line in fh:
                 line = line.strip()
                 if not line or line.startswith("#"):
@@ -273,18 +274,14 @@ class _Settings:
         return value
 
 
-def reject_unused(s: _Settings, key: str) -> None:
-    """A setting the chosen model does not use is an error, not ignored."""
-    if s.get(key, default=None, parse=str) is not None:
-        raise ConfigError(f"--model {s.get('model')} takes no --{key}")
+# the settings each model does not use, checked after the model so a wrong u0 is named first
+_UNUSED = {"coag": ("frag", "y", "lam"), "ccfe": ("y", "lam"),
+           "frag": ("kernel", "y", "T"), "coag2d": ("frag", "lam")}
 
 
 def build_problem(s: _Settings) -> Model:
     name = s.get("model")
     u0 = s.get("u0")
-    unused = {"coag": "frag", "coag2d": "frag", "frag": "kernel"}.get(name)
-    if unused:
-        reject_unused(s, unused)
     kernel = None
     if name != "frag":
         kernel = s.get("kernel", default=CoagKernel.CONSTANT if name == "coag2d" else _TABLE)
@@ -296,6 +293,9 @@ def build_problem(s: _Settings) -> Model:
     if (problem.dim == 2) != (name == "coag2d"):
         want = "a monoexp2: u0" if name == "coag2d" else "an exp: or monoexp: u0"
         raise ConfigError(f"--model {name} takes {want}, got a {problem.dim}-D one")
+    for key in _UNUSED[name]:
+        if s.get(key, default=None, parse=str) is not None:
+            raise ConfigError(f"--model {name} takes no --{key}")
     return problem
 
 
@@ -340,19 +340,14 @@ def format_rows(columns: list[str], rows: list[tuple], fmt: str, header: list[st
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each reads and checks all of its settings, then runs the
-# engine, and returns its text
+# subcommands: each takes the problem that main has built and checked, reads
+# and checks the rest of its settings, then runs the engine, and returns its text
 
 
-def cmd_density(s: _Settings) -> str:
-    problem = build_problem(s)
+def cmd_density(s: _Settings, problem: Model) -> str:
     sol = compared_solution(s, problem)
     ts, xs = s.get("t"), s.get("x")
-    if problem.dim == 2:
-        ys = s.get("y")
-    else:
-        reject_unused(s, "y")
-        ys = None
+    ys = s.get("y") if problem.dim == 2 else None
     series = iterate(problem, s.get("method"), s.get("terms"))
     psi = series.truncated(series.n)
     name = f"psi_{series.n}"
@@ -378,8 +373,7 @@ def cmd_density(s: _Settings) -> str:
     return format_rows(columns, rows, s.format, header)
 
 
-def cmd_error_table(s: _Settings) -> str:
-    problem = build_problem(s)
+def cmd_error_table(s: _Settings, problem: Model) -> str:
     if problem.dim == 2:
         raise ConfigError("error tables cover the 1-D models only")
     sol = require_exact(problem)
@@ -406,8 +400,7 @@ def cmd_error_table(s: _Settings) -> str:
     return format_rows(columns, rows, "csv", [f"norm = {table.norm}"])
 
 
-def cmd_moments(s: _Settings) -> str:
-    problem = build_problem(s)
+def cmd_moments(s: _Settings, problem: Model) -> str:
     sol = compared_solution(s, problem)
     js = parse_moment_orders(s.get("j"), problem.dim)
     if not js:
@@ -429,8 +422,7 @@ def cmd_moments(s: _Settings) -> str:
     return format_rows(columns, rows, s.format, header)
 
 
-def cmd_bounds(s: _Settings) -> str:
-    problem = build_problem(s)
+def cmd_bounds(s: _Settings, problem: Model) -> str:
     t0, m = s.get("t0"), s.get("m")
     if t0 <= 0:
         raise ConfigError(f"--t0 must be positive, got {t0:g}")
@@ -438,12 +430,10 @@ def cmd_bounds(s: _Settings) -> str:
     # Theorem 3: the contraction needs u0 alone (or k, lambda and t0), so its
     # overflow exits before the engine runs
     if problem.kernel is None:
-        reject_unused(s, "T")
         lipschitz = s.get("lam")
         contraction = analysis.frag_contraction(problem.frag.k, lipschitz, t0)
         rows = [("lambda", lipschitz)]
     else:
-        reject_unused(s, "lam")
         T = s.get("T", default=max(1.0, t0))
         u0_norm = norm(problem.u0, t0)
         lipschitz, contraction = analysis.coag_contraction(u0_norm, T, t0)
@@ -459,8 +449,7 @@ def cmd_bounds(s: _Settings) -> str:
     return format_rows(["quantity", "value"], rows, s.format, [f"t0 = {t0:g}", f"m = {m}"])
 
 
-def cmd_reference_check(s: _Settings) -> str:
-    problem = build_problem(s)
+def cmd_reference_check(s: _Settings, problem: Model) -> str:
     if problem.dim == 2:
         raise ConfigError("reference-check covers the 1-D models only")
     try:
@@ -486,8 +475,7 @@ def cmd_reference_check(s: _Settings) -> str:
     return format_rows(["x", "series", "grid", "deviation"], rows, s.format, header)
 
 
-def cmd_dump_symbolic(s: _Settings) -> str:
-    problem = build_problem(s)
+def cmd_dump_symbolic(s: _Settings, problem: Model) -> str:
     series = iterate(problem, s.get("method"), s.get("terms"))
     try:
         components = [c.to_obj() for c in series.components]
@@ -554,7 +542,7 @@ def main(argv=None) -> int:
         out = settings.get("out")
         if out != "-":
             _check_writable(out)
-        text = _COMMANDS[args.command][0](settings)
+        text = _COMMANDS[args.command][0](settings, build_problem(settings))
         if out == "-":
             sys.stdout.write(text)
         else:

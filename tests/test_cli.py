@@ -692,6 +692,12 @@ class TestConfigFile:
         assert code == 0
         assert "psi_2" in out
 
+    def test_config_with_a_utf8_bom_reads_like_flags(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"\xef\xbb\xbfterms = 1\n")
+        _, expected, _ = run(capsys, "dump-symbolic", *COAG, "--terms", "1")
+        assert run(capsys, "dump-symbolic", *COAG, "--config", str(cfg)) == (0, expected, "")
+
     def test_output_file(self, capsys, tmp_path):
         out_path = tmp_path / "density.csv"
         code, out, _ = run(capsys, *DENSITY_61, "--out", str(out_path))
@@ -796,6 +802,48 @@ class TestSettingsPath:
         code, out, err = run(capsys, command, *flags, *unused)
         assert code == 2 and out == ""
         assert err == f"error: --model {flags[1]} takes no {unused[0]}\n"
+
+    # every setting each model does not use, written out here as the reference
+    # for cli._UNUSED; each with a subcommand that takes it
+    @pytest.mark.parametrize("model, key", [
+        ("coag", "frag"), ("coag", "y"), ("coag", "lam"), ("ccfe", "y"), ("ccfe", "lam"),
+        ("frag", "kernel"), ("frag", "y"), ("frag", "T"), ("coag2d", "frag"), ("coag2d", "lam"),
+    ])
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_every_setting_a_model_does_not_use_is_exit_2(self, capsys, monkeypatch, tmp_path,
+                                                          model, key, via_config):
+        monkeypatch.setattr(cli, "iterate", _refuse_iterate)
+        problem = {
+            "coag": ["--kernel", "constant", "--u0", "exp:1"],
+            "ccfe": ["--kernel", "constant", "--frag", "2,1,1,1", "--u0", "exp:1"],
+            "frag": ["--frag", "2,1,1,1", "--u0", "exp:1"],
+            "coag2d": ["--u0", "monoexp2:1,1,1,1,1"],
+        }[model]
+        if key == "lam":
+            command, rest = "bounds", ["--t0", "0.05"]
+        elif key == "T":
+            command, rest = "bounds", ["--t0", "0.05", "--lam", "1"]
+        else:
+            command, rest = "density", ["--terms", "1", "--t", "1", "--x", "1"]
+            if model == "coag2d":
+                rest += ["--y", "1"]
+        value = {"frag": "2,1,1,1", "kernel": "sum"}.get(key, "1")
+        extra = [f"--{key}", value]
+        if via_config:
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key} = {value}\n")
+            extra = ["--config", str(cfg)]
+        code, out, err = run(capsys, command, "--model", model, *problem, *rest, *extra)
+        assert (code, out, err) == (2, "", f"error: --model {model} takes no --{key}\n")
+
+    @pytest.mark.parametrize("argv, key", [
+        (["bounds", "--model", "frag", "--frag", "2,1,1,1", "--u0", "exp:1",
+          "--t0", "0", "--lam", "1", "--T", "1"], "T"),
+        (["density", *COAG, "--terms", "1", "--x", "1", "--y", "1"], "y"),
+    ], ids=["bounds-t0-0", "density-no-t"])
+    def test_unused_setting_is_reported_before_the_subcommands_own(self, capsys, argv, key):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: --model {argv[2]} takes no --{key}\n")
 
     @pytest.mark.parametrize("path", ["missing/f.csv", "file.txt/f.csv", "."])
     def test_unwritable_out_is_exit_4_before_the_engine(self, capsys, monkeypatch, tmp_path,
