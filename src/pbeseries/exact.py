@@ -9,11 +9,12 @@ The 1-D solutions also evaluate a whole size grid at one time
 (``evaluate_grid``), which is what the error tables call once per time.
 The grid is bit-identical to the scalar ``evaluate``, which stays the
 reference: the arithmetic runs in numpy, whose ``+ - * /`` and ``sqrt``
-are correctly rounded like Python's, each exp/log is ``math``'s on every
-element (numpy's own may differ in the last bit), and every series runs
-under a per-lane mask so that each x stops at the same term as the
-scalar loop.  The numeric moments import ``scipy.integrate`` when first
-called, so that it stays off the CLI's import path.
+are correctly rounded like Python's, each exp is the C library's, as in
+``math.exp``, through numpy's complex exp, each log is ``math.log`` per
+element (numpy's float exp and log may differ in the last bit), and
+every series runs under a per-lane mask so that each x stops at the same
+term as the scalar loop.  The numeric moments import ``scipy.integrate``
+when first called, so that it stays off the CLI's import path.
 """
 
 from __future__ import annotations
@@ -63,6 +64,17 @@ def _math_map(fn: Callable[[float], float], a: np.ndarray) -> np.ndarray:
     return np.fromiter(map(fn, a.tolist()), dtype=float, count=a.size)
 
 
+def _exp_grid(a: np.ndarray) -> np.ndarray:
+    """``math.exp`` on each element of a 1-D array, bit for bit.
+
+    The real part of the C library's cexp(x + 0i) is its exp(x), unrounded;
+    cexp scales x past ~709, so such grids map ``math.exp`` (and raise as it).
+    """
+    if (a > 709.0).any():
+        return _math_map(math.exp, a)
+    return np.exp(a + 0j).real
+
+
 def _float_semantics(grid):
     """Run a grid evaluator as Python floats run: inf and nan arise silently.
 
@@ -83,26 +95,28 @@ def _float_semantics(grid):
 
 
 def _bessel_i1_grid(z: np.ndarray) -> np.ndarray:
-    """``bessel_i1`` on each element, bit for bit, with no term matrix."""
+    """``bessel_i1`` on each element, bit for bit, with no term matrix.
+
+    Lanes run in order of |z|, so the unfinished ones are a suffix view from
+    the first lane ``left``; a lane done before those ahead of it rides along.
+    """
     total = np.zeros(z.shape)
     lanes = np.flatnonzero(z != 0.0)
+    lanes = lanes[np.argsort(np.abs(z[lanes]), kind="stable")]
     half = z[lanes] / 2.0
-    step = half * half
-    term = half
-    acc = half
+    step, term, acc = half * half, half.copy(), half.copy()
+    left, s = np.ones(lanes.size + 1, dtype=bool), 0  # a last slot, never cleared, stops argmax
     for k in range(1, MAX_SERIES_TERMS):
-        if not lanes.size:
+        tv, av = term[s:], acc[s:]
+        np.multiply(tv, step[s:] / (k * (k + 1)), out=tv)
+        np.add(av, tv, out=av)
+        done = (np.abs(tv) < REL_TOL * np.abs(av)) & left[s:-1]
+        total[lanes[s:][done]] = av[done]
+        left[s:-1][done] = False
+        s += int(left[s:].argmax())
+        if s == lanes.size:
             return total
-        term = term * (step / (k * (k + 1)))
-        acc = acc + term
-        done = np.abs(term) < REL_TOL * np.abs(acc)
-        if done.any():
-            total[lanes[done]] = acc[done]
-            keep = ~done
-            lanes, step, term, acc = lanes[keep], step[keep], term[keep], acc[keep]
-    if lanes.size:
-        raise NonConvergenceError("Bessel series did not converge")
-    return total
+    raise NonConvergenceError("Bessel series did not converge")
 
 
 @dataclass(frozen=True)
@@ -114,7 +128,7 @@ class ConstantKernelSolution:
 
     @_float_semantics
     def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
-        return 4.0 / (2.0 + t) ** 2 * _math_map(math.exp, -2.0 * xs / (2.0 + t))
+        return 4.0 / (2.0 + t) ** 2 * _exp_grid(-2.0 * xs / (2.0 + t))
 
     def moment(self, j: int) -> Callable[[float], float]:
         """mu_j = j! ((2+t)/2)^(j-1): 2/(2+t), 1 and 2+t for j <= 2."""
@@ -145,12 +159,12 @@ class SumKernelSolution:
     def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         T = -math.expm1(-t)
         if T == 0.0:
-            return _math_map(math.exp, -xs)
+            return _exp_grid(-xs)
         rt = math.sqrt(T)
         out = np.full(xs.shape, 1.0 - T)
         lanes = np.flatnonzero(~(np.abs(xs * rt) < sys.float_info.min))
         x = xs[lanes]
-        envelope = (1.0 - T) * _math_map(math.exp, -(1.0 + T) * x)
+        envelope = (1.0 - T) * _exp_grid(-(1.0 + T) * x)
         out[lanes] = envelope * _bessel_i1_grid(2.0 * x * rt) / (x * rt)
         return out
 
@@ -203,11 +217,11 @@ class ProductKernelSolution:
     @_float_semantics
     def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         if t == 0.0:
-            return _math_map(math.exp, -(t + 1.0) * xs)
+            return _exp_grid(-(t + 1.0) * xs)
         ratio = np.array([t * v**3 for v in xs.tolist()])
         out = np.empty(xs.shape)
         only_k0 = ratio == 0.0  # x = 0, or t x^3 underflows
-        out[only_k0] = _math_map(math.exp, -(t + 1.0) * xs[only_k0])
+        out[only_k0] = _exp_grid(-(t + 1.0) * xs[only_k0])
         lanes = np.flatnonzero(~only_k0)
         x = xs[lanes]
         log_ratio = _math_map(math.log, ratio[lanes])
@@ -234,7 +248,7 @@ class ProductKernelSolution:
         total = np.empty(x.shape)
         live = np.arange(x.size)
         lr, log_term, pk = log_ratio, np.zeros(x.shape), peak
-        tot = _math_map(math.exp, 0.0 - peak)
+        tot = _exp_grid(0.0 - peak)
         for k, step in enumerate(steps, 1):
             keep = last[live] >= k
             if not keep.all():
@@ -242,9 +256,9 @@ class ProductKernelSolution:
                 live, lr, log_term, pk, tot = (
                     live[keep], lr[keep], log_term[keep], pk[keep], tot[keep])
             log_term = log_term + (lr - step)
-            tot = tot + _math_map(math.exp, log_term - pk)
+            tot = tot + _exp_grid(log_term - pk)
         total[live] = tot
-        out[lanes] = _math_map(math.exp, peak - (t + 1.0) * x) * total
+        out[lanes] = _exp_grid(peak - (t + 1.0) * x) * total
         return out
 
     def moment(self, j: int) -> Callable[[float], float]:
@@ -266,7 +280,7 @@ class LinearBreakageSolution:
 
     @_float_semantics
     def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
-        return (1.0 + t) ** 2 * _math_map(math.exp, -xs * (1.0 + t))
+        return (1.0 + t) ** 2 * _exp_grid(-xs * (1.0 + t))
 
     def moment(self, j: int) -> Callable[[float], float]:
         """mu_j = j! (1+t)^(1-j): 1+t, 1 and 2/(1+t) for j <= 2."""

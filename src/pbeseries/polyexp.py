@@ -667,11 +667,12 @@ class PolyExp1D(_PolyExpBase):
         total = np.zeros_like(xs)
         with np.errstate(all="ignore"):  # a lane that is not finite goes to ``_evaluate``
             try:
-                for a, coeffs in self.collapse_t(Fraction(t)).items():
+                for ((p, q),), (den, poly) in self._terms.items():
+                    sums, den = _substitute(poly, den, t)  # n / den rounds as float(Fraction)
                     acc = np.zeros_like(xs)
-                    for c in reversed(coeffs):
-                        acc = acc * xs + float(c)
-                    total += acc * np.exp(-float(a) * xs)
+                    for i in range(max(sums)[0], -1, -1):
+                        acc = acc * xs + sums[i,] / den
+                    total += acc * np.exp(-(p / q) * xs)
             except OverflowError:  # an inf coefficient would leave no lane finite
                 total[:] = np.inf
             bad = ~np.isfinite(total)

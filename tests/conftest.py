@@ -21,10 +21,11 @@ settings.register_profile(
     "pbeseries", derandomize=True, max_examples=40, deadline=None, database=None
 )
 # Ten times the examples, as deterministic, for the algebra's laws, the
-# sup-norm's root finding, the grid oracle's convolution bits and the CLI
-# fuzz in CI:
+# sup-norm's root finding, the grid oracle's convolution bits, the closed
+# forms' exp against the runner's own libm and the CLI fuzz in CI:
 #     pytest tests/test_polyexp_kernel.py tests/test_polyexp.py tests/test_analysis.py \
-#         tests/test_refsolver.py tests/test_cli_fuzz.py --hypothesis-profile=ci-deep
+#         tests/test_refsolver.py tests/test_exact.py tests/test_cli_fuzz.py \
+#         --hypothesis-profile=ci-deep
 settings.register_profile("ci-deep", settings.get_profile("pbeseries"), max_examples=400)
 settings.load_profile("pbeseries")
 

@@ -2,12 +2,15 @@
 
 import math
 import random
+import sys
 import tracemalloc
 from fractions import Fraction as F
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy import integrate, special
 
 from pbeseries.exact import (
@@ -17,12 +20,18 @@ from pbeseries.exact import (
     NonConvergenceError,
     ProductKernelSolution,
     SumKernelSolution,
+    _bessel_i1_grid,
+    _exp_grid,
     bessel_i1,
     matching_exact_solution,
 )
 from pbeseries.polyexp import PolyExp1D
 from pbeseries.problems import CoagKernel, FragSpec, Model, exponential_ic
 from pbeseries.series import iterate_accelerated
+
+
+def _bits(values):
+    return [v.hex() for v in values]
 
 
 class TestBessel:
@@ -41,6 +50,18 @@ class TestBessel:
         for z in (0.1, 1.0, 4.2576, 10.0, 30.0):
             ref = special.iv(1, z)
             assert abs(bessel_i1(z) - ref) <= 1e-13 * abs(ref)
+
+    @given(st.lists(st.floats(-250.0, 250.0), max_size=64))
+    def test_grid_equals_scalar(self, zs):
+        # the grid runs its lanes in order of |z|, whatever order they come in
+        z = np.array(zs, dtype=float)
+        try:
+            expected = _bits(map(bessel_i1, zs))
+        except NonConvergenceError:  # a z near the subnormals, where no term is small enough
+            with pytest.raises(NonConvergenceError):
+                _bessel_i1_grid(z)
+        else:
+            assert _bits(_bessel_i1_grid(z).tolist()) == expected
 
 
 class TestConstantKernel:
@@ -272,6 +293,54 @@ class TestEvaluateGrid:
             _scalar_grid(sol, xs, t)
         with pytest.raises(NonConvergenceError) as grid:
             sol.evaluate_grid(xs, t)
+        assert str(grid.value) == str(scalar.value)
+
+
+class TestL1TableTimes:
+    """The grids at the times the benchmark's L1 tables draw, without the scalar."""
+
+    @pytest.mark.parametrize("sol", GRID_SOLUTIONS, ids=GRID_IDS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_simpson_nodes_at_drawn_times(self, sol, seed, monkeypatch):
+        # the product kernel's table stays before gelation at t = 0.5
+        lo, hi = (0.05, 0.45) if isinstance(sol, ProductKernelSolution) else (0.25, 2.0)
+        rng = random.Random(seed)
+        for t in (round(rng.uniform(lo, hi), 4) for _ in range(2)):
+            expected = _scalar_grid(sol, SIMPSON_NODES, t)
+            with monkeypatch.context() as m:
+                m.setattr(type(sol), "evaluate", _refuse_scalar)
+                got = sol.evaluate_grid(SIMPSON_NODES, t)
+            assert np.array_equal(got, expected)
+
+
+class TestExpGrid:
+    """_exp_grid is math.exp on every element, bit for bit."""
+
+    @given(st.lists(st.floats(-800.0, 709.0), max_size=64))
+    def test_equals_math_exp(self, args):
+        assert _bits(_exp_grid(np.array(args, dtype=float)).tolist()) == _bits(map(math.exp, args))
+
+    def test_zero_subnormal_and_special_values(self):
+        args = [0.0, -0.0, -math.inf, math.nan, -1e-300, 5e-324, -700.0, -708.5, -740.0,
+                -745.1, -745.2, -800.0]
+        got = _exp_grid(np.array(args)).tolist()
+        assert _bits(got) == _bits(map(math.exp, args))
+        assert 0.0 < got[8] < sys.float_info.min and got[10] == 0.0
+
+    def test_past_709_is_math_exp(self):
+        args = [1.0, 709.0000001, 709.3, 709.5, 709.78]
+        assert _bits(_exp_grid(np.array(args)).tolist()) == _bits(map(math.exp, args))
+
+    @pytest.mark.parametrize("sol", GRID_SOLUTIONS, ids=GRID_IDS)
+    def test_closed_forms_past_709(self, sol):
+        # at t = 0 each closed form is e^{-x}: x = -709.5 is finite, x = -800 overflows
+        xs = np.array([1.0, -709.5])
+        assert np.array_equal(sol.evaluate_grid(xs, 0.0), _scalar_grid(sol, xs, 0.0))
+        xs = np.array([1.0, -709.5, -800.0])
+        with pytest.raises(OverflowError) as scalar:
+            _scalar_grid(sol, xs, 0.0)
+        with pytest.raises(OverflowError) as grid:
+            sol.evaluate_grid(xs, 0.0)
         assert str(grid.value) == str(scalar.value)
 
 
