@@ -102,12 +102,6 @@ def series_moment(series: SeriesSolution, k: int, *j: int) -> TPoly:
 # norms and convergence bounds
 
 
-def _as_integers(coeffs: list[Fraction]) -> tuple[list[int], int]:
-    """Integer coefficients and common denominator: coeffs = ints / den."""
-    den = math.lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
-
-
 def _value(p: list[int], x: Fraction) -> tuple[int, int]:
     """(num, den) with p(x) = num / den and den > 0, for a dyadic x such as a float.
 
@@ -177,15 +171,14 @@ def _refine_root(p: list[int], lo: Fraction, hi: Fraction) -> float:
         lo, hi = (xf, hi) if (v > 0) == lo_positive else (lo, xf)
 
 
-def _stripped(coeffs: list[Fraction]) -> list[int]:
-    """An integer multiple of coeffs without trailing zeros or x^m (no root in (0, inf))."""
-    p, _ = _as_integers(coeffs)
+def _stripped(p: list[int]) -> list[int]:
+    """p without trailing zeros or x^m (no root in (0, inf))."""
     nonzero = [i for i, c in enumerate(p) if c]
     return p[nonzero[0]:nonzero[-1] + 1] if nonzero else []
 
 
-def _sign_changes(coeffs: list[Fraction]) -> list[float]:
-    """The points in (0, inf) where the polynomial changes sign, ascending.
+def _sign_changes(p: list[int]) -> list[float]:
+    """The points in (0, inf) where the integer polynomial p changes sign, ascending.
 
     Coefficients without a sign variation have no positive root (Descartes'
     rule of signs).  Otherwise bisection of (0, ``_root_bound``) that never
@@ -195,7 +188,7 @@ def _sign_changes(coeffs: list[Fraction]) -> list[float]:
     float neighbours of its middle's float enclose it; it holds a sign change,
     refined between those neighbours, when p's signs at its ends differ.
     """
-    p = _stripped(coeffs)
+    p = _stripped(p)
     if not _sign_variations(p):
         return []
     roots, stack = [], [(Fraction(0), _root_bound(p))]
@@ -217,13 +210,12 @@ def _sign_changes(coeffs: list[Fraction]) -> list[float]:
     return roots
 
 
-def _exact_abs_integral(a: Fraction, q: list[Fraction], roots: list[float]) -> float:
-    """int_0^inf |P(x)| e^{-ax} dx from the tail antiderivative e^{-ax} Q(x) of P e^{-ax}.
+def _exact_abs_integral(a: Fraction, q: list[int], qden: int, roots: list[float]) -> float:
+    """int_0^inf |P(x)| e^{-ax} dx from the tail antiderivative e^{-ax} q(x) / qden of P e^{-ax}.
 
     Between consecutive sign changes of P it is the antiderivative's difference at
     the ends, each rounded once (``ratio_times_exp``); an inf sum raises OverflowError.
     """
-    q, qden = _as_integers(q)
     ends = []
     for r in [0.0, *roots]:
         num, den = _value(q, Fraction(r))
@@ -243,9 +235,9 @@ def _l1_at_time(f: PolyExp1D, s: float) -> float:
         raise MixedRatesError("L1 norm of a value with several rates is outside the exact norm")
     if not collapsed:
         return 0.0
-    (a, poly), = collapsed.items()
-    (_, q), = f.tail_integral(0).collapse_t(Fraction(s)).items()
-    return _exact_abs_integral(a, q, _sign_changes(poly))
+    (a, (_, p)), = collapsed.items()
+    (_, (qden, q)), = f.tail_integral(0).collapse_t(Fraction(s)).items()
+    return _exact_abs_integral(a, q, qden, _sign_changes(p))
 
 
 def _sup_time(f, t0: float) -> float:

@@ -44,7 +44,8 @@ def bessel_i1(z: float) -> float:
     """Modified Bessel function I_1 by its ascending power series.
 
     I_1(z) = sum_{k>=0} (z/2)^{2k+1} / (k! (k+1)!), summed until the next
-    term is below 1e-16 of the partial sum.
+    term is below 1e-16 of the partial sum, or is 0 (below |z| ~ 5e-308 both
+    underflow, and 0 < 0 would never stop).
     """
     if z == 0.0:
         return 0.0
@@ -54,7 +55,7 @@ def bessel_i1(z: float) -> float:
     for k in range(1, MAX_SERIES_TERMS):
         term *= half * half / (k * (k + 1))
         total += term
-        if abs(term) < REL_TOL * abs(total):
+        if abs(term) < REL_TOL * abs(total) or term == 0.0:
             return total
     raise NonConvergenceError(f"Bessel series did not converge at z={z}")
 
@@ -110,7 +111,7 @@ def _bessel_i1_grid(z: np.ndarray) -> np.ndarray:
         tv, av = term[s:], acc[s:]
         np.multiply(tv, step[s:] / (k * (k + 1)), out=tv)
         np.add(av, tv, out=av)
-        done = (np.abs(tv) < REL_TOL * np.abs(av)) & left[s:-1]
+        done = ((np.abs(tv) < REL_TOL * np.abs(av)) | (tv == 0.0)) & left[s:-1]
         total[lanes[s:][done]] = av[done]
         left[s:-1][done] = False
         s += int(left[s:].argmax())

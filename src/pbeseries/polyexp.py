@@ -21,9 +21,10 @@ over integer numerators, kept canonical (den > 0, gcd(den, *numerators)
 equal exactly when their term maps are equal; the zero function is the
 empty map.  Fractions live only at the API edge, for rates as for
 coefficients: the constructor takes them and ``rates()``, ``terms()``,
-``moment``, ``collapse_t`` and ``to_obj`` give them.  Pairs do not sort by
-value ((1, 2) < (1, 3)), so ordered outputs sort by the API form.  Every
-operation is written once, in ``_PolyExpBase``, over the size axes.
+``moment`` and ``to_obj`` give them; ``collapse_t`` keys by Fraction rate a
+reduced integer group (den, [n_0, ..., n_top]) per x-polynomial.  Pairs do
+not sort by value ((1, 2) < (1, 3)), so ordered outputs sort by the API
+form.  Every operation is written once, in ``_PolyExpBase``, over the size axes.
 
 All arithmetic is on integers with one gcd per output group: a sum takes
 one lcm of the two denominators, and scaling, time integration and the
@@ -640,13 +641,12 @@ class PolyExp1D(_PolyExpBase):
                 out[a] = _reduced(den * pa ** (top + 1), nums)
         return self._wrap(out)
 
-    def collapse_t(self, t: RationalLike) -> dict[Fraction, list[Fraction]]:
-        """Substitute an exact time, returning rate -> x-coefficient list."""
-        out: dict[Fraction, list[Fraction]] = {}
+    def collapse_t(self, t: RationalLike) -> dict[Fraction, tuple[int, list[int]]]:
+        """Substitute an exact time: rate -> reduced (den, nums), nums[i] / den at x^i."""
+        out: dict[Fraction, tuple[int, list[int]]] = {}
         for rate, (den, poly) in self._terms.items():
-            sums, den = _substitute(poly, den, t)
-            top, = max(sums)
-            out[self._api_rate(rate)] = [Fraction(sums[i,], den) for i in range(top + 1)]
+            den, sums = _reduced(*_substitute(poly, den, t)[::-1])
+            out[self._api_rate(rate)] = den, [sums.get((i,), 0) for i in range(max(sums)[0] + 1)]
         return out
 
     def evaluate(self, x: float, t: float) -> float:

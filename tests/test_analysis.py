@@ -292,7 +292,7 @@ class TestExactSupNorm:
         monkeypatch.setattr(analysis, "integrate", SimpleNamespace(quad=_no_quad))
         roots = [F(1), F(1), F(3)]
         f = _from_roots(1, roots, 1, tpow=0)
-        assert analysis._sign_changes(f.collapse_t(0)[1]) == [3.0]
+        assert analysis._sign_changes(f.collapse_t(0)[1][1]) == [3.0]
         got = sup_l1_norm(f, 0.0)
         assert got == pytest.approx(_split_quad(1.0, roots, 1), rel=1e-12)
 
@@ -304,9 +304,9 @@ class TestExactSupNorm:
         roots = [F(1), 1 + gap, F(3)]
         f = _from_roots(1, roots, 1, tpow=0)
         if gap < math.ulp(1.0):
-            assert analysis._sign_changes(f.collapse_t(0)[1]) == [3.0]
+            assert analysis._sign_changes(f.collapse_t(0)[1][1]) == [3.0]
         else:
-            low, middle, high = analysis._sign_changes(f.collapse_t(0)[1])
+            low, middle, high = analysis._sign_changes(f.collapse_t(0)[1][1])
             assert (low, high) == (1.0, 3.0)
             assert abs(F(middle) - roots[1]) < F(math.ulp(middle))
         with mpmath.workdps(30):
@@ -387,11 +387,14 @@ class TestExactSupNorm:
 
 
 def _polynomial(c, roots, extra, m):
-    """x^m * c * prod (x - r) * extra(x) as a Fraction coefficient list."""
-    coeffs = [F(0)] * m + [F(c)]
+    """x^m * c * prod (x - r) * extra(x) times a positive integer, as an integer coefficient list.
+
+    Each root r = n/d gives the factor d x - n, and c gives its numerator.
+    """
+    coeffs = [0] * m + [F(c).numerator]
     for r in roots:
-        coeffs = [a - r * b for a, b in zip([F(0)] + coeffs, coeffs + [F(0)])]
-    out = [F(0)] * (len(coeffs) + len(extra) - 1)
+        coeffs = [r.denominator * a - r.numerator * b for a, b in zip([0] + coeffs, coeffs + [0])]
+    out = [0] * (len(coeffs) + len(extra) - 1)
     for i, a in enumerate(coeffs):
         for j, b in enumerate(extra):
             out[i + j] += a * b
@@ -403,7 +406,7 @@ NONZERO = st.fractions(-1000, 1000, max_denominator=1000).filter(bool)
 
 
 @given(NONZERO, ROOTS, st.lists(st.integers(-9, 9), min_size=1, max_size=3).filter(any),
-       st.integers(0, 3), NONZERO)
+       st.integers(0, 3), st.integers(-10**6, 10**6).filter(bool))
 def test_sign_changes_ignore_a_constant_factor(c, roots, extra, m, lam):
     # positive roots make the coefficients mixed-sign; x^m adds zero low terms
     coeffs = _polynomial(c, roots, extra, m)

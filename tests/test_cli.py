@@ -295,6 +295,15 @@ def test_density_far_in_the_tail_is_zero(capsys):
     assert out.splitlines()[-1] == "1e+308,0.5,0"
 
 
+def test_sum_kernel_density_in_the_bessel_underflow_band(capsys):
+    # z = 2 x sqrt(1 - e^{-t}) = 4.6e-308 sums I_1 to its zero term; the density is ~e^{-1}
+    code, out, err = run(capsys, "density", "--model", "coag", "--kernel", "sum", "--u0", "exp:1",
+                         "--terms", "1", "--t", "1", "--x", "2.9e-308", "--compare", "exact")
+    assert code == 0 and err == ""
+    exact = float(out.splitlines()[-1].split(",")[3])
+    assert exact == pytest.approx(math.exp(-1), rel=1e-15, abs=0.0)
+
+
 def test_density_with_coefficients_past_the_float_range(capsys):
     # v_1 carries 1e300^2 x, past the float range, against e^{-1e300 x} = 0 at x = 50
     code, out, err = run(capsys, "density", "--model", "coag", "--kernel", "constant",

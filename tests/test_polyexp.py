@@ -52,10 +52,10 @@ def float_horner(f, xs, t):
     """The float Horner pass that ``eval_grid`` keeps wherever it is finite."""
     total = np.zeros_like(xs)
     with np.errstate(all="ignore"):
-        for a, coeffs in f.collapse_t(F(t)).items():
+        for a, (den, nums) in f.collapse_t(F(t)).items():
             acc = np.zeros_like(xs)
-            for c in reversed(coeffs):
-                acc = acc * xs + float(c)
+            for n in reversed(nums):
+                acc = acc * xs + n / den
             total += acc * np.exp(-float(a) * xs)
     return total
 
