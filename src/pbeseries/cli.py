@@ -412,12 +412,13 @@ def cmd_moments(s: _Settings, problem: Model) -> str:
     if sol is not None:
         columns.append("mu_exact")
     tps = {j: analysis.series_moment(series, series.n, *j) for j in js}
+    mus = {j: sol.moment(*j) for j in js} if sol is not None else {}
     rows = []
     for t in ts:
         for j in js:
             row = (t, *j, tpoly_eval(tps[j], t))
             if sol is not None:
-                row += (sol.moment(*j)(t),)
+                row += (mus[j](t),)
             rows.append(row)
     return format_rows(columns, rows, s.format, header)
 

@@ -13,8 +13,9 @@ are correctly rounded like Python's, each exp is the C library's, as in
 ``math.exp``, through numpy's complex exp, each log is ``math.log`` per
 element (numpy's float exp and log may differ in the last bit), and
 every series runs under a per-lane mask so that each x stops at the same
-term as the scalar loop.  The numeric moments import ``scipy.integrate``
-when first called, so that it stays off the CLI's import path.
+term as the scalar loop.  The sum- and product-kernel moments import
+``scipy.integrate`` when first called, so that it stays off the CLI's
+import path; the other moments are closed forms or exact polynomials in t.
 """
 
 from __future__ import annotations
@@ -24,11 +25,12 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Callable
 
 import numpy as np
 
-from .polyexp import as_fraction
+from .polyexp import TPoly, as_fraction, tpoly_eval
 from .problems import CoagKernel, Model, exponential_ic
 
 REL_TOL = 1e-16
@@ -304,10 +306,10 @@ class BivariateConstantSolution:
 
     def evaluate(self, x: float, y: float, t: float) -> float:
         n0, m1, m2 = float(self.N0), float(self.m1), float(self.m2)
-        xs, ys = x / m1, y / m2
+        xs, ys, tau = x / m1, y / m2, n0 * t
         # both gamma modes have shape q = 2, hence the factors q^q = 4
-        pref = 4.0 * n0 / (m1 * m2 * (t + 2.0) ** 2) * 4 * 4 * math.exp(-2 * xs - 2 * ys)
-        ratio = t / (t + 2.0)
+        pref = 4.0 * n0 / (m1 * m2 * (tau + 2.0) ** 2) * 4 * 4 * math.exp(-2 * xs - 2 * ys)
+        ratio = tau / (tau + 2.0)
         if xs == 0.0 or ys == 0.0:
             # every term (x y)^{2k+1} vanishes on the axes, where the logs below fail
             return pref * (xs * ys)
@@ -335,31 +337,29 @@ class BivariateConstantSolution:
         raise NonConvergenceError(f"bivariate series stalled at ({x}, {y}, {t})")
 
     def moment(self, jx: int, jy: int) -> Callable[[float], float]:
-        n0 = float(self.N0)
+        """mu_00 = 2 N0 / (2 + N0 t); every other moment is a polynomial in t, built exactly.
+
+        With K = 1 the (0, 0) and (p, q) gain terms cancel the loss, so
+        mu_pq' = 1/2 sum C(p, a) C(q, b) mu_ab mu_{p-a,q-b} over 0 < a + b < p + q,
+        from mu_pq(0) = N0 (p+1)! (q+1)! (m1/2)^p (m2/2)^q.
+        """
         if (jx, jy) == (0, 0):
+            n0 = float(self.N0)
             return lambda t: 2.0 * n0 / (2.0 + n0 * t)
-        if (jx, jy) == (1, 0):
-            return lambda t: n0 * float(self.m1)
-        if (jx, jy) == (0, 1):
-            return lambda t: n0 * float(self.m2)
-        return self._numeric_moment_2d(jx, jy)
 
-    def _numeric_moment_2d(self, jx: int, jy: int) -> Callable[[float], float]:
-        # Integrand decays like exp(-2x/m1), so a finite box is exact to
-        # far below quadrature tolerance.
-        xmax = float(self.m1) * 40.0
-        ymax = float(self.m2) * 40.0
+        @functools.cache
+        def mu(p: int, q: int) -> TPoly:
+            out = {0: self.N0 * math.factorial(p + 1) * math.factorial(q + 1)
+                   * (self.m1 / 2) ** p * (self.m2 / 2) ** q}
+            for a, b in product(range(p + 1), range(q + 1)):
+                if 0 < a + b < p + q:
+                    w = Fraction(math.comb(p, a) * math.comb(q, b), 2)
+                    for (i, c), (k, d) in product(mu(a, b).items(), mu(p - a, q - b).items()):
+                        out[i + k + 1] = out.get(i + k + 1, 0) + w * c * d / (i + k + 1)
+            return out
 
-        def mom(t: float) -> float:
-            from scipy import integrate
-
-            val, _ = integrate.dblquad(
-                lambda yy, xx: xx**jx * yy**jy * self.evaluate(xx, yy, t),
-                0.0, xmax, 0.0, ymax, epsabs=1e-10, epsrel=1e-8,
-            )
-            return val
-
-        return mom
+        tp = mu(jx, jy)
+        return lambda t: tpoly_eval(tp, t)
 
 
 def _numeric_moment(sol, j: int, xmax: float) -> Callable[[float], float]:

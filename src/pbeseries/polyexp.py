@@ -364,7 +364,7 @@ class _PolyExpBase:
     A subclass sets only ``dim``, its exponent names (size axes, then t) and
     its per-axis rate names: rates are integer pairs in both classes, so no
     hook maps them.  Names that ``bench/spans.py`` wraps through a class
-    ``__dict__`` stay defined on their class, as one-line delegations.
+    ``__dict__`` stay defined on their class, as aliases.
     """
 
     dim = 0
@@ -479,8 +479,13 @@ class _PolyExpBase:
                             for j, k in tp.items()})
         return self._wrap_groups((r, _group_product(g, tgroup)) for r, g in self._terms.items())
 
-    def _convolve(self, other):
-        """Convolution on every size axis; all rates must be one and the same."""
+    def convolve(self, other):
+        """Size convolution int_0^x [int_0^y] f(x - u[, y - v], t) g(u[, v], t) du [dv].
+
+        Both operands must carry the same rates wherever term pairs meet.  The
+        closed form is separable: on each size axis x^i e^{-ax} against
+        x^j e^{-ax} gives i! j! / (i+j+1)! x^{i+j+1} e^{-ax}, and t-exponents add.
+        """
         for ra in self._terms:
             for rb in other._terms:
                 if ra != rb:
@@ -501,13 +506,16 @@ class _PolyExpBase:
 
     # -- integrals, values and the serialised form ---------------------------
 
-    def _moment(self, orders: tuple) -> TPoly:
-        """Moment of x^jx [y^jy] f over the size axes, exact in t.
+    def moment(self, *orders: int) -> TPoly:
+        """Moment int x^jx [y^jy] f over the size axes, exact in t; missing orders are 0.
 
         Each axis gives int_0^inf x^n e^{-ax} dx = n! / a^{n+1}, so every rate
         must be positive.  With a = p/q and D the group's top degree on the
         axis, x^i weighs (i+j)! q^{i+j+1} p^{D-i} over p^{D+j+1}.
         """
+        if len(orders) > self.dim:
+            raise OutOfClassError(f"{len(orders)} moment orders for {self.dim} size axes")
+        orders += (0,) * (self.dim - len(orders))
         if min(orders) < 0:
             raise OutOfClassError("moment orders must be nonnegative")
         if self.has_zero_rate():
@@ -532,6 +540,12 @@ class _PolyExpBase:
         den, sums = out.get(0, (1, {}))
         return {jt: Fraction(num, den) for jt, num in sums.items()}
 
+    def evaluate(self, *point: float) -> float:
+        """Float value at (x[, y], t); see ``_evaluate``."""
+        if len(point) != self.dim + 1:
+            raise TypeError(f"evaluate takes {self.dim + 1} coordinates, got {len(point)}")
+        return self._evaluate([[v] for v in point[:-1]], point[-1])[0]
+
     def _evaluate(self, axes: list, t: float) -> list[float]:
         """Float values at time t on the outer grid of the size ``axes``, first axis slowest.
 
@@ -552,7 +566,7 @@ class _PolyExpBase:
                 totals[k] += ratio_times_exp(value[()], d, arg)
         return totals
 
-    def _to_obj(self) -> dict:
+    def to_obj(self) -> dict:
         """Stable-ordered structured form used by the CLI symbolic dump."""
         groups, keys = [], ("coeff", *self._EXPONENTS)
         for api, rate in self._by_value():
@@ -587,6 +601,9 @@ class PolyExp1D(_PolyExpBase):
     _EXPONENTS = ("xpow", "tpow")
     _RATES = ("rate",)
     __slots__ = ()
+    # bench/spans.py wraps these in this class's own __dict__; they go once it wraps the base
+    convolve, moment, evaluate, to_obj = (
+        _PolyExpBase.convolve, _PolyExpBase.moment, _PolyExpBase.evaluate, _PolyExpBase.to_obj)
 
     @classmethod
     def monomial(cls, coeff: RationalLike, xpow: int = 0, tpow: int = 0,
@@ -597,19 +614,6 @@ class PolyExp1D(_PolyExpBase):
         """Multiply by x^k."""
         return self._wrap({r: (d, {(_check_exponent(i + k), j): n for (i, j), n in nums.items()})
                            for r, (d, nums) in self._terms.items()})
-
-    def convolve(self, other: "PolyExp1D") -> "PolyExp1D":
-        """Size convolution int_0^x f(x-y, t) g(y, t) dy.
-
-        Both operands must carry the same exponential rate wherever term
-        pairs meet; for x^i e^{-ax} against x^j e^{-ax} the closed form is
-        i! j! / (i+j+1)! * x^{i+j+1} e^{-ax} and t-exponents add.
-        """
-        return self._convolve(other)
-
-    def moment(self, j: int = 0) -> TPoly:
-        """Full-line moment int_0^inf x^j f(x, t) dx, exact in t."""
-        return self._moment((j,))
 
     def tail_integral(self, p: int = 0) -> "PolyExp1D":
         """Tail integral int_x^inf y^p f(y, t) dy as a function of x.
@@ -649,10 +653,6 @@ class PolyExp1D(_PolyExpBase):
             out[self._api_rate(rate)] = den, [sums.get((i,), 0) for i in range(max(sums)[0] + 1)]
         return out
 
-    def evaluate(self, x: float, t: float) -> float:
-        """Float value at (x, t); see ``_PolyExpBase._evaluate``."""
-        return self._evaluate([[x]], t)[0]
-
     def eval_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         """Vectorised float evaluation at many x for one t.
 
@@ -680,9 +680,6 @@ class PolyExp1D(_PolyExpBase):
                 total[bad] = self._evaluate([xs[bad].tolist()], t)
         return total
 
-    def to_obj(self) -> dict:
-        return self._to_obj()
-
 
 class PolyExp2D(_PolyExpBase):
     """Finite sum of terms coeff * x^i y^k t^j * e^{-a x - b y}."""
@@ -691,34 +688,18 @@ class PolyExp2D(_PolyExpBase):
     _EXPONENTS = ("xpow", "ypow", "tpow")
     _RATES = ("rate", "yrate")
     __slots__ = ()
+    # bench/spans.py wraps these in this class's own __dict__; they go once it wraps the base
+    convolve, moment, evaluate, to_obj = (
+        _PolyExpBase.convolve, _PolyExpBase.moment, _PolyExpBase.evaluate, _PolyExpBase.to_obj)
 
     @classmethod
     def monomial(cls, coeff: RationalLike, xpow: int = 0, ypow: int = 0, tpow: int = 0,
                  xrate: RationalLike = 0, yrate: RationalLike = 0) -> "PolyExp2D":
         return cls({(xrate, yrate): {(xpow, ypow, tpow): coeff}})
 
-    def convolve(self, other: "PolyExp2D") -> "PolyExp2D":
-        """Double convolution over [0, x] x [0, y].
-
-        Separable: each coordinate contributes the 1-D closed form, so a
-        term pair maps to x^{i+i'+1} y^{k+k'+1} with two beta-function
-        weights.  Rate pairs must match exactly.
-        """
-        return self._convolve(other)
-
-    def moment(self, jx: int = 0, jy: int = 0) -> TPoly:
-        """Moment int int x^jx y^jy f dx dy, exact polynomial in t."""
-        return self._moment((jx, jy))
-
-    def evaluate(self, x: float, y: float, t: float) -> float:
-        return self._evaluate([[x], [y]], t)[0]
-
     def evaluate_grid(self, xs, ys, t: float) -> list[float]:
         """``evaluate`` at every (x, y) of xs x ys, x-major, bit for bit."""
         return self._evaluate([xs, ys], t)
-
-    def to_obj(self) -> dict:
-        return self._to_obj()
 
 
 PolyExp = Union[PolyExp1D, PolyExp2D]

@@ -5,6 +5,7 @@ import random
 import sys
 import tracemalloc
 from fractions import Fraction as F
+from itertools import product
 
 import mpmath
 import numpy as np
@@ -13,6 +14,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate, special
 
+from pbeseries.analysis import series_moment
 from pbeseries.exact import (
     BivariateConstantSolution,
     ConstantKernelSolution,
@@ -25,9 +27,9 @@ from pbeseries.exact import (
     bessel_i1,
     matching_exact_solution,
 )
-from pbeseries.polyexp import PolyExp1D
+from pbeseries.polyexp import PolyExp1D, PolyExp2D, tpoly_eval
 from pbeseries.problems import CoagKernel, FragSpec, Model, exponential_ic
-from pbeseries.series import iterate_accelerated
+from pbeseries.series import iterate_accelerated, iterate_classical
 
 
 def _bits(values):
@@ -195,6 +197,8 @@ def test_moments_are_exact_for_every_order(name, t):
 
 class TestBivariate:
     SOL = BivariateConstantSolution()
+    # monoexp2:1,1,1,3/2,5/2: N0 = 16/225, so the density runs on N0 t, not t
+    SCALED = BivariateConstantSolution(N0=F(16, 225), m1=F(4, 3), m2=F(4, 5))
 
     def test_initial_condition(self):
         for x, y in [(0.02, 0.03), (0.1, 0.05)]:
@@ -203,8 +207,14 @@ class TestBivariate:
 
     def test_count_moment(self):
         assert abs(self.SOL.moment(0, 0)(0.4) - 2.0 / 2.4) <= 1e-15
-        num = self.SOL._numeric_moment_2d(0, 0)(0.4)
-        assert abs(num - 2.0 / 2.4) <= 1e-6
+        for sol in (self.SOL, self.SCALED):
+            # the density decays like e^{-2x/m1 - 2y/m2}, so a box of 40 mean
+            # sizes holds all of mu_00 far below the quadrature tolerance
+            num, _ = integrate.dblquad(
+                lambda y, x: sol.evaluate(x, y, 0.4), 0.0, float(sol.m1) * 40.0,
+                0.0, float(sol.m2) * 40.0, epsabs=1e-10, epsrel=1e-8,
+            )
+            assert abs(num - sol.moment(0, 0)(0.4)) <= 1e-6
 
     def test_mass_moments(self):
         assert self.SOL.moment(1, 0)(1.0) == 0.04
@@ -212,8 +222,22 @@ class TestBivariate:
 
     def test_second_moment_growth(self):
         # d(mu20)/dt = mu10^2, so mu20(t) = 0.0024 + 0.0016 t
-        got = self.SOL.moment(2, 0)(0.5)
-        assert abs(got - (0.0024 + 0.0016 * 0.5)) <= 1e-7
+        assert self.SOL.moment(2, 0)(0.5) == float(F(24, 10000) + F(16, 10000) * F(1, 2))
+
+    @pytest.mark.parametrize("u0", [
+        PolyExp2D.monomial(6250000, xpow=1, ypow=1, xrate=50, yrate=50),
+        PolyExp2D.monomial(1, xpow=1, ypow=1, xrate=F(3, 2), yrate=F(5, 2)),
+    ], ids=["N0=1", "N0=16/225"])
+    def test_moments_are_the_classical_partial_sums(self, u0):
+        # mu_pq has degree p + q - 1 in t, which the classical Psi_3 reproduces
+        # for p + q <= 4; both sides round one exact polynomial once
+        problem = Model(u0, CoagKernel.CONSTANT)
+        sol, psi = matching_exact_solution(problem), iterate_classical(problem, 3)
+        for jx, jy in product(range(3), range(3)):
+            if (jx, jy) != (0, 0):
+                tp, mu = series_moment(psi, 3, jx, jy), sol.moment(jx, jy)
+                for t in (0.0, 0.1, 0.5, 1.3, 4.0):
+                    assert tpoly_eval(tp, t) == mu(t), (jx, jy, t)
 
 
 GRID_SOLUTIONS = [ConstantKernelSolution(), SumKernelSolution(), ProductKernelSolution(),

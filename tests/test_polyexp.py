@@ -201,6 +201,20 @@ class TestMoment:
         with pytest.raises(ZeroRateError):
             PolyExp2D.monomial(1, xrate=0, yrate=1).moment(0, 0)
 
+    def test_missing_orders_are_zero(self):
+        # a 2-D moment(0) integrates over both axes, as moment(0, 0) does
+        u0 = PolyExp2D.monomial(4, xpow=1, ypow=2, tpow=1, xrate=2, yrate=F(3, 2))
+        assert u0.moment(0) == u0.moment(0, 0) == u0.moment() == {1: F(16, 27)}
+        assert u0.moment(1) == u0.moment(1, 0)
+        assert mono(4, xpow=1, rate=2).moment() == mono(4, xpow=1, rate=2).moment(0)
+        with pytest.raises(OutOfClassError, match="3 moment orders for 2 size axes"):
+            u0.moment(0, 0, 0)
+        with pytest.raises(OutOfClassError, match="2 moment orders for 1 size axes"):
+            mono(1, rate=1).moment(0, 0)
+        for orders in [(-1,), (0, -1)]:
+            with pytest.raises(OutOfClassError, match="nonnegative"):
+                u0.moment(*orders)
+
     def test_order_past_the_exponent_cap(self):
         # x^10 e^{-x} has moment (10 + j)!; the cap bounds 10 + j on every axis
         f = mono(1, xpow=10, rate=1)
@@ -312,6 +326,12 @@ class TestEvaluate:
         f = PolyExp2D.monomial(2, xpow=1, ypow=2, tpow=1, xrate=1, yrate=2)
         expected = 2 * 0.5 * 4.0 * 3.0 * math.exp(-0.5 - 4.0)
         assert abs(f.evaluate(0.5, 2.0, 3.0) - expected) <= 1e-14 * abs(expected)
+
+    def test_one_coordinate_per_size_axis_then_t(self):
+        with pytest.raises(TypeError, match="takes 3 coordinates, got 2"):
+            PolyExp2D.monomial(1, xrate=1, yrate=1).evaluate(0.5, 1.0)
+        with pytest.raises(TypeError, match="takes 2 coordinates, got 3"):
+            mono(1, rate=1).evaluate(0.5, 1.0, 2.0)
 
 
 class TestGuards:
