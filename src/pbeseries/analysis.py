@@ -83,13 +83,6 @@ def _l1_distance(f: PolyExp1D, ex: np.ndarray, xs: np.ndarray, w: np.ndarray, t:
     return float(np.sum(w * np.abs(f.eval_grid(xs, t) - ex)))
 
 
-def pointwise(f: PolyExp1D, sol, x: float, t: float) -> tuple[float, float, float]:
-    """(approximate, exact, absolute error) at a single point."""
-    approx = f.evaluate(x, t)
-    ex = sol.evaluate(x, t)
-    return approx, ex, abs(approx - ex)
-
-
 def series_moment(series: SeriesSolution, k: int, *j: int) -> TPoly:
     """Exact moment polynomial of the partial sum Psi_k.
 
@@ -365,8 +358,9 @@ def error_table_pointwise(
     psi = series.truncated(series.n)
     cells = []
     for t in times:
-        approx, ex, err = pointwise(psi, sol, x, t)
-        cells.append((ex, approx, err))
+        approx = psi.evaluate(x, t)  # the series first: its errors come first
+        ex = sol.evaluate(x, t)
+        cells.append((ex, approx, abs(approx - ex)))
     return ErrorTable(
         row_axis="t",
         col_axis="column",

@@ -58,6 +58,7 @@ import os
 import sys
 from fractions import Fraction
 from functools import cache, partial
+from itertools import product
 
 from . import analysis, exact, refsolver
 from .polyexp import PolyExp1D, PolyExp2D, PolyExpError, tpoly_eval
@@ -346,30 +347,23 @@ def format_rows(columns: list[str], rows: list[tuple], fmt: str, header: list[st
 
 def cmd_density(s: _Settings, problem: Model) -> str:
     sol = compared_solution(s, problem)
-    ts, xs = s.get("t"), s.get("x")
-    ys = s.get("y") if problem.dim == 2 else None
+    ts = s.get("t")
+    axes = [s.get(a) for a in "xy"[: problem.dim]]
     series = iterate(problem, s.get("method"), s.get("terms"))
     psi = series.truncated(series.n)
     name = f"psi_{series.n}"
     header = [f"model = {s.get('model')}", f"method = {series.method.value}",
               f"terms = {series.n}"]
-    points = [(x, y) for x in xs for y in ys] if ys else [(x,) for x in xs]
     columns = ["x", "y"][: problem.dim] + ["t", name]
     if sol is not None:
         columns += ["exact", "abs_error"]
     rows: list[tuple] = []
     for t in ts:
-        if ys:
-            vals = psi.evaluate_grid(xs, ys, t)
-            exs = [sol.evaluate(x, y, t) for x, y in points] if sol is not None else None
-        else:
-            vals = psi.eval_grid(xs, t).tolist()
-            exs = sol.evaluate_grid(xs, t).tolist() if sol is not None else None
-        for i, (point, val) in enumerate(zip(points, vals)):
-            row = (*point, t, float(val))
-            if exs is not None:
-                row += (exs[i], abs(float(val) - exs[i]))
-            rows.append(row)
+        vals = psi.eval_grid(*axes, t)
+        exs = sol.evaluate_grid(*axes, t) if sol is not None else vals
+        for point, val, ex in zip(product(*axes), map(float, vals), map(float, exs)):
+            row = (*point, t, val)
+            rows.append(row if sol is None else (*row, ex, abs(val - ex)))
     return format_rows(columns, rows, s.format, header)
 
 

@@ -2,20 +2,23 @@
 
 Each solution evaluates the exact number density pointwise; the series
 variants (product-kernel and bivariate cases) are summed until a term
-falls below 1e-16 of the running partial sum, with a hard cap that turns
-silent truncation into an explicit NonConvergenceError.
+falls below 1e-16 of the running partial sum or of the largest term, with
+a cap (read off t x^3 on the product kernel) that turns silent truncation
+into an explicit NonConvergenceError.
 
-The 1-D solutions also evaluate a whole size grid at one time
-(``evaluate_grid``), which is what the error tables call once per time.
-The grid is bit-identical to the scalar ``evaluate``, which stays the
+Every solution also evaluates a whole size grid at one time
+(``evaluate_grid``), which is what the error tables and ``density`` call
+once per time; the bivariate one is its scalar per point, x-major.  The
+1-D grids are bit-identical to the scalar ``evaluate``, which stays the
 reference: the arithmetic runs in numpy, whose ``+ - * /`` and ``sqrt``
 are correctly rounded like Python's, each exp is the C library's, as in
 ``math.exp``, through numpy's complex exp, each log is ``math.log`` per
 element (numpy's float exp and log may differ in the last bit), and
 every series runs under a per-lane mask so that each x stops at the same
-term as the scalar loop.  The sum- and product-kernel moments import
-``scipy.integrate`` when first called, so that it stays off the CLI's
-import path; the other moments are closed forms or exact polynomials in t.
+term as the scalar loop.  Only the sum kernel's moments import
+``scipy.integrate``, when first called, so that it stays off the CLI's
+import path; the product kernel's are their own series, the others
+closed forms or exact polynomials in t.
 """
 
 from __future__ import annotations
@@ -36,10 +39,26 @@ from .problems import CoagKernel, Model, exponential_ic
 REL_TOL = 1e-16
 MAX_SERIES_TERMS = 200      # published cap for the Bessel evaluator
 MAX_DENSITY_TERMS = 500     # series densities need a longer run at large x
+DENSITY_TERM_CEILING = 100_000   # no density series runs longer at one point
+MOMENT_TERM_CEILING = 1_000_000  # nor a moment series, which runs long near gelation
 
 
 class NonConvergenceError(Exception):
     """A series evaluation hit the term cap before reaching tolerance."""
+
+
+def _product_cap(x: float, t: float) -> int:
+    """The product-kernel density's term cap at (x, t), read off t x^3.
+
+    Its terms peak near k = (t x^3 / 4)^{1/3} and fall below 1e-16 of the peak
+    within ~5 sqrt(k) terms more, so twice the peak past MAX_DENSITY_TERMS
+    reaches the stop.
+    """
+    cap = MAX_DENSITY_TERMS + 2 * math.ceil((t * x**3 / 4.0) ** (1.0 / 3.0))
+    if cap > DENSITY_TERM_CEILING:
+        raise NonConvergenceError(f"product-kernel series needs {cap} terms at x={x}, t={t}, "
+                                  f"over the ceiling of {DENSITY_TERM_CEILING}")
+    return cap
 
 
 def bessel_i1(z: float) -> float:
@@ -181,7 +200,13 @@ class SumKernelSolution:
             # e^{-(1-sqrt(T))^2 x} tail where possible.
             decay = max((1.0 - math.sqrt(T)) ** 2, 1e-3)
             xmax = min(250.0 / (2.0 * math.sqrt(T)), max(60.0, (40.0 + 10 * j) / decay))
-            return _numeric_moment(self, j, xmax)(t)
+            from scipy import integrate
+
+            val, _ = integrate.quad(
+                lambda xx: xx**j * self.evaluate(xx, t), 0.0, xmax,
+                epsabs=1e-12, epsrel=1e-10, limit=200,
+            )
+            return val
 
         return mom
 
@@ -205,7 +230,7 @@ class ProductKernelSolution:
         log_term = 0.0
         peak = 0.0
         logs = [0.0]
-        for k in range(1, MAX_DENSITY_TERMS):
+        for k in range(1, _product_cap(x, t)):
             log_term += log_ratio - math.log((k + 1) * (2 * k) * (2 * k + 1))
             logs.append(log_term)
             peak = max(peak, log_term)
@@ -235,7 +260,7 @@ class ProductKernelSolution:
         peak, last = np.zeros(x.shape), np.zeros(x.shape, dtype=int)
         live = np.arange(x.size)
         lr, log_term, pk = log_ratio, np.zeros(x.shape), np.zeros(x.shape)
-        for k in range(1, MAX_DENSITY_TERMS):
+        for k in range(1, _product_cap(float(x.max(initial=0.0)), t)):
             if not live.size:
                 break
             steps.append(math.log((k + 1) * (2 * k) * (2 * k + 1)))
@@ -265,9 +290,49 @@ class ProductKernelSolution:
         return out
 
     def moment(self, j: int) -> Callable[[float], float]:
-        # The tail decay rate 1 + t - 3 (t/4)^{1/3} vanishes at gelation,
-        # so the count integral needs a long domain to settle.
-        return _numeric_moment(self, j, xmax=600.0)
+        """mu_j = sum_k t^k (3k+j)! / ((k+1)! (2k+1)! (1+t)^{3k+j+1}).
+
+        Term by term it is the density's series against x^j, and like it the
+        sum runs in units of its largest term, whose logarithm carries the
+        scale.  The term ratio tends to r = 27 t / (4 (1+t)^3), which is 1 at
+        gelation (t = 1/2) and below 1 on either side.  The terms go like
+        k^{j-5/2} r^k, so they have fallen 1e16-fold by k = (3j + 80) / -log r;
+        the sum stops once the geometric tail past a term, term / (1 - r), is
+        below 1e-16 of the largest.
+        """
+        def mom(t: float) -> float:
+            if t == 0.0:
+                return float(math.factorial(j))
+            decay = 3.0 * math.log1p(t) - math.log(6.75) - math.log(t)  # -log r
+            cap = MAX_DENSITY_TERMS + (3 * j + 80) / decay if decay > 0.0 else math.inf
+            if cap > MOMENT_TERM_CEILING:
+                raise NonConvergenceError(
+                    f"product-kernel moment series needs over {MOMENT_TERM_CEILING} terms "
+                    f"at t={t}: its terms stop decaying at gelation, t = 0.5")
+            stop = REL_TOL * -math.expm1(-decay)
+            # c is t / (1+t)^3 rounded, so term k is off by (1 - d)^k ~ 1 - k d,
+            # which near gelation, with 10^4 terms, would cost 1e-12
+            exact_c = Fraction(t) / (1 + Fraction(t)) ** 3
+            c = float(exact_c)
+            d = float(1 - Fraction(c) / exact_c)
+            # term and total are in units of e^peak, the largest term so far;
+            # comp holds what total's additions round off (Neumaier) and the k d terms
+            peak, term, total, comp = math.lgamma(j + 1) - (j + 1) * math.log1p(t), 1.0, 1.0, 0.0
+            for k in range(1, int(cap)):
+                m = 3 * k + j
+                term *= c * (m * (m - 1) * (m - 2)) / ((k + 1) * 2 * k * (2 * k + 1))
+                if term > 1.0:  # a new largest term: it becomes the unit
+                    peak += math.log(term)
+                    total, comp, term = total / term + 1.0, comp / term + k * d, 1.0
+                    continue
+                s = total + term
+                comp += (total - s) + term + k * d * term
+                total = s
+                if term < stop:
+                    return math.exp(peak) * (total + comp)
+            raise NonConvergenceError(f"product-kernel moment series stalled at t={t}")
+
+        return mom
 
 
 @dataclass(frozen=True)
@@ -308,33 +373,49 @@ class BivariateConstantSolution:
         n0, m1, m2 = float(self.N0), float(self.m1), float(self.m2)
         xs, ys, tau = x / m1, y / m2, n0 * t
         # both gamma modes have shape q = 2, hence the factors q^q = 4
-        pref = 4.0 * n0 / (m1 * m2 * (tau + 2.0) ** 2) * 4 * 4 * math.exp(-2 * xs - 2 * ys)
+        scale = 4.0 * n0 / (m1 * m2 * (tau + 2.0) ** 2) * 4 * 4
+        pref = scale * math.exp(-2 * xs - 2 * ys)
         ratio = tau / (tau + 2.0)
         if xs == 0.0 or ys == 0.0:
             # every term (x y)^{2k+1} vanishes on the axes, where the logs below fail
             return pref * (xs * ys)
-        # Terms are summed in log space: the raw powers overflow floats
+        # Terms are formed in log space: the raw powers overflow floats
         # long before the gamma denominators bring them back down.
         log_step = math.log(ratio * 4 * 4) if ratio > 0.0 else None
         lx, ly = math.log(xs), math.log(ys)
-        total = 0.0
-        prev = math.inf
-        for k in range(MAX_DENSITY_TERMS):
-            log_term = (
-                (0.0 if k == 0 else k * log_step)
-                + (2 * k + 1) * lx
-                + (2 * k + 1) * ly
-                - math.lgamma(2 * k + 2)
-                - math.lgamma(2 * k + 2)
-            )
-            contrib = math.exp(log_term)
-            total += contrib
-            if log_step is None:
-                return pref * total
-            if k > 0 and contrib <= prev and contrib < REL_TOL * total:
-                return pref * total
-            prev = contrib
-        raise NonConvergenceError(f"bivariate series stalled at ({x}, {y}, {t})")
+
+        def log_term(k: int) -> float:
+            return ((0.0 if k == 0 else k * log_step) + (2 * k + 1) * lx + (2 * k + 1) * ly
+                    - math.lgamma(2 * k + 2) - math.lgamma(2 * k + 2))
+
+        def series(shift: float) -> float:  # the sum in units of e^shift
+            total, prev = 0.0, math.inf
+            for k in range(MAX_DENSITY_TERMS):
+                contrib = math.exp(log_term(k) - shift)
+                total += contrib
+                if log_step is None or k > 0 and contrib <= prev and contrib < REL_TOL * total:
+                    return total
+                prev = contrib
+            raise NonConvergenceError(f"bivariate series stalled at ({x}, {y}, {t})")
+
+        if abs(pref) >= sys.float_info.min:
+            try:
+                return pref * series(0.0)
+            except OverflowError:
+                pass
+        # A term passes the float range, or the envelope falls below it: sum
+        # in units of the largest term, whose log the envelope's exponent
+        # takes in.  The terms are log-concave in k, so the largest is the
+        # last one that grows.
+        k = 0
+        while log_step is not None and k < MAX_DENSITY_TERMS and log_term(k + 1) > log_term(k):
+            k += 1
+        peak = log_term(k)
+        return scale * math.exp(peak - 2 * xs - 2 * ys) * series(peak)
+
+    def evaluate_grid(self, xs, ys, t: float) -> list[float]:
+        """``evaluate`` at every (x, y) of xs x ys, x-major."""
+        return [self.evaluate(x, y, t) for x, y in product(xs, ys)]
 
     def moment(self, jx: int, jy: int) -> Callable[[float], float]:
         """mu_00 = 2 N0 / (2 + N0 t); every other moment is a polynomial in t, built exactly.
@@ -360,19 +441,6 @@ class BivariateConstantSolution:
 
         tp = mu(jx, jy)
         return lambda t: tpoly_eval(tp, t)
-
-
-def _numeric_moment(sol, j: int, xmax: float) -> Callable[[float], float]:
-    def mom(t: float) -> float:
-        from scipy import integrate
-
-        val, _ = integrate.quad(
-            lambda xx: xx**j * sol.evaluate(xx, t), 0.0, xmax,
-            epsabs=1e-12, epsrel=1e-10, limit=200,
-        )
-        return val
-
-    return mom
 
 
 def matching_exact_solution(problem: Model):

@@ -697,7 +697,7 @@ class PolyExp2D(_PolyExpBase):
                  xrate: RationalLike = 0, yrate: RationalLike = 0) -> "PolyExp2D":
         return cls({(xrate, yrate): {(xpow, ypow, tpow): coeff}})
 
-    def evaluate_grid(self, xs, ys, t: float) -> list[float]:
+    def eval_grid(self, xs, ys, t: float) -> list[float]:
         """``evaluate`` at every (x, y) of xs x ys, x-major, bit for bit."""
         return self._evaluate([xs, ys], t)
 

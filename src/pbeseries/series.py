@@ -47,7 +47,6 @@ class Method(Enum):
 class SeriesSolution:
     """Ordered components of a truncated series solution."""
 
-    problem: Model
     method: Method
     components: tuple
 
@@ -118,7 +117,7 @@ def iterate_accelerated(problem: Model, n: int) -> SeriesSolution:
         psi = psi + v
         _check_budget(psi)
         prev_rhs = cur_rhs
-    return SeriesSolution(problem, Method.ACCELERATED, tuple(components))
+    return SeriesSolution(Method.ACCELERATED, tuple(components))
 
 
 def _bilinear_block(problem: Model, components, operands, moments, k: int):
@@ -152,7 +151,7 @@ def iterate_classical(problem: Model, n: int) -> SeriesSolution:
         a_k = _bilinear_block(problem, components, operands, moments, k)
         _check_budget(a_k)
         components.append(a_k.time_antiderivative())
-    return SeriesSolution(problem, Method.CLASSICAL, tuple(components))
+    return SeriesSolution(Method.CLASSICAL, tuple(components))
 
 
 def iterate(problem: Model, method: Method, n: int) -> SeriesSolution:

@@ -458,6 +458,14 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert err == "error: Bessel series did not converge at z=318.02403904826\n"
 
+    def test_product_moments_at_gelation_are_exit_3(self, capsys):
+        code, out, err = run(
+            capsys, "moments", "--model", "coag", "--kernel", "product", "--u0", "exp:1",
+            "--terms", "4", "--j", "0,1,2", "--t", "0.4,0.5", "--compare", "exact",
+        )
+        assert code == 3 and out == ""
+        assert err.startswith("error: product-kernel moment series") and err.count("\n") == 1
+
     @pytest.mark.parametrize("kernel, terms", [
         pytest.param("constant", 12, id="constant"),
         pytest.param("product", 12, id="product"),

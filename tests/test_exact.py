@@ -130,8 +130,7 @@ class TestProductKernel:
 
     def test_particle_count_linear_decay(self):
         # pre-gelation: mu0(t) = 1 - t/2.  Gelation sits at t = 1/mu2(0)
-        # = 0.5 here, where the density tail turns algebraic, so the
-        # quadrature check stays safely below it.
+        # = 0.5 here, where the density tail turns algebraic.
         got = self.SOL.moment(0)(0.2)
         assert abs(got - 0.9) <= 1e-6
 
@@ -145,6 +144,55 @@ class TestProductKernel:
             ) * mpmath.exp(-(t + 1) * x)
             got = self.SOL.evaluate(x, t)
             assert abs(got - float(ref)) <= 1e-13 * abs(float(ref))
+
+    @pytest.mark.parametrize("x, t", [(800.0, 0.5), (1500.0, 0.1), (2000.0, 0.1)])
+    def test_density_past_500_terms(self, x, t):
+        # the series runs 546 terms at x = 1500, t = 0.1; summed term by term
+        with mpmath.workdps(30):
+            xm, tm = mpmath.mpf(x), mpmath.mpf(t)
+            total, term, k = mpmath.mpf(0), mpmath.mpf(1), 0
+            while term >= total * mpmath.mpf("1e-35") or k < 10:
+                total += term
+                k += 1
+                term = term * tm * xm**3 / ((k + 1) * (2 * k) * (2 * k + 1))
+            ref = float(total * mpmath.exp(-(tm + 1) * xm))
+        got = self.SOL.evaluate(x, t)
+        assert abs(got - ref) <= 3e-12 * ref
+        assert self.SOL.evaluate_grid(np.array([1.0, x]), t)[1] == got
+
+    @staticmethod
+    def _moment_partial_sum(j, t):
+        """sum_k t^k (3k+j)! / ((k+1)! (2k+1)! (1+t)^{3k+j+1}) to 30 digits, term by term."""
+        with mpmath.workdps(30):
+            t = mpmath.mpf(t)
+            c = t / (1 + t) ** 3
+            term = mpmath.factorial(j) / (1 + t) ** (j + 1)
+            total, k = term, 0
+            while k <= 3 * j or term >= total * mpmath.mpf("1e-32"):
+                k += 1
+                m = 3 * k + j
+                term *= c * (m * (m - 1) * (m - 2)) / ((k + 1) * 2 * k * (2 * k + 1))
+                total += term
+            return float(total)
+
+    @pytest.mark.parametrize("t", [0.1, 0.4, 0.45, 0.6, 1.0])
+    def test_moments_are_their_series(self, t):
+        for j in range(5):
+            ref = self._moment_partial_sum(j, t)
+            assert abs(self.SOL.moment(j)(t) - ref) <= 1e-13 * ref, j
+
+    def test_moments_before_gelation(self):
+        # count 1 - t/2, mass 1 and mu_2 = 2 / (1 - 2t), which blows up at t = 1/2
+        for t in (1e-9, 0.05, 0.1, 0.2, 0.3, 0.4, 0.45, 0.49):
+            closed = (1.0 - t / 2.0, 1.0, 2.0 / (1.0 - 2.0 * t))
+            for j, want in enumerate(closed):
+                assert abs(self.SOL.moment(j)(t) - want) <= 1e-13 * want, (j, t)
+
+    def test_moments_at_gelation_are_refused(self):
+        for j in (0, 1, 2):
+            assert self.SOL.moment(j)(0.0) == math.factorial(j)
+            with pytest.raises(NonConvergenceError, match="gelation"):
+                self.SOL.moment(j)(0.5)
 
 
 class TestLinearBreakage:
@@ -219,6 +267,26 @@ class TestBivariate:
     def test_mass_moments(self):
         assert self.SOL.moment(1, 0)(1.0) == 0.04
         assert self.SOL.moment(0, 1)(1.0) == 0.04
+
+    @pytest.mark.parametrize("sol", [SOL, SCALED], ids=["N0=1", "N0=16/225"])
+    def test_grid_is_the_scalar_bit_for_bit(self, sol):
+        rng = random.Random(7)
+        xs = [0.0] + [rng.uniform(0.0, 0.3) for _ in range(5)] + [10.0]
+        ys = [0.0] + [rng.uniform(0.0, 0.3) for _ in range(4)] + [8.0]
+        for t in (0.0, 0.01, 1.0):
+            grid = sol.evaluate_grid(xs, ys, t)
+            assert _bits(grid) == _bits(sol.evaluate(x, y, t) for x, y in product(xs, ys))
+
+    @pytest.mark.parametrize("x, y, want", [
+        # 30-digit sums of the series at t = 1: at (10, 10) the terms pass the
+        # float range, at (8, 8) and (8, 10) only e^{-2x/m1 - 2y/m2} leaves it
+        (10.0, 10.0, 6.9482168786027583475e-104),
+        (8.0, 10.0, 2.866342553230988177e-95),
+        (8.0, 8.0, 5.6331790383257091563e-83),
+        (7.2, 7.2, 1.3116113247937096883e-74),
+    ])
+    def test_terms_or_envelope_past_the_float_range(self, x, y, want):
+        assert abs(self.SOL.evaluate(x, y, 1.0) - want) <= 1e-12 * want
 
     def test_second_moment_growth(self):
         # d(mu20)/dt = mu10^2, so mu20(t) = 0.0024 + 0.0016 t

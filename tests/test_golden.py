@@ -9,7 +9,9 @@ two error tables (L1 and pointwise) again as ``--format json``, a
 range (one fits, one exits 3), three
 commands at times that are not dyadic rationals, six commands whose rates
 are not integers (1-D and 2-D dumps, a 2-D ``density``, a product-kernel
-``bounds`` and a sum-kernel ``moments``), ``reference-check`` on the sum,
+``bounds`` and a sum-kernel ``moments``), three closed forms where they are
+hard (product-kernel moments up to t = 0.4, the product density past 500
+terms, the bivariate density past the float range), ``reference-check`` on the sum,
 product, breakage and both coupled problems and for ten steps on a
 4,001-node constant-kernel grid, three deeper ``ahpetm`` dumps
 (constant n = 6 and sum n = 5, whose large products multiply packed
@@ -105,6 +107,15 @@ COMMANDS = {
                            "--t0 0.1 --T 1 --m 3",
     "frac-moments-sum": "moments --model coag --kernel sum --u0 exp:1/3 --terms 3 "
                         "--j 0,1,2 --t 0:1:0.25",
+    # closed forms in their hard regimes: the product moments up to t = 0.4,
+    # the product density past 500 terms near gelation, and the bivariate
+    # density where its terms or its envelope pass the float range
+    "exact-moments-product": f"moments {_PROBLEMS['product']} --terms 4 --j 0,1,2 "
+                             "--t 0:0.4:0.1 --compare exact",
+    "exact-density-product-x800": f"density {_PROBLEMS['product']} --terms 2 --t 0.5 "
+                                  "--x 800 --compare exact",
+    "exact-density-coag2d-far": f"density {_PROBLEMS['coag2d']} --terms 3 --t 1 "
+                                "--x 8,10 --y 8,10 --compare exact",
     # the grid oracle beyond the constant kernel: sum, product, breakage, both coupled
     **{f"reference-check-{name}": f"reference-check {_PROBLEMS[name]} --terms 4 "
                                   "--t-end 0.25 --cells 400 --dt 5e-3"

@@ -135,7 +135,7 @@ def test_evaluate_matches_oracle_bit_for_bit(f, h, x, y, t):
 @given(values(PolyExp2D, RATES_2D), st.lists(COORDS, min_size=1, max_size=3),
        st.lists(COORDS, min_size=1, max_size=3), st.floats(0, 3, allow_subnormal=False))
 def test_evaluate_grid_matches_evaluate_bit_for_bit(h, xs, ys, t):
-    assert h.evaluate_grid(xs, ys, t) == [h.evaluate(x, y, t) for x in xs for y in ys]
+    assert h.eval_grid(xs, ys, t) == [h.evaluate(x, y, t) for x in xs for y in ys]
 
 
 def test_evaluate_grid_at_drawn_points_zeros_and_overflow():
@@ -150,14 +150,14 @@ def test_evaluate_grid_at_drawn_points_zeros_and_overflow():
     ys = [0.0] + [rng.uniform(0, 0.2) for _ in range(3)]
     for value in (psi, two):
         for t in [0.0] + [rng.uniform(0, 0.05) for _ in range(3)]:
-            grid = value.evaluate_grid(xs, ys, t)
+            grid = value.eval_grid(xs, ys, t)
             assert grid == [value.evaluate(x, y, t) for x in xs for y in ys]
             assert grid == [oracle.evaluate(value, x, y, t) for x in xs for y in ys]
     # t^2 at t = 1e200 overflows the one int division per group
     with pytest.raises(OverflowError) as scalar:
         two.evaluate(0.1, 0.1, 1e200)
     with pytest.raises(OverflowError) as grid:
-        two.evaluate_grid([0.1], [0.1], 1e200)
+        two.eval_grid([0.1], [0.1], 1e200)
     assert str(grid.value) == str(scalar.value)
 
 
