@@ -37,7 +37,6 @@ from .polyexp import TPoly, as_fraction, tpoly_eval
 from .problems import CoagKernel, Model, exponential_ic
 
 REL_TOL = 1e-16
-MAX_SERIES_TERMS = 200      # published cap for the Bessel evaluator
 MAX_DENSITY_TERMS = 500     # series densities need a longer run at large x
 DENSITY_TERM_CEILING = 100_000   # no density series runs longer at one point
 MOMENT_TERM_CEILING = 1_000_000  # nor a moment series, which runs long near gelation
@@ -47,18 +46,24 @@ class NonConvergenceError(Exception):
     """A series evaluation hit the term cap before reaching tolerance."""
 
 
-def _product_cap(x: float, t: float) -> int:
-    """The product-kernel density's term cap at (x, t), read off t x^3.
+def _term_cap(peak: float, series: str, where: str) -> int:
+    """The term cap of a series whose terms peak near index ``peak``.
 
-    Its terms peak near k = (t x^3 / 4)^{1/3} and fall below 1e-16 of the peak
-    within ~5 sqrt(k) terms more, so twice the peak past MAX_DENSITY_TERMS
-    reaches the stop.
+    Past the peak the terms fall below 1e-16 of it within ~5 sqrt(k) terms
+    more, so twice the peak past MAX_DENSITY_TERMS reaches the stop; a cap
+    over DENSITY_TERM_CEILING (or a peak that is not finite) is refused
+    before the sum runs.
     """
-    cap = MAX_DENSITY_TERMS + 2 * math.ceil((t * x**3 / 4.0) ** (1.0 / 3.0))
+    cap = MAX_DENSITY_TERMS + 2 * math.ceil(peak) if peak < DENSITY_TERM_CEILING else math.inf
     if cap > DENSITY_TERM_CEILING:
-        raise NonConvergenceError(f"product-kernel series needs {cap} terms at x={x}, t={t}, "
+        raise NonConvergenceError(f"{series} needs {cap} terms at {where}, "
                                   f"over the ceiling of {DENSITY_TERM_CEILING}")
     return cap
+
+
+def _product_cap(x: float, t: float) -> int:
+    """The product-kernel density's term cap at (x, t): its terms peak near k = (t x^3 / 4)^{1/3}."""
+    return _term_cap((t * x**3 / 4.0) ** (1.0 / 3.0), "product-kernel series", f"x={x}, t={t}")
 
 
 def bessel_i1(z: float) -> float:
@@ -66,17 +71,21 @@ def bessel_i1(z: float) -> float:
 
     I_1(z) = sum_{k>=0} (z/2)^{2k+1} / (k! (k+1)!), summed until the next
     term is below 1e-16 of the partial sum, or is 0 (below |z| ~ 5e-308 both
-    underflow, and 0 < 0 would never stop).
+    underflow, and 0 < 0 would never stop).  The terms peak near k = |z|/2,
+    which sets the cap (``_term_cap``).  Past |z| ~ 713 I_1 leaves the float
+    range: a sum that reached inf is refused, as one that hit the cap.
     """
     if z == 0.0:
         return 0.0
     half = z / 2.0
     term = half
     total = term
-    for k in range(1, MAX_SERIES_TERMS):
+    for k in range(1, _term_cap(abs(half), "Bessel series", f"z={z}")):
         term *= half * half / (k * (k + 1))
         total += term
         if abs(term) < REL_TOL * abs(total) or term == 0.0:
+            if math.isinf(total):
+                break
             return total
     raise NonConvergenceError(f"Bessel series did not converge at z={z}")
 
@@ -121,6 +130,7 @@ def _bessel_i1_grid(z: np.ndarray) -> np.ndarray:
 
     Lanes run in order of |z|, so the unfinished ones are a suffix view from
     the first lane ``left``; a lane done before those ahead of it rides along.
+    The largest |z| sets the cap; a lane that finishes does so within its own.
     """
     total = np.zeros(z.shape)
     lanes = np.flatnonzero(z != 0.0)
@@ -128,7 +138,8 @@ def _bessel_i1_grid(z: np.ndarray) -> np.ndarray:
     half = z[lanes] / 2.0
     step, term, acc = half * half, half.copy(), half.copy()
     left, s = np.ones(lanes.size + 1, dtype=bool), 0  # a last slot, never cleared, stops argmax
-    for k in range(1, MAX_SERIES_TERMS):
+    zmax = float(np.abs(z).max(initial=0.0))
+    for k in range(1, _term_cap(zmax / 2.0, "Bessel series", f"z={zmax}")):
         tv, av = term[s:], acc[s:]
         np.multiply(tv, step[s:] / (k * (k + 1)), out=tv)
         np.add(av, tv, out=av)
@@ -137,6 +148,8 @@ def _bessel_i1_grid(z: np.ndarray) -> np.ndarray:
         left[s:-1][done] = False
         s += int(left[s:].argmax())
         if s == lanes.size:
+            if np.isinf(total).any():  # as in the scalar, a sum that reached inf
+                break
             return total
     raise NonConvergenceError("Bessel series did not converge")
 
@@ -195,9 +208,10 @@ class SumKernelSolution:
             T = -math.expm1(-t)
             if T == 0.0:
                 return float(math.factorial(j))
-            # Keep the Bessel argument inside the series' working range
-            # (the 200-term cap fails past z ~ 257) and still cover the
-            # e^{-(1-sqrt(T))^2 x} tail where possible.
+            # The domain keeps the Bessel argument at z <= 250, a bound set
+            # when the series stopped at 200 terms (past z ~ 257), and still
+            # covers the e^{-(1-sqrt(T))^2 x} tail where possible.  It cuts
+            # that tail off near t = 1, the known defect of these moments.
             decay = max((1.0 - math.sqrt(T)) ** 2, 1e-3)
             xmax = min(250.0 / (2.0 * math.sqrt(T)), max(60.0, (40.0 + 10 * j) / decay))
             from scipy import integrate
@@ -383,6 +397,8 @@ class BivariateConstantSolution:
         # long before the gamma denominators bring them back down.
         log_step = math.log(ratio * 4 * 4) if ratio > 0.0 else None
         lx, ly = math.log(xs), math.log(ys)
+        # the terms peak near k = ratio^{1/4} sqrt(xs ys)
+        cap = _term_cap(ratio ** 0.25 * math.sqrt(xs * ys), "bivariate series", f"({x}, {y}, {t})")
 
         def log_term(k: int) -> float:
             return ((0.0 if k == 0 else k * log_step) + (2 * k + 1) * lx + (2 * k + 1) * ly
@@ -390,7 +406,7 @@ class BivariateConstantSolution:
 
         def series(shift: float) -> float:  # the sum in units of e^shift
             total, prev = 0.0, math.inf
-            for k in range(MAX_DENSITY_TERMS):
+            for k in range(cap):
                 contrib = math.exp(log_term(k) - shift)
                 total += contrib
                 if log_step is None or k > 0 and contrib <= prev and contrib < REL_TOL * total:
@@ -408,7 +424,7 @@ class BivariateConstantSolution:
         # takes in.  The terms are log-concave in k, so the largest is the
         # last one that grows.
         k = 0
-        while log_step is not None and k < MAX_DENSITY_TERMS and log_term(k + 1) > log_term(k):
+        while log_step is not None and k < cap and log_term(k + 1) > log_term(k):
             k += 1
         peak = log_term(k)
         return scale * math.exp(peak - 2 * xs - 2 * ys) * series(peak)

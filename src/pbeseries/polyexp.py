@@ -12,38 +12,30 @@ convolution on [0, x], the tail integral on [x, inf), full-line moments,
 and time integration from 0 -- which is all the iteration engines ever
 apply.
 
-Representation: a PolyExp stores ``{rate: (den, {exponent_tuple: int})}``,
-with exponents ``(xpow, tpow)`` and rate ``((p, q),)`` in 1-D,
-``(xpow, ypow, tpow)`` and ``((p, q), (p', q'))`` in 2-D: a rate is one
-reduced integer pair per size axis, and each rate group is one denominator
-over integer numerators, kept canonical (den > 0, gcd(den, *numerators)
-== 1, no zero numerator, no empty group), so two values are mathematically
-equal exactly when their term maps are equal; the zero function is the
-empty map.  Fractions live only at the API edge, for rates as for
-coefficients: the constructor takes them and ``rates()``, ``terms()``,
-``moment`` and ``to_obj`` give them; ``collapse_t`` keys by Fraction rate a
-reduced integer group (den, [n_0, ..., n_top]) per x-polynomial.  Pairs do
-not sort by value ((1, 2) < (1, 3)), so ordered outputs sort by the API
-form.  Every operation is written once, in ``_PolyExpBase``, over the size axes.
+Representation: a PolyExp stores ``{rate: (den, {key: int})}``.  A rate is
+one reduced integer pair per size axis.  A key packs a monomial's exponents
+into one integer, ``_W = MAX_EXPONENT.bit_length()`` bits per field, x | t <<
+_W in 1-D and x | y << _W | t << 2 _W in 2-D: monomials multiply by adding keys,
+x^k and t^1 add a constant, and a field reads by shift and mask.  Each
+operation checks the degree cap once per group before a key moves, so no
+field carries into the next.  A rate group is one denominator over integer
+numerators, kept canonical (den > 0, gcd(den, *numerators) == 1, no zero
+numerator, no empty group), so two values are equal exactly when their term
+maps are; the zero function is the empty map.  Exponent tuples and
+Fractions live only at the API edge: the constructor, ``monomial`` and
+``from_obj`` take them, ``rates()``, ``terms()``, ``moment`` and ``to_obj``
+give them, ordered by rate value (pairs do not sort by value) and by
+exponent tuple.  ``collapse_t`` gives a reduced integer group per
+x-polynomial.  Every operation is written once, in ``_PolyExpBase``.
 
-All arithmetic is on integers with one gcd per output group: a sum takes
-one lcm of the two denominators, and scaling, time integration and the
-tail integral rescale numerators and denominator.  ``_group_product``
-pre-scales numerators by i! on every size axis that is convolved (the
-Borel/Laplace trick, which turns the weight i! j!/(i+j+1)! into a plain
-product), sums the pair products keyed by packed exponents, and puts the
-group over den_a den_b top!.  A self-product (both operands the same rate
-group, as in every coagulation gain Q(u, u)) forms each unordered pair
-once.  A large product sums its pairs column by column instead: the
-numerators of one t-column (in 2-D, one (y - x, t) column) share most of
-their bits, so each column goes over its gcd into one integer, its small
-cofactors packed along x, and one big-integer product stands for all of
-a column pair's term pairs (Kronecker substitution).  The kernel keeps
-the pair loop where packing would do more work: few pairs per column
-pair, or slots wider than the raw numerators.  Degree caps are checked
-on every axis before any pair is formed.  One substitution,
-``_substitute``, serves time polynomials, ``collapse_t`` and point
-values: for p/q one integer table p^j q^(top-j) serves a whole group.
+All arithmetic is on integers with one gcd per output group.
+``_group_product`` forms products and convolutions: pre-scaling by i! on
+each convolved axis (the Borel/Laplace trick) makes the weight
+i! j!/(i+j+1)! a plain product, and the pairs sum by the pair loop or,
+where that does less work, one big-integer product per pair of packed
+columns (Kronecker substitution).  One substitution, ``_substitute``,
+serves time polynomials, ``collapse_t`` and point values: for p/q one
+integer table p^j q^(top-j) serves a whole group.
 
 Everything is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -55,7 +47,7 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterator, Mapping, Union
 
 RationalLike = Union[int, str, Fraction]
@@ -71,6 +63,10 @@ TPoly = dict[int, Fraction]
 
 # n! for every exponent the cap admits.
 _FACTORIAL = list(accumulate(range(1, MAX_EXPONENT + 1), mul, initial=1))
+
+# Bits per exponent field of a packed key, and one field's mask.
+_W = MAX_EXPONENT.bit_length()
+_MASK = (1 << _W) - 1
 
 
 class PolyExpError(Exception):
@@ -114,28 +110,28 @@ def _power_table(p: int, q: int, top: int) -> list[int]:
     return [a * b for a, b in zip(ps, reversed(qs))]
 
 
-def _substitute(nums: Mapping, den: int, value) -> tuple[defaultdict, int]:
-    """The group (den, nums) with value = p/q put into each key's last exponent.
+def _substitute(nums: Mapping, den: int, value, shift: int) -> tuple[defaultdict, int]:
+    """The group (den, nums) with value = p/q put into each key's top field, at ``shift``.
 
-    With top the highest last exponent, the group goes over den q^top and
-    k v^j becomes k p^j q^(top-j), keyed by the rest of its key.
+    With top the highest exponent there, the group goes over den q^top and
+    k v^j becomes k p^j q^(top-j), keyed by the fields below.
     """
-    p, q = as_fraction(value).as_integer_ratio()
-    top = max((e[-1] for e in nums), default=0)
-    table, out = _power_table(p, q, top), defaultdict(int)
-    for e, n in nums.items():
-        out[e[:-1]] += n * table[e[-1]]
+    p, q = (value if isinstance(value, (int, float)) else as_fraction(value)).as_integer_ratio()
+    top = max(nums, default=0) >> shift
+    table, low = _power_table(p, q, top), (1 << shift) - 1
+    if not shift:  # the one field left: one sum
+        return {0: sum(map(mul, nums.values(), map(table.__getitem__, nums)))}, den * q**top
+    out = defaultdict(int)
+    for key, n in nums.items():
+        out[key & low] += n * table[key >> shift]
     return out, den * q**top
 
 
 def tpoly_eval(tp: TPoly, t: float) -> float:
-    """Evaluate a time polynomial at a float time, summed exactly and rounded once.
-
-    The one int division rounds correctly, as ``float(Fraction)`` does.
-    """
+    """A time polynomial at a float time, summed exactly and rounded once, as ``float(Fraction)``."""
     den, nums = _over_lcm(tp)
-    sums, den = _substitute({(j,): n for j, n in nums.items()}, den, t)
-    return sums[()] / den
+    sums, den = _substitute(nums, den, t, 0)
+    return sums[0] / den
 
 
 def ratio_times_exp(num: int, den: int, arg: float) -> float:
@@ -149,6 +145,11 @@ def ratio_times_exp(num: int, den: int, arg: float) -> float:
                 else m * math.exp(e * math.log(2) - arg))  # decay underflows
 
 
+def _top(nums, shift: int) -> int:
+    """The highest exponent in the field at ``shift`` of a group's keys."""
+    return max(map((_MASK << shift).__and__, nums)) >> shift
+
+
 def _over_lcm(poly: Mapping) -> tuple[int, dict]:
     """Nonzero exact coefficients as (den, {key: numerator}) over their lcm denominator."""
     poly = {e: c for e, c in poly.items() if c}
@@ -159,9 +160,7 @@ def _over_lcm(poly: Mapping) -> tuple[int, dict]:
 def _reduced(den: int, nums: dict) -> tuple[int, dict]:
     """(den, nums) with their common factor divided out; den > 0, nums nonempty."""
     g = math.gcd(den, *nums.values())
-    if g == 1:
-        return den, nums
-    return den // g, {e: n // g for e, n in nums.items()}
+    return (den, nums) if g == 1 else (den // g, {e: n // g for e, n in nums.items()})
 
 
 def _merge(out: dict, rate, group: tuple) -> None:
@@ -173,7 +172,7 @@ def _merge(out: dict, rate, group: tuple) -> None:
     (da, na), (db, nb) = old, group
     den = math.lcm(da, db)
     sa, sb = den // da, den // db
-    nums = {e: n * sa for e, n in na.items()}
+    nums = dict(na) if sa == 1 else {e: n * sa for e, n in na.items()}
     for e, n in nb.items():
         s = nums.get(e, 0) + n * sb
         if s:
@@ -192,17 +191,17 @@ def _merge(out: dict, rate, group: tuple) -> None:
 _PACKED_MIN_PAIRS = 1024
 
 
-def _columns(rows: list, mask: int, xunit: int) -> dict:
-    """Rows (packed key, n) split into columns, {key - x xunit: {x: n}} with x = key & mask.
+def _columns(rows: list, xunit: int) -> dict:
+    """Rows (key, n) split into columns, {key - x xunit: {x: n}} with x = key & _MASK.
 
     A column holds t fixed, and a size axis after x at a fixed excess over
     x, so that the diagonal x^i y^i terms of a 2-D value share one.  Column
-    keys add as packed keys do, and key + x xunit is a term's packed key
-    again, so a column key that stood for two columns would still be exact.
+    keys add as keys do, and key + x xunit is a term's key again, so a
+    column key that stood for two columns would still be exact.
     """
     cols: defaultdict = defaultdict(dict)
     for key, n in rows:
-        x = key & mask
+        x = key & _MASK
         cols[key - x * xunit][x] = n
     return cols
 
@@ -218,7 +217,7 @@ def _cofactors(col: dict) -> tuple:
     return lo, content, cofactors, len(col), max(map(abs, cofactors)).bit_length()
 
 
-def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, mask: int, xunit: int):
+def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, xunit: int):
     """The pair loop's sums by one integer product per column pair; None where that costs more.
 
     Each column goes along x into one integer, a cofactor per W-bit slot.
@@ -228,8 +227,8 @@ def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, mask: int, 
     loop wins when a column pair stands for few term pairs, or when the
     slots (W bits, over the column spans) outweigh the raw numerators.
     """
-    split_a = _columns(rows_a, mask, xunit)
-    split_b = split_a if same else _columns(rows_b, mask, xunit)
+    split_a = _columns(rows_a, xunit)
+    split_b = split_a if same else _columns(rows_b, xunit)
     count = len(split_a) * (len(split_a) + 1) // 2 if same else len(split_a) * len(split_b)
     if pairs < 32 * count:
         return None  # too few term pairs per column pair
@@ -291,34 +290,28 @@ def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, mask: int, 
     return acc
 
 
-def _group_product(ga: tuple, gb: tuple, borel: int = 0):
-    """Exact product of two rate groups (den, nums) on integers; None if it is 0.
+def _group_product(ga: tuple, gb: tuple, dim: int, borel: int = 0):
+    """Exact product of two rate groups (den, nums) of ``dim`` size axes; None if it is 0.
 
-    Monomials multiply pairwise and their exponents add, except on the
-    first ``borel`` axes, which are convolved on [0, x]: there x^i against
-    x^j gives i! j!/(i+j+1)! x^{i+j+1}.  With numerators pre-scaled by i!
-    and j! that weight is 1/(i+j+1)!, so each pair is one integer
-    multiply-add, done by ``_packed_sums`` or by the pair loop; the group
-    then goes over Da Db prod top! with a top!/k! factor per term and one
-    gcd.  A self-product (``ga is gb``) forms each unordered pair once.
-    Every axis is checked against MAX_EXPONENT before any pair is formed;
-    checked sums fit the packed fields.
+    Monomials multiply pairwise and their keys add, except on the first
+    ``borel`` fields, which are convolved on [0, x]: x^i against x^j gives
+    i! j!/(i+j+1)! x^{i+j+1}.  With numerators pre-scaled by i! and j! each
+    pair is one integer multiply-add (``_packed_sums`` or the pair loop);
+    the group goes over Da Db prod top! with a top!/k! factor per term.  A
+    self-product (``ga is gb``) forms each unordered pair once.  Every field
+    is checked before any pair is formed, so the sums fit their fields.
     """
     (den_a, pa), (den_b, pb) = ga, gb
     if not pa or not pb:
         return None
-    nvars = len(next(iter(pa)))
-    tops = [_check_exponent(max(e[axis] for e in pa) + max(e[axis] for e in pb)
-                            + int(axis < borel)) for axis in range(nvars)]
-    width = MAX_EXPONENT.bit_length()
-    shifts = [width * axis for axis in range(nvars)]
+    shifts = range(0, _W * (dim + 1), _W)
+    tops = [_check_exponent(_top(pa, s) + _top(pb, s) + (s < _W * borel)) for s in shifts]
+    convolved = shifts[:borel]
 
     def scaled(nums):
-        rows = []
-        for e, n in nums.items():
-            for i in e[:borel]:
-                n *= _FACTORIAL[i]
-            rows.append((sum([i << s for i, s in zip(e, shifts)]), n))
+        rows = list(nums.items())
+        for s in convolved:
+            rows = [(key, n * _FACTORIAL[(key >> s) & _MASK]) for key, n in rows]
         return rows
 
     same = ga is gb
@@ -326,13 +319,12 @@ def _group_product(ga: tuple, gb: tuple, borel: int = 0):
     rows_b = rows_a if same else scaled(pb)
     pairs = len(pa) * (len(pa) + 1) // 2 if same else len(pa) * len(pb)
     xunit = sum(1 << s for s in shifts[:-1])  # x^1 on every size axis: the column step
-    mask = (1 << width) - 1
-    acc = (_packed_sums(rows_a, rows_b, same, pairs, mask, xunit)
+    acc = (_packed_sums(rows_a, rows_b, same, pairs, xunit)
            if pairs > _PACKED_MIN_PAIRS else None)
     if acc is None:
         acc = defaultdict(int)
         if same:
-            # the pair weight and the exponent sum are symmetric, so each
+            # the pair weight and the key sum are symmetric, so each
             # unordered pair is formed once and the off-diagonal ones count twice
             for i, (ka, na) in enumerate(rows_a):
                 acc[ka + ka] += na * na
@@ -343,28 +335,21 @@ def _group_product(ga: tuple, gb: tuple, borel: int = 0):
             for ka, na in rows_a:
                 for kb, nb in rows_b:
                     acc[ka + kb] += na * nb
-    offset = sum(1 << s for s in shifts[:borel])
+    offset = sum(1 << s for s in convolved)
+    rows = [(key + offset, total) for key, total in acc.items() if total]
+    for s, top in zip(convolved, tops):
+        ratio = list(accumulate(range(top, 0, -1), mul, initial=1))[::-1]  # top!/k!
+        rows = [(key, total * ratio[(key >> s) & _MASK]) for key, total in rows]
     den = den_a * den_b * math.prod(_FACTORIAL[top] for top in tops[:borel])
-    # ratios[axis][k] = top!/k!
-    ratios = [list(accumulate(range(top, 0, -1), mul, initial=1))[::-1] for top in tops[:borel]]
-    nums = {}
-    for key, total in acc.items():
-        if total:
-            key += offset
-            exps = tuple([(key >> s) & mask for s in shifts])
-            for ratio, i in zip(ratios, exps):
-                total *= ratio[i]
-            nums[exps] = total
-    return _reduced(den, nums) if nums else None
+    return _reduced(den, dict(rows)) if rows else None
 
 
 class _PolyExpBase:
     """The algebra, written once over the size axes a subclass declares.
 
     A subclass sets only ``dim``, its exponent names (size axes, then t) and
-    its per-axis rate names: rates are integer pairs in both classes, so no
-    hook maps them.  Names that ``bench/spans.py`` wraps through a class
-    ``__dict__`` stay defined on their class, as aliases.
+    its per-axis rate names.  Names that ``bench/spans.py`` wraps through a
+    class ``__dict__`` stay defined on their class, as aliases.
     """
 
     dim = 0
@@ -376,17 +361,28 @@ class _PolyExpBase:
     def __init__(self, terms: Mapping) -> None:
         canon: dict = {}
         for rate, poly in terms.items():
-            den, nums = _over_lcm({self._canon_exps(e): as_fraction(c) for e, c in poly.items()})
+            den, nums = _over_lcm({self._pack(e): as_fraction(c) for e, c in poly.items()})
             if nums:
                 _merge(canon, self._canon_rate(rate), (den, nums))
         object.__setattr__(self, "_terms", canon)
 
     @classmethod
-    def _canon_exps(cls, exps) -> tuple:
+    def _pack(cls, exps) -> int:
+        """The key of an exponent tuple (size axes, then t)."""
         exps = tuple(_check_exponent(p) for p in exps)
         if len(exps) != cls.dim + 1:
             raise OutOfClassError(f"expected {cls.dim + 1} exponents per monomial, got {exps}")
-        return exps
+        return sum(p << s for p, s in zip(exps, range(0, _W * len(exps), _W)))
+
+    @classmethod
+    def _unpack(cls, key: int) -> tuple:
+        """The exponent tuple (size axes, then t) of a key."""
+        x, y, t = key & _MASK, key >> _W & _MASK, key >> _W * cls.dim
+        return (x, t) if cls.dim == 1 else (x, y, t)
+
+    def _sorted(self, nums: dict) -> list:
+        """A group's (exponent tuple, numerator) pairs in order of the tuple."""
+        return sorted(zip(map(self._unpack, nums), nums.values()), key=itemgetter(0))
 
     @classmethod
     def _canon_rate(cls, rate) -> tuple:
@@ -429,12 +425,12 @@ class _PolyExpBase:
         """Yield (rate, exponents, coefficient) in canonical order."""
         for rate, key in self._by_value():
             den, nums = self._terms[key]
-            for exps in sorted(nums):
-                yield rate, exps, Fraction(nums[exps], den)
+            for exps, n in self._sorted(nums):
+                yield rate, exps, Fraction(n, den)
 
     def t_degree(self) -> int:
         """Highest t exponent, or -1 for the zero function."""
-        return max((e[-1] for _, nums in self._terms.values() for e in nums), default=-1)
+        return max((max(nums) >> _W * self.dim for _, nums in self._terms.values()), default=-1)
 
     def __eq__(self, other) -> bool:
         if type(other) is not type(self):
@@ -446,8 +442,7 @@ class _PolyExpBase:
                           for r, (d, n) in sorted(self._terms.items())))
 
     def __repr__(self) -> str:
-        n = self.term_count()
-        return f"{type(self).__name__}({n} terms, rates={self.rates()!r})"
+        return f"{type(self).__name__}({self.term_count()} terms, rates={self.rates()!r})"
 
     # -- linear operations ---------------------------------------------------
 
@@ -475,9 +470,10 @@ class _PolyExpBase:
 
     def mul_tpoly(self, tp: TPoly):
         """Multiply by a polynomial in t (rates are unchanged)."""
-        tgroup = _over_lcm({(0,) * self.dim + (_check_exponent(j),): as_fraction(k)
+        tgroup = _over_lcm({_check_exponent(j) << _W * self.dim: as_fraction(k)
                             for j, k in tp.items()})
-        return self._wrap_groups((r, _group_product(g, tgroup)) for r, g in self._terms.items())
+        return self._wrap_groups((r, _group_product(g, tgroup, self.dim))
+                                 for r, g in self._terms.items())
 
     def convolve(self, other):
         """Size convolution int_0^x [int_0^y] f(x - u[, y - v], t) g(u[, v], t) du [dv].
@@ -492,16 +488,17 @@ class _PolyExpBase:
                     ra, rb = self._api_rate(ra), self._api_rate(rb)
                     raise MixedRatesError(f"convolution of distinct rates {ra} and {rb} "
                                           "is outside the supported closed form")
-        return self._wrap_groups((r, _group_product(p, other._terms[r], self.dim))
+        return self._wrap_groups((r, _group_product(p, other._terms[r], self.dim, self.dim))
                                  for r, p in self._terms.items() if r in other._terms)
 
     def time_antiderivative(self):
         """Integrate from 0 in time, t^j to t^{j+1}/(j+1); the result is 0 at t = 0."""
-        out = {}
+        out, shift = {}, _W * self.dim
         for r, (d, nums) in self._terms.items():
-            lcm = math.lcm(*(e[-1] + 1 for e in nums))
-            out[r] = _reduced(d * lcm, {e[:-1] + (_check_exponent(e[-1] + 1),):
-                                        n * (lcm // (e[-1] + 1)) for e, n in nums.items()})
+            _check_exponent((max(nums) >> shift) + 1)
+            lcm = math.lcm(*{(key >> shift) + 1 for key in nums})
+            out[r] = _reduced(d * lcm, {key + (1 << shift): n * (lcm // ((key >> shift) + 1))
+                                        for key, n in nums.items()})
         return self._wrap(out)
 
     # -- integrals, values and the serialised form ---------------------------
@@ -523,16 +520,15 @@ class _PolyExpBase:
         out: dict = {}  # one group under key 0, so that _merge prunes zeros
         for _, rate in self._by_value():
             den, poly = self._terms[rate]
-            tables = []
+            rows = self._sorted(poly)  # t-exponents in order of first appearance
             for axis, (j, (p, q)) in enumerate(zip(orders, rate)):
-                top = _check_exponent(max(e[axis] for e in poly) + j) - j
-                tables.append([_FACTORIAL[i + j] * q ** (i + j + 1) * p ** (top - i)
-                               for i in range(top + 1)])
+                top = _check_exponent(_top(poly, _W * axis) + j) - j
+                table = [_FACTORIAL[i + j] * q ** (i + j + 1) * p ** (top - i)
+                         for i in range(top + 1)]
+                rows = [(e, num * table[e[axis]]) for e, num in rows]
                 den *= p ** (top + j + 1)
             sums: defaultdict = defaultdict(int)
-            for e, num in sorted(poly.items()):  # t-exponents in order of first appearance
-                for table, i in zip(tables, e):
-                    num *= table[i]
+            for e, num in rows:
                 sums[e[-1]] += num
             sums = {jt: num for jt, num in sums.items() if num}
             if sums:
@@ -559,11 +555,11 @@ class _PolyExpBase:
         totals = [0.0] * len(points)
         for rate, (den, poly) in self._terms.items():
             level = [(poly, den)]
-            for coords in [[t], *reversed(axes)]:
-                level = [_substitute(nums, d, v) for v in coords for nums, d in level]
+            for coords, shift in zip([[t], *reversed(axes)], range(_W * self.dim, -1, -_W)):
+                level = [_substitute(nums, d, v, shift) for v in coords for nums, d in level]
             for k, (point, (value, d)) in enumerate(zip(points, level)):
                 arg = sum(p / q * v for (p, q), v in zip(rate, point))
-                totals[k] += ratio_times_exp(value[()], d, arg)
+                totals[k] += ratio_times_exp(value[0], d, arg)
         return totals
 
     def to_obj(self) -> dict:
@@ -571,7 +567,7 @@ class _PolyExpBase:
         groups, keys = [], ("coeff", *self._EXPONENTS)
         for api, rate in self._by_value():
             den, nums = self._terms[rate]
-            monos = [dict(zip(keys, (str(Fraction(n, den)), *e))) for e, n in sorted(nums.items())]
+            monos = [dict(zip(keys, (str(Fraction(n, den)), *e))) for e, n in self._sorted(nums)]
             axes = api if self.dim > 1 else (api,)
             groups.append({**dict(zip(self._RATES, map(str, axes))), "monomials": monos})
         return {"dim": self.dim, "terms": groups}
@@ -611,9 +607,12 @@ class PolyExp1D(_PolyExpBase):
         return cls({rate: {(xpow, tpow): coeff}})
 
     def mul_x(self, k: int = 1) -> "PolyExp1D":
-        """Multiply by x^k."""
-        return self._wrap({r: (d, {(_check_exponent(i + k), j): n for (i, j), n in nums.items()})
-                           for r, (d, nums) in self._terms.items()})
+        """Multiply by x^k; one check per group keeps the x field in [0, MAX_EXPONENT]."""
+        out = {}
+        for r, (d, nums) in self._terms.items():
+            _check_exponent((min if k < 0 else max)(map(_MASK.__and__, nums)) + k)
+            out[r] = d, {key + k: n for key, n in nums.items()}
+        return self._wrap(out)
 
     def tail_integral(self, p: int = 0) -> "PolyExp1D":
         """Tail integral int_x^inf y^p f(y, t) dy as a function of x.
@@ -628,17 +627,18 @@ class PolyExp1D(_PolyExpBase):
         out: dict = {}
         for _, a in self._by_value():
             den, poly = self._terms[a]
-            if (low := min(m for m, _ in poly)) + p < 0:
+            if (low := min(map(_MASK.__and__, poly))) + p < 0:
                 raise OutOfClassError(f"tail integral with power {p} drives x^{low} "
                                       "below degree 0")
-            top, ((pa, qa),) = max(m for m, _ in poly) + p, a
+            top, ((pa, qa),) = _check_exponent(_top(poly, 0) + p), a
             weights = [qa**r * pa ** (top + 1 - r) for r in range(top + 2)]
             nums: defaultdict = defaultdict(int)
-            for (m, jt), num in poly.items():
-                n = m + p
-                ratio = math.factorial(n)  # n!/k!
+            for key, num in poly.items():
+                m = key & _MASK
+                n, tkey = m + p, key - m
+                ratio = _FACTORIAL[n]  # n!/k!
                 for k in range(n + 1):
-                    nums[k, jt] += num * ratio * weights[n - k + 1]
+                    nums[tkey + k] += num * ratio * weights[n - k + 1]
                     ratio //= k + 1
             nums = {e: n for e, n in nums.items() if n}
             if nums:
@@ -649,8 +649,8 @@ class PolyExp1D(_PolyExpBase):
         """Substitute an exact time: rate -> reduced (den, nums), nums[i] / den at x^i."""
         out: dict[Fraction, tuple[int, list[int]]] = {}
         for rate, (den, poly) in self._terms.items():
-            den, sums = _reduced(*_substitute(poly, den, t)[::-1])
-            out[self._api_rate(rate)] = den, [sums.get((i,), 0) for i in range(max(sums)[0] + 1)]
+            den, sums = _reduced(*_substitute(poly, den, t, _W)[::-1])
+            out[self._api_rate(rate)] = den, [sums.get(i, 0) for i in range(max(sums) + 1)]
         return out
 
     def eval_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
@@ -668,10 +668,10 @@ class PolyExp1D(_PolyExpBase):
         with np.errstate(all="ignore"):  # a lane that is not finite goes to ``_evaluate``
             try:
                 for ((p, q),), (den, poly) in self._terms.items():
-                    sums, den = _substitute(poly, den, t)  # n / den rounds as float(Fraction)
+                    sums, den = _substitute(poly, den, t, _W)  # n / den rounds as float(Fraction)
                     acc = np.zeros_like(xs)
-                    for i in range(max(sums)[0], -1, -1):
-                        acc = acc * xs + sums[i,] / den
+                    for i in range(max(sums), -1, -1):
+                        acc = acc * xs + sums[i] / den
                     total += acc * np.exp(-(p / q) * xs)
             except OverflowError:  # an inf coefficient would leave no lane finite
                 total[:] = np.inf

@@ -84,7 +84,7 @@ def product(f, g):
     out: dict = {}
     for ra, ga in f._terms.items():
         for rb, gb in g._terms.items():
-            group = pe._group_product(ga, gb)
+            group = pe._group_product(ga, gb, f.dim)
             if group:
                 rate = tuple((Fraction(*a) + Fraction(*b)).as_integer_ratio()
                              for a, b in zip(ra, rb))

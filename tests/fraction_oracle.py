@@ -21,9 +21,13 @@ from pbeseries.polyexp import MixedRatesError
 
 
 def groups(f):
-    """(API rate, {exponents: Fraction}) of each stored rate group, in stored order."""
+    """(API rate, {exponents: Fraction}) of each stored rate group, in stored order.
+
+    Stored keys are unpacked into exponent tuples by ``_unpack``, the one
+    helper that reads the packed layout.
+    """
     for rate, (den, nums) in f._terms.items():
-        yield f._api_rate(rate), {e: Fraction(n, den) for e, n in nums.items()}
+        yield f._api_rate(rate), {f._unpack(key): Fraction(n, den) for key, n in nums.items()}
 
 
 def axes(f, rate) -> tuple:

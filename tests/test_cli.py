@@ -450,13 +450,14 @@ class TestErrorPaths:
         assert "exceeds cap" in err and err.count("\n") == 1
 
     def test_exact_series_past_its_cap_is_exit_3(self, capsys):
-        # at x = 200, t = 1 the Bessel argument 2 x sqrt(1 - e^-1) is 318
+        # at x = 500, t = 1 the Bessel argument 2 x sqrt(1 - e^-1) is 795,
+        # where I_1 is past the float range
         code, out, err = run(
             capsys, "density", "--model", "coag", "--kernel", "sum", "--u0", "exp:1",
-            "--terms", "1", "--t", "1", "--x", "1,200", "--compare", "exact",
+            "--terms", "1", "--t", "1", "--x", "1,500", "--compare", "exact",
         )
         assert code == 3 and out == ""
-        assert err == "error: Bessel series did not converge at z=318.02403904826\n"
+        assert err == "error: Bessel series did not converge at z=795.0600976206501\n"
 
     def test_product_moments_at_gelation_are_exit_3(self, capsys):
         code, out, err = run(

@@ -61,6 +61,25 @@ class TestBessel:
         grid = _bessel_i1_grid(np.array(zs, dtype=float)).tolist()
         assert _bits(grid) == _bits(map(bessel_i1, zs))
 
+    @pytest.mark.parametrize("z, want", [
+        # mpmath.besseli(1, z) at 40 digits; the terms peak near k = z/2
+        (300.0, 4.4683813850369544139e+128),
+        (500.0, 2.5023034121760999957e+215),
+        (700.0, 1.5285003902339006881e+302),
+    ])
+    def test_up_to_the_float_range(self, z, want):
+        assert abs(bessel_i1(z) - want) <= 1e-13 * want
+        grid = _bessel_i1_grid(np.array([1.0, z, -z]))
+        assert _bits(grid.tolist()) == _bits(map(bessel_i1, [1.0, z, -z]))
+
+    @pytest.mark.parametrize("z", [715.0, 795.0, -795.0])
+    def test_past_the_float_range_raises(self, z):
+        # at 715 only the sum reaches inf, at 795 a term does
+        with pytest.raises(NonConvergenceError, match="did not converge"):
+            bessel_i1(z)
+        with pytest.raises(NonConvergenceError), np.errstate(over="ignore"):
+            _bessel_i1_grid(np.array([1.0, z]))
+
 
 class TestConstantKernel:
     SOL = ConstantKernelSolution()
@@ -114,6 +133,17 @@ class TestSumKernel:
 
     def test_continuity_at_origin(self):
         assert abs(self.SOL.evaluate(1e-12, 0.3) - self.SOL.evaluate(0.0, 0.3)) <= 1e-9
+
+    @pytest.mark.parametrize("x, want", [
+        # 40-digit mpmath values of the closed form at t = 1, where the
+        # Bessel argument is 318 and 684 and its series runs 237 and 454 terms
+        (200.0, 1.1623516031059219489e-8),
+        (430.0, 2.3530619621118339003e-13),
+    ])
+    def test_density_at_large_x(self, x, want):
+        assert abs(self.SOL.evaluate(x, 1.0) - want) <= 1e-13 * want
+        assert _bits(self.SOL.evaluate_grid(np.array([1.0, x]), 1.0).tolist()) == _bits(
+            [self.SOL.evaluate(1.0, 1.0), self.SOL.evaluate(x, 1.0)])
 
     def test_particle_count_decays_exponentially(self):
         # mu0(t) = e^{-t} for the sum kernel
@@ -288,6 +318,15 @@ class TestBivariate:
     def test_terms_or_envelope_past_the_float_range(self, x, y, want):
         assert abs(self.SOL.evaluate(x, y, 1.0) - want) <= 1e-12 * want
 
+    def test_cap_read_off_the_peak_term(self):
+        # the terms peak near k = (t/(t+2))^{1/4} sqrt(x y) / m = 746, past 500
+        # terms; 40-digit mpmath sum of the series
+        want = 1.304137687919902504353351e-9
+        assert abs(self.SOL.evaluate(30.0, 30.0, 100.0) - want) <= 1e-12 * want
+        # a peak past the ceiling is refused before the sum runs
+        with pytest.raises(NonConvergenceError, match="needs 149760 terms"):
+            self.SOL.evaluate(3000.0, 3000.0, 100.0)
+
     def test_second_moment_growth(self):
         # d(mu20)/dt = mu10^2, so mu20(t) = 0.0024 + 0.0016 t
         assert self.SOL.moment(2, 0)(0.5) == float(F(24, 10000) + F(16, 10000) * F(1, 2))
@@ -371,8 +410,8 @@ class TestEvaluateGrid:
         assert peak < 40 * SIMPSON_NODES.nbytes
 
     @pytest.mark.parametrize("sol, xs, t", [
-        # the Bessel argument 2 x sqrt(T) passes ~257 and trips the 200-term cap
-        (SumKernelSolution(), [1.0, 200.0, 300.0], 1.0),
+        # the Bessel argument 2 x sqrt(T) is 795 at x = 500, where I_1 is past the float range
+        (SumKernelSolution(), [1.0, 500.0], 1.0),
         (ProductKernelSolution(), [1.0, 1e5, 1e6], 0.5),
     ], ids=["sum", "product"])
     def test_raises_where_scalar_does(self, sol, xs, t):

@@ -353,6 +353,94 @@ class TestGuards:
             PolyExp1D({1: {(-1, 0): 1}})
 
 
+TOP = pe.MAX_EXPONENT
+# every field at the cap, alone and together, and next to a field at 0
+CORNERS = {
+    PolyExp1D: [(TOP, TOP), (TOP, 0), (0, TOP), (1, TOP - 1), (0, 0)],
+    PolyExp2D: [(TOP, TOP, TOP), (TOP, 0, TOP), (0, TOP, 0), (0, 0, TOP), (1, TOP, TOP - 1)],
+}
+RATE = {PolyExp1D: 1, PolyExp2D: (1, 2)}
+
+
+class _Counted(int):
+    """An int numerator that counts the products it takes part in."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+class TestKeyLayout:
+    """One packed integer per monomial: at the cap no field carries into the next,
+    and below 0 none borrows from it."""
+
+    @pytest.mark.parametrize("cls", [PolyExp1D, PolyExp2D])
+    def test_every_field_at_the_cap_round_trips(self, cls):
+        corners = CORNERS[cls]
+        v = cls({RATE[cls]: {e: F(k + 1, 3) for k, e in enumerate(corners)}})
+        # terms() in order of the exponent tuple, which is not the order of the keys
+        assert [(e, c) for _, e, c in v.terms()] == sorted(
+            (e, F(k + 1, 3)) for k, e in enumerate(corners))
+        assert from_obj(v.to_obj()) == v
+        assert v.to_obj() == from_obj(v.to_obj()).to_obj()
+        assert v.t_degree() == TOP
+        assert v.term_count() == len(corners)
+
+    def test_mul_x_up_to_the_cap(self):
+        f = PolyExp1D({1: {(TOP - 2, TOP): 1, (0, 0): 2}})
+        assert {(e, c) for _, e, c in f.mul_x(2).terms()} == {((TOP, TOP), 1), ((2, 0), 2)}
+        with pytest.raises(DegreeOverflowError, match=f"exponent {TOP + 1} exceeds"):
+            f.mul_x(3)
+
+    @pytest.mark.parametrize("cls", [PolyExp1D, PolyExp2D])
+    def test_time_antiderivative_up_to_the_cap(self, cls):
+        below = sorted({e[:-1] + (TOP - 1,) for e in CORNERS[cls]})
+        v = cls({RATE[cls]: dict.fromkeys(below, 1)})
+        got = v.time_antiderivative()
+        assert [(e, c) for _, e, c in got.terms()] == sorted(
+            (e[:-1] + (TOP,), F(1, TOP)) for e in below)
+        with pytest.raises(DegreeOverflowError, match=f"exponent {TOP + 1} exceeds"):
+            got.time_antiderivative()
+
+    @pytest.mark.parametrize("dim, borel", [(1, 0), (1, 1), (2, 0), (2, 2)])
+    def test_product_past_the_cap_raises_before_any_pair(self, dim, borel):
+        # one field at the cap against x^1 (or the convolution's +1) in that field
+        for s in range(0, pe._W * (dim + 1), pe._W):
+            ga = (1, {TOP << s: _Counted(3), 0: _Counted(5)})
+            gb = (1, {(0 if s < pe._W * borel else 1 << s): _Counted(7)})
+            _Counted.products = 0
+            with pytest.raises(DegreeOverflowError, match=f"exponent {TOP + 1} exceeds"):
+                pe._group_product(ga, gb, dim, borel)
+            assert _Counted.products == 0
+
+    def test_operators_past_the_cap_raise(self):
+        f = PolyExp1D({1: {(TOP, 0): 1}})
+        h = PolyExp2D({(1, 2): {(0, TOP, 0): 1}})
+        for v in (f, h):
+            with pytest.raises(DegreeOverflowError):
+                v.convolve(v)
+            with pytest.raises(DegreeOverflowError):
+                v.mul_tpoly({TOP + 1: 1})
+            v.mul_tpoly({TOP: 1})  # the t field alone reaches the cap
+        with pytest.raises(DegreeOverflowError):
+            f.tail_integral(1)
+
+    def test_negative_powers_raise_without_borrow(self):
+        # x^0 t^1 shifted by x^-1 would read x^(2^W - 1) t^0 if it borrowed
+        f = PolyExp1D({1: {(0, 1): 1, (3, 0): 2}})
+        with pytest.raises(OutOfClassError, match="got -1"):
+            f.mul_x(-1)
+        with pytest.raises(OutOfClassError, match="below degree 0"):
+            f.tail_integral(-1)
+        g = PolyExp1D({1: {(3, 0): 1, (5, 2): 2}})
+        assert {e for _, e, _ in g.mul_x(-3).terms()} == {(0, 0), (2, 2)}
+        assert g.tail_integral(-3) == (g.mul_x(-3).tail_integral(0))
+
+
 class TestSerialization:
     def test_round_trip_1d(self):
         rng = random.Random(37)

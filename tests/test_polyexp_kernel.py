@@ -70,6 +70,8 @@ def assert_canonical(value):
             assert p >= 0 and q > 0 and math.gcd(p, q) == 1
         assert type(den) is int and den > 0
         assert nums and all(type(n) is int and n for n in nums.values())
+        # one packed integer per monomial, every field within the cap
+        assert all(type(key) is int and value._pack(value._unpack(key)) == key for key in nums)
         assert math.gcd(den, *nums.values()) == 1
 
 
@@ -241,8 +243,8 @@ def test_self_product_matches_the_general_loop(f, h, borel):
     for v in (f, h):
         for group in v._terms.values():
             den, nums = group
-            same = pe._group_product(group, group, borel)
-            assert same == pe._group_product(group, (den, dict(nums)), borel)
+            same = pe._group_product(group, group, v.dim, borel)
+            assert same == pe._group_product(group, (den, dict(nums)), v.dim, borel)
             assert math.gcd(same[0], *same[1].values()) == 1
 
 
@@ -260,9 +262,9 @@ def test_coagulation_gain_is_a_self_product(monkeypatch):
     calls = []
     real = pe._group_product
 
-    def spy(pa, pb, borel=0):
+    def spy(pa, pb, dim, borel=0):
         calls.append((pa is pb, borel))
-        return real(pa, pb, borel)
+        return real(pa, pb, dim, borel)
 
     monkeypatch.setattr(pe, "_group_product", spy)
     u = exponential_ic().mul_tpoly({0: F(1), 1: F(-1, 3)})
@@ -355,9 +357,9 @@ def test_both_kernel_paths_agree_on_every_borel_axis_count(f, g, h, k, borel):
     for a, b in ((f, g), (f, f), (h, k), (h, h)):
         ga, gb = next(iter(a._terms.values())), next(iter(b._terms.values()))
         with kernel_path(False):
-            loop = pe._group_product(ga, gb, borel)
+            loop = pe._group_product(ga, gb, a.dim, borel)
         with kernel_path(True):
-            assert pe._group_product(ga, gb, borel) == loop
+            assert pe._group_product(ga, gb, a.dim, borel) == loop
 
 
 def test_packed_slots_hold_their_largest_sums():
