@@ -14,6 +14,7 @@ from .polyexp import (
     PolyExp1D,
     PolyExp2D,
     PolyExpError,
+    WorkBudgetError,
     ZeroRateError,
     from_obj,
 )
@@ -30,7 +31,6 @@ from .problems import (
 from .series import (
     Method,
     SeriesSolution,
-    TermBudgetError,
     iterate,
     iterate_accelerated,
     iterate_classical,
@@ -48,7 +48,7 @@ __all__ = [
     "PolyExp2D",
     "PolyExpError",
     "SeriesSolution",
-    "TermBudgetError",
+    "WorkBudgetError",
     "ZeroRateError",
     "coag2d_bilinear",
     "coag_bilinear",

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .polyexp import (MixedRatesError, PolyExp1D, PolyExp2D, TPoly, ZeroRateError,
-                       ratio_times_exp, tpoly_eval)
+                       ratio_times_exp, tpoly_function)
 from .series import SeriesSolution
 
 
@@ -260,7 +260,7 @@ def sup_abs_moment00(f: PolyExp2D, t0: float) -> float:
     for ``monoexp2:6250000,1,1,50,50`` at t0 = 0.01 this gives t0 / 2 = 0.005,
     while int int |v_1| dx dy at t0 is 0.0097694.
     """
-    return abs(tpoly_eval(f.moment(0, 0), _sup_time(f, t0)))
+    return abs(tpoly_function(f.moment(0, 0))(_sup_time(f, t0)))
 
 
 def coag_contraction(u0_norm: float, T: float, t0: float) -> tuple[float, float]:

@@ -40,7 +40,7 @@ tables included, is written by ``format_rows``.  It does not import
 numpy; reference-check takes its deviation with the arrays' own operators.
 
 Exit status: 0 success, 2 configuration error, 3 engine error
-(mixed rates, out-of-class breakage, degree/term/float overflow, grid budget,
+(mixed rates, out-of-class breakage, degree/float overflow, work or grid budget,
 instability),
 4 I/O error, and an --out path whose directory is missing exits 4 before
 any work.  Errors print one diagnostic line on stderr.  Output is
@@ -61,7 +61,7 @@ from functools import cache, partial
 from itertools import product
 
 from . import analysis, exact, refsolver
-from .polyexp import PolyExp1D, PolyExp2D, PolyExpError, tpoly_eval
+from .polyexp import PolyExp1D, PolyExp2D, PolyExpError, tpoly_function
 from .problems import CoagKernel, FragSpec, Model
 from .series import Method, iterate
 
@@ -405,12 +405,12 @@ def cmd_moments(s: _Settings, problem: Model) -> str:
     columns = ["t", *(["jx", "jy"] if problem.dim == 2 else ["j"]), "mu_approx"]
     if sol is not None:
         columns.append("mu_exact")
-    tps = {j: analysis.series_moment(series, series.n, *j) for j in js}
+    mu_approx = {j: tpoly_function(analysis.series_moment(series, series.n, *j)) for j in js}
     mus = {j: sol.moment(*j) for j in js} if sol is not None else {}
     rows = []
     for t in ts:
         for j in js:
-            row = (t, *j, tpoly_eval(tps[j], t))
+            row = (t, *j, mu_approx[j](t))
             if sol is not None:
                 row += (mus[j](t),)
             rows.append(row)

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .polyexp import TPoly, as_fraction, tpoly_eval
+from .polyexp import TPoly, as_fraction, tpoly_function
 from .problems import CoagKernel, Model, exponential_ic
 
 REL_TOL = 1e-16
@@ -455,8 +455,7 @@ class BivariateConstantSolution:
                         out[i + k + 1] = out.get(i + k + 1, 0) + w * c * d / (i + k + 1)
             return out
 
-        tp = mu(jx, jy)
-        return lambda t: tpoly_eval(tp, t)
+        return tpoly_function(mu(jx, jy))
 
 
 def matching_exact_solution(problem: Model):

@@ -33,7 +33,8 @@ All arithmetic is on integers with one gcd per output group.
 each convolved axis (the Borel/Laplace trick) makes the weight
 i! j!/(i+j+1)! a plain product, and the pairs sum by the pair loop or,
 where that does less work, one big-integer product per pair of packed
-columns (Kronecker substitution).  One substitution, ``_substitute``,
+columns (Kronecker substitution); the degree cap and ``WORK_BUDGET`` are
+checked before any pair is formed.  One substitution, ``_substitute``,
 serves time polynomials, ``collapse_t`` and point values: for p/q one
 integer table p^j q^(top-j) serves a whole group.
 
@@ -47,15 +48,17 @@ import math
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import itemgetter, mul
-from typing import Iterator, Mapping, Union
+from operator import itemgetter, mul, truediv
+from typing import Callable, Iterator, Mapping, Union
 
 RationalLike = Union[int, str, Fraction]
 
-# Hard cap on any stored exponent.  Product-kernel iterations grow the
-# x-degree roughly geometrically, so runaway inputs must fail loudly
-# instead of allocating without bound.
+# Hard caps on any stored exponent and on one product's pair-bit work (its term
+# pairs times each operand's mean Borel-scaled numerator bits), both checked
+# before the work: ahpetm iterations square their way past either within an
+# order or two, and must fail at once.  No benchmark product takes over 6.7e10.
 MAX_EXPONENT = 512
+WORK_BUDGET = 2**44
 
 # Polynomial in t alone: t-exponent -> coefficient.  Moments of PolyExp
 # values live here (the x dependence integrates out exactly).
@@ -89,6 +92,10 @@ class DegreeOverflowError(PolyExpError):
     """An exponent exceeded MAX_EXPONENT."""
 
 
+class WorkBudgetError(PolyExpError):
+    """A product's pair-bit work would pass WORK_BUDGET."""
+
+
 def as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
@@ -110,28 +117,29 @@ def _power_table(p: int, q: int, top: int) -> list[int]:
     return [a * b for a, b in zip(ps, reversed(qs))]
 
 
-def _substitute(nums: Mapping, den: int, value, shift: int) -> tuple[defaultdict, int]:
+def _substitute(nums: Mapping, den: int, value, shift: int) -> tuple:
     """The group (den, nums) with value = p/q put into each key's top field, at ``shift``.
 
     With top the highest exponent there, the group goes over den q^top and
-    k v^j becomes k p^j q^(top-j), keyed by the fields below.
+    k v^j becomes k p^j q^(top-j), keyed by the fields below; at shift 0 the
+    numerators sum to one integer.
     """
     p, q = (value if isinstance(value, (int, float)) else as_fraction(value)).as_integer_ratio()
     top = max(nums, default=0) >> shift
     table, low = _power_table(p, q, top), (1 << shift) - 1
     if not shift:  # the one field left: one sum
-        return {0: sum(map(mul, nums.values(), map(table.__getitem__, nums)))}, den * q**top
+        return sum(map(mul, nums.values(), map(table.__getitem__, nums))), den * q**top
     out = defaultdict(int)
     for key, n in nums.items():
         out[key & low] += n * table[key >> shift]
     return out, den * q**top
 
 
-def tpoly_eval(tp: TPoly, t: float) -> float:
-    """A time polynomial at a float time, summed exactly and rounded once, as ``float(Fraction)``."""
+def tpoly_function(tp: TPoly) -> Callable[[float], float]:
+    """A time polynomial put over one denominator once, as a function of float time;
+    each value sums exactly and rounds once, as ``float(Fraction)``."""
     den, nums = _over_lcm(tp)
-    sums, den = _substitute(nums, den, t, 0)
-    return sums[0] / den
+    return lambda t: truediv(*_substitute(nums, den, t, 0))
 
 
 def ratio_times_exp(num: int, den: int, arg: float) -> float:
@@ -217,7 +225,8 @@ def _cofactors(col: dict) -> tuple:
     return lo, content, cofactors, len(col), max(map(abs, cofactors)).bit_length()
 
 
-def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, xunit: int):
+def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, raw_a: float,
+                 raw_b: float, xunit: int):
     """The pair loop's sums by one integer product per column pair; None where that costs more.
 
     Each column goes along x into one integer, a cofactor per W-bit slot.
@@ -238,8 +247,6 @@ def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, xunit: int)
     spans_a, spans_b = ([len(col[2]) for _, col in items] for items in (items_a, items_b))
     slots = ((sum(spans_a) ** 2 + sum(s * s for s in spans_a)) // 2 if same
              else sum(spans_a) * sum(spans_b))
-    raw_a, raw_b = (sum(abs(n).bit_length() for _, n in rows) / len(rows)
-                    for rows in (rows_a, rows_b))
 
     def cheaper(width):  # the slots' bit work against the raw pairs', within a factor 2
         return slots * width * width <= 2 * pairs * raw_a * raw_b
@@ -299,7 +306,8 @@ def _group_product(ga: tuple, gb: tuple, dim: int, borel: int = 0):
     pair is one integer multiply-add (``_packed_sums`` or the pair loop);
     the group goes over Da Db prod top! with a top!/k! factor per term.  A
     self-product (``ga is gb``) forms each unordered pair once.  Every field
-    is checked before any pair is formed, so the sums fit their fields.
+    is checked before any pair is formed, so the sums fit their fields, and
+    so is the pair-bit work against ``WORK_BUDGET``.
     """
     (den_a, pa), (den_b, pb) = ga, gb
     if not pa or not pb:
@@ -318,8 +326,12 @@ def _group_product(ga: tuple, gb: tuple, dim: int, borel: int = 0):
     rows_a = scaled(pa)
     rows_b = rows_a if same else scaled(pb)
     pairs = len(pa) * (len(pa) + 1) // 2 if same else len(pa) * len(pb)
+    raw_a, raw_b = (sum(abs(n).bit_length() for _, n in r) / len(r) for r in (rows_a, rows_b))
+    if pairs * raw_a * raw_b > WORK_BUDGET:
+        raise WorkBudgetError(f"a product of {pairs} term pairs of {raw_a:.0f} x {raw_b:.0f} bits "
+                              f"passes the work budget of {WORK_BUDGET:.3g}; use fewer --terms")
     xunit = sum(1 << s for s in shifts[:-1])  # x^1 on every size axis: the column step
-    acc = (_packed_sums(rows_a, rows_b, same, pairs, xunit)
+    acc = (_packed_sums(rows_a, rows_b, same, pairs, raw_a, raw_b, xunit)
            if pairs > _PACKED_MIN_PAIRS else None)
     if acc is None:
         acc = defaultdict(int)
@@ -559,7 +571,7 @@ class _PolyExpBase:
                 level = [_substitute(nums, d, v, shift) for v in coords for nums, d in level]
             for k, (point, (value, d)) in enumerate(zip(points, level)):
                 arg = sum(p / q * v for (p, q), v in zip(rate, point))
-                totals[k] += ratio_times_exp(value[0], d, arg)
+                totals[k] += ratio_times_exp(value, d, arg)
         return totals
 
     def to_obj(self) -> dict:

@@ -18,6 +18,9 @@ Two schemes are implemented over the same right-hand-side operators:
 
 For purely linear models (fragmentation) the two recursions coincide
 component by component.
+
+Both engines check Psi_n's forecast degrees against the exponent cap before
+the first step; ``polyexp`` bounds the work of each product as it is formed.
 """
 
 from __future__ import annotations
@@ -27,15 +30,8 @@ from enum import Enum
 from fractions import Fraction
 from functools import cache, reduce
 
-from .polyexp import MAX_EXPONENT, DegreeOverflowError, PolyExpError
+from .polyexp import MAX_EXPONENT, DegreeOverflowError
 from .problems import CoagKernel, Model, coag_gain, coag_loss, coag_operand, frag_rhs, rhs
-
-# the most monomials an intermediate expression may hold, read at each check
-TERM_BUDGET = 200_000
-
-
-class TermBudgetError(PolyExpError):
-    """The iteration grew past the monomial budget ``TERM_BUDGET``."""
 
 
 class Method(Enum):
@@ -62,60 +58,52 @@ class SeriesSolution:
         return reduce(lambda a, b: a + b, self.components[: k + 1])
 
 
-def _check_budget(value) -> None:
-    n = value.term_count()
-    if n > TERM_BUDGET:
-        raise TermBudgetError(
-            f"intermediate expression holds {n} monomials, over the budget of "
-            f"{TERM_BUDGET}; lower the number of terms"
-        )
-
-
 # 1 + e, where the gain term raises each size degree D to 2 D + 1 + e
 _SIZE_DEGREE_STEP = {CoagKernel.CONSTANT: 1, CoagKernel.SUM: 2, CoagKernel.PRODUCT: 3}
 
 
-def _check_accelerated_degree(problem: Model, n: int) -> None:
-    """Coagulation squares Psi_k, so its degrees double per order: check Psi_n up front.
+def _check_degree(problem: Model, method: Method, n: int) -> None:
+    """Coagulation pairs the top degrees of earlier orders: check Psi_n up front.
 
-    Each degree follows D_{k+1} = 2 D_k + step, i.e. D_n = 2^n (D_0 + step) - step.
-    The t-degree has step 1.  Without breakage each size axis has step 1 + e
-    exactly, since the gain term always outgrows the loss; breakage moves the
-    size degrees, so only t is checked then.
+    ahpetm squares Psi_k, so each degree follows D_{k+1} = 2 D_k + step; the
+    classical block pairs v_i with v_{k-i}, whose top degrees sum alike, so
+    D_{k+1} = D_k + D_0 + step.  The t-degree has D_0 = 0 and step 1.  Without
+    breakage each size axis has step 1 + e exactly, since the gain term always
+    outgrows the loss; breakage moves the size degrees, so only t is checked then.
     """
     if problem.kernel is None:
         return
-    degrees, steps = {"t": 0}, {"t": 1}
+    starts, steps = {"t": 0}, {"t": 1}
     if problem.frag is None:
         for axis, name in enumerate("xy"[: problem.dim]):
-            degrees[name] = max(e[axis] for _, e, _ in problem.u0.terms())
+            starts[name] = max(e[axis] for _, e, _ in problem.u0.terms())
             steps[name] = _SIZE_DEGREE_STEP[problem.kernel]
+    degrees = dict(starts)
+    partner = degrees if method is Method.ACCELERATED else starts
     for k in range(1, n + 1):
         for name, step in steps.items():
-            d = degrees[name] = 2 * degrees[name] + step
+            d = degrees[name] = degrees[name] + partner[name] + step
             if d > MAX_EXPONENT:
+                other = " or use the classical method" if partner is degrees else ""
                 raise DegreeOverflowError(
-                    f"{name}-degree {d} of Psi_{k} exceeds cap {MAX_EXPONENT}: ahpetm with "
-                    f"coagulation fits at most {k - 1} terms under the exponent cap "
-                    f"{MAX_EXPONENT}; lower the number of terms or use the classical method"
-                )
+                    f"{name}-degree {d} of Psi_{k} exceeds cap {MAX_EXPONENT}: {method.value} "
+                    f"with coagulation fits at most {k - 1} terms under the exponent cap "
+                    f"{MAX_EXPONENT}; lower the number of terms{other}")
 
 
 def iterate_accelerated(problem: Model, n: int) -> SeriesSolution:
     """Run the accelerated recursion up to component v_n."""
     if n < 0:
         raise ValueError("number of components must be nonnegative")
-    _check_accelerated_degree(problem, n)
+    _check_degree(problem, Method.ACCELERATED, n)
     components = [problem.u0]
     psi = problem.u0
     prev_rhs = problem.u0.zero()
     for _ in range(n):
         cur_rhs = rhs(problem, psi)
-        _check_budget(cur_rhs)
         v = (cur_rhs - prev_rhs).time_antiderivative()
         components.append(v)
         psi = psi + v
-        _check_budget(psi)
         prev_rhs = cur_rhs
     return SeriesSolution(Method.ACCELERATED, tuple(components))
 
@@ -144,12 +132,12 @@ def iterate_classical(problem: Model, n: int) -> SeriesSolution:
     """Run the classical recursion to v_n; step k forms v_k's operand and moment for A_k."""
     if n < 0:
         raise ValueError("number of components must be nonnegative")
+    _check_degree(problem, Method.CLASSICAL, n)
     components, operands, moments = [problem.u0], [], []
     for k in range(n):
         operands.append(coag_operand(problem.kernel, components[k]))
         moments.append(cache(operands[k].moment))
         a_k = _bilinear_block(problem, components, operands, moments, k)
-        _check_budget(a_k)
         components.append(a_k.time_antiderivative())
     return SeriesSolution(Method.CLASSICAL, tuple(components))
 

@@ -31,7 +31,7 @@ from pbeseries.analysis import (
 from pbeseries.cli import main
 from pbeseries.exact import (ConstantKernelSolution, LinearBreakageSolution, ProductKernelSolution,
                              SumKernelSolution)
-from pbeseries.polyexp import MixedRatesError, PolyExp1D, ZeroRateError, tpoly_eval
+from pbeseries.polyexp import MixedRatesError, PolyExp1D, ZeroRateError, tpoly_function
 from pbeseries.problems import CoagKernel, FragSpec, Model, exponential_ic
 from pbeseries.series import iterate_accelerated
 
@@ -499,7 +499,7 @@ def test_single_signed_monomials_keep_the_moment_shortcut_floats(c, p, a, t0):
     # no sign variation: one rounding of the exact int_0^inf P e^{-ax} dx, the
     # same rational the removed |moment(0)| shortcut rounded once
     f = PolyExp1D.monomial(c, xpow=p, rate=a)
-    assert sup_l1_norm(f, t0) == abs(tpoly_eval(f.moment(0), t0))
+    assert sup_l1_norm(f, t0) == abs(tpoly_function(f.moment(0))(t0))
 
 
 @pytest.mark.parametrize("fixture", ONE_D)
@@ -508,7 +508,7 @@ def test_single_signed_u0_keep_the_moment_shortcut_floats(fixture, t0, request):
     # every 1-D v_1 has mixed-sign coefficients, so u0 is what took the shortcut
     u0, v1 = _first_components(request.getfixturevalue(fixture))
     assert {c > 0 for _, _, c in v1.terms()} == {True, False}
-    assert sup_l1_norm(u0, t0) == abs(tpoly_eval(u0.moment(0), t0))
+    assert sup_l1_norm(u0, t0) == abs(tpoly_function(u0.moment(0))(t0))
 
 
 @pytest.mark.parametrize("t0", [0.01, 0.173, 1.0])
@@ -517,8 +517,8 @@ def test_sup_abs_moment00_equals_the_per_sample_max(bivariate_problem, t0):
     *components, v2 = iterate_accelerated(bivariate_problem, 2).components
     assert len({e[-1] for _, e, _ in v2.terms()}) > 1
     for f in components:
-        mu00 = f.moment(0, 0)
-        assert sup_abs_moment00(f, t0) == max(abs(tpoly_eval(mu00, float(s)))
+        mu00 = tpoly_function(f.moment(0, 0))
+        assert sup_abs_moment00(f, t0) == max(abs(mu00(float(s)))
                                               for s in np.linspace(0.0, t0, 101))
     with pytest.raises(InvalidSpecError, match="one power of t"):
         sup_abs_moment00(v2, t0)

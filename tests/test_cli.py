@@ -391,6 +391,16 @@ class TestReferenceCheck:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "exceed the grid budget of 1e+11 steps x nodes^2" in err
 
+    def test_over_the_work_budget_exits_3_before_the_product(self, capsys):
+        # the order-4 square has 666 term pairs of ~226,000-bit numerators,
+        # 3.4e13 pair-bits against the budget of 2^44 = 1.76e13
+        code, out, err = run(capsys, "density", "--model", "coag", "--kernel", "constant",
+                             "--u0", "monoexp:1e12000,10,1", "--terms", "4", "--t", "0.01",
+                             "--x", "1")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: a product of 666 term pairs") and err.count("\n") == 1
+        assert "passes the work budget of 1.76e+13" in err
+
     def test_2d_rejected(self, capsys):
         code, _, err = run(
             capsys, "reference-check", "--model", "coag2d",

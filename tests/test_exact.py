@@ -27,7 +27,7 @@ from pbeseries.exact import (
     bessel_i1,
     matching_exact_solution,
 )
-from pbeseries.polyexp import PolyExp1D, PolyExp2D, tpoly_eval
+from pbeseries.polyexp import PolyExp1D, PolyExp2D, tpoly_function
 from pbeseries.problems import CoagKernel, FragSpec, Model, exponential_ic
 from pbeseries.series import iterate_accelerated, iterate_classical
 
@@ -344,7 +344,7 @@ class TestBivariate:
             if (jx, jy) != (0, 0):
                 tp, mu = series_moment(psi, 3, jx, jy), sol.moment(jx, jy)
                 for t in (0.0, 0.1, 0.5, 1.3, 4.0):
-                    assert tpoly_eval(tp, t) == mu(t), (jx, jy, t)
+                    assert tpoly_function(tp)(t) == mu(t), (jx, jy, t)
 
 
 GRID_SOLUTIONS = [ConstantKernelSolution(), SumKernelSolution(), ProductKernelSolution(),

@@ -19,11 +19,13 @@ from pbeseries.polyexp import (
     MixedRatesError,
     PolyExp1D,
     PolyExp2D,
-    tpoly_eval,
+    WorkBudgetError,
+    tpoly_function,
 )
 from pbeseries.problems import CoagKernel, Model, exponential_ic, rhs
 
 from conftest import product
+from test_polyexp import _Counted
 
 # Denominators include large primes so common denominators grow wide;
 # numerators run from single digits to 128 bits and take both signs.
@@ -402,6 +404,27 @@ def test_selection_takes_each_path(monkeypatch):
     assert chosen == [True, False, True]
 
 
+@pytest.mark.parametrize("packed", [False, True], ids=["pair-loop", "packed"])
+def test_work_budget_trips_before_any_pair(packed, monkeypatch):
+    # 60 terms of 41 bits: the numerators count their multiplies and the packed
+    # path its calls.  Past the budget neither path takes a step; at it, each runs
+    ga = (7, {x | t << pe._W: _Counted(2**40 + 3 * x + t) for x in range(20) for t in range(3)})
+    gb = (5, {x | t << pe._W: _Counted(2**41 - 1 - 5 * x - t) for x in range(30) for t in range(2)})
+    calls = []
+    with kernel_path(packed):
+        real = pe._packed_sums
+        with mock.patch.object(pe, "_packed_sums", lambda *a: calls.append(1) or real(*a)):
+            for a, b, pairs in ((ga, gb, 60 * 60), (ga, ga, 60 * 61 // 2)):
+                monkeypatch.setattr(pe, "WORK_BUDGET", pairs * 41 * 41 - 1)
+                _Counted.products, calls[:] = 0, []
+                with pytest.raises(WorkBudgetError, match="passes the work budget"):
+                    pe._group_product(a, b, 1)
+                assert (_Counted.products, calls) == (0, [])
+                monkeypatch.setattr(pe, "WORK_BUDGET", pairs * 41 * 41)
+                assert pe._group_product(a, b, 1) is not None
+                assert calls if packed else _Counted.products >= pairs
+
+
 # -- exact time substitution -----------------------------------------------------
 
 DYADIC = st.sampled_from([0.0, 0.5, 0.25, 1.0, 1.5, 2.0, 0.125, 3.0])
@@ -422,13 +445,13 @@ def test_collapse_t_matches_oracle(f, t):
 
 @given(TPOLYS, TIMES)
 def test_tpoly_eval_matches_oracle_bit_for_bit(tp, t):
-    assert tpoly_eval(tp, t).hex() == oracle.tpoly_eval(tp, t).hex()
+    assert tpoly_function(tp)(t).hex() == oracle.tpoly_eval(tp, t).hex()
 
 
 @pytest.mark.parametrize("t", [0.0, 0.5, 0.437, 1.283, 2.0])
 def test_time_substitution_of_zero(t):
     assert PolyExp1D.zero().collapse_t(t) == oracle.collapse_t(PolyExp1D.zero(), t) == {}
-    assert tpoly_eval({}, t).hex() == oracle.tpoly_eval({}, t).hex()
+    assert tpoly_function({})(t).hex() == oracle.tpoly_eval({}, t).hex()
 
 
 def test_time_substitution_at_drawn_times_of_a_deep_value():
@@ -436,11 +459,12 @@ def test_time_substitution_at_drawn_times_of_a_deep_value():
     f = PolyExp1D({F(1): {(i, j): F((-1) ** i * (j + 1), math.factorial(i + 1)) + F(1, 3)
                           for i in range(0, 40, 3) for j in range(0, 64, 7)},
                    F(5, 2): {(0, 63): F(2**127 - 1, 2**61 - 1)}})
+    tp = f.moment(2)
+    mu = tpoly_function(tp)  # converted once, evaluated at every time
     for t in (0.0, 0.437, 1.283, 0.173, 2.5):
         new, ref = f.collapse_t(t), oracle.collapse_t(f, t)
         assert {a: [F(n, den) for n in nums] for a, (den, nums) in new.items()} == ref
-        tp = f.moment(2)
-        assert tpoly_eval(tp, t).hex() == oracle.tpoly_eval(tp, t).hex()
+        assert mu(t).hex() == oracle.tpoly_eval(tp, t).hex()
 
 
 # -- exact cancellation --------------------------------------------------------

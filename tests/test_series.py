@@ -5,8 +5,9 @@ from fractions import Fraction as F
 import pytest
 import sympy as sp
 
+import pbeseries.polyexp as pe
 import pbeseries.series as series
-from pbeseries.polyexp import DegreeOverflowError, PolyExp1D
+from pbeseries.polyexp import DegreeOverflowError, PolyExp1D, WorkBudgetError
 from pbeseries.problems import (
     CoagKernel,
     Model,
@@ -18,7 +19,6 @@ from pbeseries.problems import (
 )
 from pbeseries.series import (
     Method,
-    TermBudgetError,
     iterate_accelerated,
     iterate_classical,
 )
@@ -248,43 +248,55 @@ class TestSeriesStructure:
         b = iterate_accelerated(sum_kernel_problem, 3)
         assert a == b
 
-    def test_term_budget(self, product_kernel_problem, monkeypatch):
-        monkeypatch.setattr(series, "TERM_BUDGET", 50)
-        with pytest.raises(TermBudgetError):
-            iterate_accelerated(product_kernel_problem, 4)
+    def test_work_budget(self, product_kernel_problem, monkeypatch):
+        # the order-4 products run at the default budget; under a budget of
+        # 50 pair-bits either engine is refused in its first product that passes it
+        for engine in (iterate_accelerated, iterate_classical):
+            engine(product_kernel_problem, 4)
+        monkeypatch.setattr(pe, "WORK_BUDGET", 50)
+        for engine in (iterate_accelerated, iterate_classical):
+            with pytest.raises(WorkBudgetError, match="work budget"):
+                engine(product_kernel_problem, 4)
 
     @pytest.mark.parametrize(
         "fixture, fits",
-        [("constant_kernel_problem", 9), ("coupled_halfx_problem", 9), ("bivariate_problem", 8)],
+        [("constant_kernel_problem", (9, 512)), ("coupled_halfx_problem", (9, 512)),
+         ("bivariate_problem", (8, 255))],
         ids=["constant_kernel_problem", "coupled_halfx_problem", "bivariate_problem"],
     )
     def test_accelerated_degree_checked_before_first_step(
         self, fixture, fits, request, monkeypatch
     ):
-        # Psi_n has t-degree 2^n - 1 with coagulation, and the bivariate
-        # x y u0 gives x- and y-degree 2^(n+1) - 1: the largest n that fits
-        # the cap of 512 reaches the first right-hand side, the next is
+        # With coagulation the ahpetm Psi_n has t-degree 2^n - 1, and the
+        # bivariate x y u0 gives x- and y-degree 2^(n+1) - 1; the classical
+        # Psi_n has t-degree n, and x- and y-degree 1 + 2 n.  For each engine
+        # the largest n that fits the cap of 512 reaches its first step (the
+        # right-hand side, or the classical operand of v_0), the next is
         # refused before it
         class Reached(Exception):
             pass
 
-        def stop(problem, u):
+        def stop(*args):
             raise Reached
 
         monkeypatch.setattr(series, "rhs", stop)
+        monkeypatch.setattr(series, "coag_operand", stop)
         problem = request.getfixturevalue(fixture)
-        with pytest.raises(Reached):
-            iterate_accelerated(problem, fits)
-        for n in (fits + 1, 10, 10**9):
-            with pytest.raises(DegreeOverflowError, match="exponent cap"):
-                iterate_accelerated(problem, n)
+        for engine, most in zip((iterate_accelerated, iterate_classical), fits):
+            with pytest.raises(Reached):
+                engine(problem, most)
+            for n in (most + 1, 600, 10**9):
+                with pytest.raises(DegreeOverflowError, match="exponent cap"):
+                    engine(problem, n)
 
     def test_linear_breakage_degree_not_checked_up_front(
         self, binary_breakage_problem, monkeypatch
     ):
         monkeypatch.setattr(series, "rhs", lambda problem, u: 1 / 0)
-        with pytest.raises(ZeroDivisionError):
-            iterate_accelerated(binary_breakage_problem, 20)
+        monkeypatch.setattr(series, "coag_operand", lambda kernel, v: 1 / 0)
+        for engine in (iterate_accelerated, iterate_classical):
+            with pytest.raises(ZeroDivisionError):
+                engine(binary_breakage_problem, 600)
 
     def test_negative_order_rejected(self, constant_kernel_problem):
         with pytest.raises(ValueError):
