@@ -22,10 +22,10 @@ flags: density --t --x --y --compare; error-table --t --x; moments --t --j
 setting the chosen model does not use (``_UNUSED``: --y on a 1-D model, --lam
 with a coagulation kernel, --T on frag, --frag or --kernel on the wrong
 model), checked right after the model is built, before the subcommand's own
-settings.  A negative time in --t or size in --x or --y, or a --t0 <= 0, is a
-configuration error.  The u0 grammar accepts ``exp:a`` for e^{-ax},
-``monoexp:c,p,a`` for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay`` for the
-bivariate analogue; every number may be a rational like 1/2.
+settings.  A negative time or size, a --t0 <= 0 and a range or table of over
+MAX_POINTS values are configuration errors.  The u0 grammar accepts ``exp:a``
+for e^{-ax}, ``monoexp:c,p,a`` for c x^p e^{-ax} and ``monoexp2:c,px,py,ax,ay``
+for the bivariate analogue; every number may be a rational like 1/2.
 
 ``--config`` names a file of flat ``key = value`` lines with the long flag
 names as keys.  A flag overrides its config value, which overrides the
@@ -65,9 +65,16 @@ from .polyexp import PolyExp1D, PolyExp2D, PolyExpError, tpoly_function
 from .problems import CoagKernel, FragSpec, Model
 from .series import Method, iterate
 
+MAX_POINTS = 10**6  # the most values a range, or rows or cells a table, may have
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _check_points(count, what: str) -> None:
+    if not count <= MAX_POINTS:  # inf and nan too; checked before the values are built
+        raise ConfigError(f"{what} has more than the {MAX_POINTS} points a range or table may have")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,7 +126,9 @@ def parse_values(text: str) -> list[float]:
             raise ConfigError(f"bad range {text!r}") from exc
         if step <= 0:
             raise ConfigError("range step must be positive")
-        n = int(round((stop - start) / step))
+        span = (stop - start) / step  # may overflow to +-inf
+        _check_points(span + 1, f"range {text!r}")
+        n = round(max(span, -1.0))
         vals = [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
         if not vals:
             raise ConfigError(f"empty range {text!r}")
@@ -147,11 +156,13 @@ def parse_orders(text: str) -> list[int]:
     try:
         if ":" in text:
             lo, hi = (int(p) for p in text.split(":"))
-            orders = list(range(lo, hi + 1))
         else:
             orders = [int(p) for p in text.split(",") if p.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad order list {text!r}") from exc
+    if ":" in text:  # checked here, so that the except above does not re-word it
+        _check_points(hi - lo + 1, f"range {text!r}")
+        orders = list(range(lo, hi + 1))
     if any(n < 0 for n in orders):
         raise ConfigError(f"truncation orders must be nonnegative, got {text!r}")
     return orders
@@ -349,6 +360,7 @@ def cmd_density(s: _Settings, problem: Model) -> str:
     sol = compared_solution(s, problem)
     ts = s.get("t")
     axes = [s.get(a) for a in "xy"[: problem.dim]]
+    _check_points(math.prod(map(len, [ts, *axes])), "the density table")
     series = iterate(problem, s.get("method"), s.get("terms"))
     psi = series.truncated(series.n)
     name = f"psi_{series.n}"
@@ -375,12 +387,10 @@ def cmd_error_table(s: _Settings, problem: Model) -> str:
     xvals = s.get("x", default=None)
     if xvals is not None and len(xvals) != 1:
         raise ConfigError("pointwise error table needs a single --x value")
-    if xvals:
-        orders = [s.get("terms")]
-    else:
-        orders = s.get("terms", default=_REQUIRED, parse=parse_orders)
+    orders = [s.get("terms")] if xvals else s.get("terms", default=_REQUIRED, parse=parse_orders)
     if not orders:
         raise ConfigError("--terms gave an empty order list")
+    _check_points(len(orders) * len(ts), "the error table")
     series = iterate(problem, s.get("method"), max(orders))
     if xvals:
         table = analysis.error_table_pointwise(series, sol, xvals[0], ts)
@@ -400,6 +410,7 @@ def cmd_moments(s: _Settings, problem: Model) -> str:
     if not js:
         raise ConfigError("empty moment order list")
     ts = s.get("t")
+    _check_points(len(js) * len(ts), "the moments table")
     series = iterate(problem, s.get("method"), s.get("terms"))
     header = [f"model = {s.get('model')}", f"terms = {series.n}"]
     columns = ["t", *(["jx", "jy"] if problem.dim == 2 else ["j"]), "mu_approx"]

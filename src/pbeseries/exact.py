@@ -3,7 +3,7 @@
 Each solution evaluates the exact number density pointwise; the series
 variants (product-kernel and bivariate cases) are summed until a term
 falls below 1e-16 of the running partial sum or of the largest term, with
-a cap (read off t x^3 on the product kernel) that turns silent truncation
+a cap read off the peak term (``_term_cap``) that turns silent truncation
 into an explicit NonConvergenceError.
 
 Every solution also evaluates a whole size grid at one time
@@ -13,12 +13,12 @@ once per time; the bivariate one is its scalar per point, x-major.  The
 reference: the arithmetic runs in numpy, whose ``+ - * /`` and ``sqrt``
 are correctly rounded like Python's, each exp is the C library's, as in
 ``math.exp``, through numpy's complex exp, each log is ``math.log`` per
-element (numpy's float exp and log may differ in the last bit), and
-every series runs under a per-lane mask so that each x stops at the same
-term as the scalar loop.  Only the sum kernel's moments import
-``scipy.integrate``, when first called, so that it stays off the CLI's
-import path; the product kernel's are their own series, the others
-closed forms or exact polynomials in t.
+element (numpy's float exp and log may differ in the last bit), and each
+series grid steps the suffix of its lanes still running, sorted once by
+argument, so each x stops at the same term as the scalar loop.  Only the
+sum kernel's moments import ``scipy.integrate``, when first called, so
+that it stays off the CLI's import path; the product kernel's are their
+own series, the others closed forms or exact polynomials in t.
 """
 
 from __future__ import annotations
@@ -61,9 +61,16 @@ def _term_cap(peak: float, series: str, where: str) -> int:
     return cap
 
 
+def _log_ratio(x: float, t: float) -> float:
+    """log(t x^3), with log 0 = -inf: where t x^3 is 0 or underflows, the terms past k = 0 are 0."""
+    ratio = t * x**3 if t else 0.0  # x^3 may overflow where t = 0
+    return math.log(ratio) if ratio else -math.inf
+
+
 def _product_cap(x: float, t: float) -> int:
     """The product-kernel density's term cap at (x, t): its terms peak near k = (t x^3 / 4)^{1/3}."""
-    return _term_cap((t * x**3 / 4.0) ** (1.0 / 3.0), "product-kernel series", f"x={x}, t={t}")
+    peak = ((t * x**3 if t else 0.0) / 4.0) ** (1.0 / 3.0)
+    return _term_cap(peak, "product-kernel series", f"x={x}, t={t}")
 
 
 def bessel_i1(z: float) -> float:
@@ -235,15 +242,9 @@ class ProductKernelSolution:
     """
 
     def evaluate(self, x: float, t: float) -> float:
-        # Where t x^3 is 0 or underflows to 0, only the k = 0 term is left.
-        if t == 0.0 or x == 0.0 or t * x**3 == 0.0:
-            return math.exp(-(t + 1.0) * x)
         # Summed in log space: for large t x^3 the terms overflow floats
         # long before the e^{-(t+1)x} envelope is applied.
-        log_ratio = math.log(t * x**3)
-        log_term = 0.0
-        peak = 0.0
-        logs = [0.0]
+        log_ratio, log_term, peak, logs = _log_ratio(x, t), 0.0, 0.0, [0.0]
         for k in range(1, _product_cap(x, t)):
             log_term += log_ratio - math.log((k + 1) * (2 * k) * (2 * k + 1))
             logs.append(log_term)
@@ -258,49 +259,37 @@ class ProductKernelSolution:
 
     @_float_semantics
     def evaluate_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
-        if t == 0.0:
-            return _exp_grid(-(t + 1.0) * xs)
-        ratio = np.array([t * v**3 for v in xs.tolist()])
-        out = np.empty(xs.shape)
-        only_k0 = ratio == 0.0  # x = 0, or t x^3 underflows
-        out[only_k0] = _exp_grid(-(t + 1.0) * xs[only_k0])
-        lanes = np.flatnonzero(~only_k0)
-        x = xs[lanes]
-        log_ratio = _math_map(math.log, ratio[lanes])
-        # Pass 1 finds each lane's final peak and last term, pass 2 repeats
-        # the recurrence and adds exp(l_k - peak) in k order from k = 0.
-        # Both keep O(lanes) state, never a terms-by-lanes matrix.
-        steps = []
-        peak, last = np.zeros(x.shape), np.zeros(x.shape, dtype=int)
-        live = np.arange(x.size)
-        lr, log_term, pk = log_ratio, np.zeros(x.shape), np.zeros(x.shape)
-        for k in range(1, _product_cap(float(x.max(initial=0.0)), t)):
-            if not live.size:
+        # Pass 1 finds each lane's peak and last term, pass 2 adds exp(l_k - peak)
+        # in k order from k = 0.  Each steps the suffix of lanes still running, in
+        # order of t x^3, then of last term: O(lanes) state, no term matrix.
+        log_ratio = _math_map(lambda x: _log_ratio(x, t), xs)
+        lanes = np.argsort(log_ratio, kind="stable")
+        lr, n = log_ratio[lanes], xs.size
+        log_term, peak = np.zeros(n), np.zeros(n)
+        # last is 0 while a lane runs; its extra slot, never set, stops argmax.  A
+        # lane past its stop rides along: its increments are <= 0, so its peak stays.
+        last, s, steps = np.zeros(n + 1, dtype=int), 0, []
+        for k in range(1, _product_cap(float(xs.max(initial=0.0)), t)):
+            if s == n:
                 break
             steps.append(math.log((k + 1) * (2 * k) * (2 * k + 1)))
-            log_term = log_term + (lr - steps[-1])
-            pk = np.maximum(pk, log_term)
-            done = log_term < pk + math.log(REL_TOL)
-            if done.any():
-                peak[live[done]], last[live[done]] = pk[done], k
-                keep = ~done
-                live, lr, log_term, pk = live[keep], lr[keep], log_term[keep], pk[keep]
-        if live.size:
+            lt, pk, ls = log_term[s:], peak[s:], last[s:-1]
+            np.add(lt, lr[s:] - steps[-1], out=lt)
+            np.maximum(pk, lt, out=pk)
+            ls[(lt < pk + math.log(REL_TOL)) & (ls == 0)] = k
+            s += int((last[s:] == 0).argmax())
+        if s < n:
             raise NonConvergenceError("product-kernel series stalled")
-        total = np.empty(x.shape)
-        live = np.arange(x.size)
-        lr, log_term, pk = log_ratio, np.zeros(x.shape), peak
-        tot = _exp_grid(0.0 - peak)
-        for k, step in enumerate(steps, 1):
-            keep = last[live] >= k
-            if not keep.all():
-                total[live[~keep]] = tot[~keep]
-                live, lr, log_term, pk, tot = (
-                    live[keep], lr[keep], log_term[keep], pk[keep], tot[keep])
-            log_term = log_term + (lr - step)
-            tot = tot + _exp_grid(log_term - pk)
-        total[live] = tot
-        out[lanes] = _exp_grid(peak - (t + 1.0) * x) * total
+        # in order of last term, the lanes that add term k are those from searchsorted(last, k)
+        by_last = np.argsort(last[:-1], kind="stable")
+        lanes, last, lr, peak = lanes[by_last], last[:-1][by_last], lr[by_last], peak[by_last]
+        log_term, total = np.zeros(n), _exp_grid(0.0 - peak)
+        for step, s in zip(steps, np.searchsorted(last, range(1, len(steps) + 1)).tolist()):
+            lt, tot = log_term[s:], total[s:]
+            np.add(lt, lr[s:] - step, out=lt)
+            np.add(tot, _exp_grid(lt - peak[s:]), out=tot)
+        out = np.empty(n)
+        out[lanes] = _exp_grid(peak - (t + 1.0) * xs[lanes]) * total
         return out
 
     def moment(self, j: int) -> Callable[[float], float]:

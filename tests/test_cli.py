@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -54,6 +55,15 @@ class TestGrammars:
     def test_orders(self):
         assert parse_orders("3:6") == [3, 4, 5, 6]
         assert parse_orders("2,4") == [2, 4]
+
+    def test_ranges_up_to_the_points_cap(self):
+        top = cli.MAX_POINTS
+        assert len(parse_values(f"1:{top}:1")) == len(parse_orders(f"1:{top}")) == top
+        # past it, or with an inf count, a range is refused, and not re-worded as a bad order list
+        for parse, text in [(parse_values, f"0:{top}:1"), (parse_orders, f"0:{top}"),
+                            (parse_values, "0:1e300:1e-300"), (parse_orders, f"0:{10**400}")]:
+            with pytest.raises(cli.ConfigError, match=f"^range '.*' has more than the {top} "):
+                parse(text)
 
 
 class TestDensity:
@@ -890,11 +900,34 @@ def _refuse_iterate(*args, **kwargs):
     raise AssertionError("the engine ran before every setting was checked")
 
 
-def _fresh_python(*args: str) -> subprocess.CompletedProcess:
+def _fresh_python(*args: str, check=True, **run_args) -> subprocess.CompletedProcess:
     """Run a fresh interpreter, since this one has long imported numpy and scipy."""
     path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=True)
+                          env={**os.environ, "PYTHONPATH": path}, check=check, **run_args)
+
+
+def _two_gb_address_space():
+    # a range or table built before its check then fails fast instead of growing
+    resource.setrlimit(resource.RLIMIT_AS, (2 * 10**9, 2 * 10**9))
+
+
+@pytest.mark.parametrize("argv", [
+    "density --model coag --kernel constant --u0 exp:1 --terms 1 --t 0 --x 0:1e9:1e-3",
+    "moments --model coag --kernel constant --u0 exp:1 --terms 1 --j 0,1 --t 0:1e9:1e-3",
+    "error-table --model coag --kernel constant --u0 exp:1 --terms 3:1000000000 --t 1",
+    "density --model coag2d --u0 monoexp2:1,1,1,1,1 --terms 1 --t 0.1 --x 0:1:1e-4 "
+    "--y 0:1:1e-4",
+    "density --model coag --kernel constant --u0 exp:1 --terms 1 --t 0 --x 0:1e300:1e-300",
+], ids=["density-range", "moments-range", "error-table-orders", "density-coag2d-table",
+        "density-inf-count"])
+def test_points_past_the_cap_are_exit_2_before_they_are_built(argv):
+    # 1e12 values, 1e9 orders, 10^8 (x, y) points and an inf count
+    proc = _fresh_python("-m", "pbeseries.cli", *argv.split(), check=False, timeout=30,
+                         preexec_fn=_two_gb_address_space)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.endswith(f" {cli.MAX_POINTS} points a range or table may have\n")
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 def test_import_leaves_scipy_unloaded():

@@ -389,7 +389,7 @@ class TestEvaluateGrid:
         # t x^3 and x sqrt(1 - e^-t) underflow here; both forms take the
         # x = 0 limit instead of failing
         xs = np.array([0.0, 1e-120, 1e-300, 5e-324, 1e-3, 1.0])
-        for t in (0.01, 0.5, 1.5):
+        for t in (0.0, 0.01, 0.5, 1.5):
             expected = _scalar_grid(sol, xs, t)
             assert expected[1:4].tolist() == [expected[0]] * 3
             with monkeypatch.context() as m:
