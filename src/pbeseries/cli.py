@@ -127,8 +127,8 @@ def parse_values(text: str) -> list[float]:
         if step <= 0:
             raise ConfigError("range step must be positive")
         span = (stop - start) / step  # may overflow to +-inf
-        _check_points(span + 1, f"range {text!r}")
-        n = round(max(span, -1.0))
+        n = round(min(max(span, -1.0), MAX_POINTS))  # clamped: round() refuses inf
+        _check_points(n + 1, f"range {text!r}")
         vals = [start + i * step for i in range(n + 1) if start + i * step <= stop + 1e-12]
         if not vals:
             raise ConfigError(f"empty range {text!r}")
@@ -156,13 +156,14 @@ def parse_orders(text: str) -> list[int]:
     try:
         if ":" in text:
             lo, hi = (int(p) for p in text.split(":"))
+            _check_points(hi - lo + 1, f"range {text!r}")
+            orders = list(range(lo, hi + 1))
         else:
             orders = [int(p) for p in text.split(",") if p.strip()]
+    except ConfigError:  # a ValueError too, but already worded
+        raise
     except ValueError as exc:
         raise ConfigError(f"bad order list {text!r}") from exc
-    if ":" in text:  # checked here, so that the except above does not re-word it
-        _check_points(hi - lo + 1, f"range {text!r}")
-        orders = list(range(lo, hi + 1))
     if any(n < 0 for n in orders):
         raise ConfigError(f"truncation orders must be nonnegative, got {text!r}")
     return orders
@@ -387,7 +388,10 @@ def cmd_error_table(s: _Settings, problem: Model) -> str:
     xvals = s.get("x", default=None)
     if xvals is not None and len(xvals) != 1:
         raise ConfigError("pointwise error table needs a single --x value")
-    orders = [s.get("terms")] if xvals else s.get("terms", default=_REQUIRED, parse=parse_orders)
+    if xvals:
+        orders = [s.get("terms")]
+    else:
+        orders = s.get("terms", default=_REQUIRED, parse=parse_orders)
     if not orders:
         raise ConfigError("--terms gave an empty order list")
     _check_points(len(orders) * len(ts), "the error table")

@@ -61,16 +61,20 @@ def _term_cap(peak: float, series: str, where: str) -> int:
     return cap
 
 
+def _tx3(x: float, t: float) -> float:
+    """t x^3, the product-kernel series' term ratio, taken as 0 at t = 0, where x^3 may overflow."""
+    return t * x**3 if t else 0.0
+
+
 def _log_ratio(x: float, t: float) -> float:
     """log(t x^3), with log 0 = -inf: where t x^3 is 0 or underflows, the terms past k = 0 are 0."""
-    ratio = t * x**3 if t else 0.0  # x^3 may overflow where t = 0
+    ratio = _tx3(x, t)
     return math.log(ratio) if ratio else -math.inf
 
 
 def _product_cap(x: float, t: float) -> int:
     """The product-kernel density's term cap at (x, t): its terms peak near k = (t x^3 / 4)^{1/3}."""
-    peak = ((t * x**3 if t else 0.0) / 4.0) ** (1.0 / 3.0)
-    return _term_cap(peak, "product-kernel series", f"x={x}, t={t}")
+    return _term_cap((_tx3(x, t) / 4.0) ** (1.0 / 3.0), "product-kernel series", f"x={x}, t={t}")
 
 
 def bessel_i1(z: float) -> float:
@@ -244,7 +248,10 @@ class ProductKernelSolution:
     def evaluate(self, x: float, t: float) -> float:
         # Summed in log space: for large t x^3 the terms overflow floats
         # long before the e^{-(t+1)x} envelope is applied.
-        log_ratio, log_term, peak, logs = _log_ratio(x, t), 0.0, 0.0, [0.0]
+        log_ratio = _log_ratio(x, t)
+        log_term = 0.0
+        peak = 0.0
+        logs = [0.0]
         for k in range(1, _product_cap(x, t)):
             log_term += log_ratio - math.log((k + 1) * (2 * k) * (2 * k + 1))
             logs.append(log_term)
@@ -264,11 +271,15 @@ class ProductKernelSolution:
         # order of t x^3, then of last term: O(lanes) state, no term matrix.
         log_ratio = _math_map(lambda x: _log_ratio(x, t), xs)
         lanes = np.argsort(log_ratio, kind="stable")
-        lr, n = log_ratio[lanes], xs.size
-        log_term, peak = np.zeros(n), np.zeros(n)
+        lr = log_ratio[lanes]
+        n = xs.size
+        log_term = np.zeros(n)
+        peak = np.zeros(n)
         # last is 0 while a lane runs; its extra slot, never set, stops argmax.  A
         # lane past its stop rides along: its increments are <= 0, so its peak stays.
-        last, s, steps = np.zeros(n + 1, dtype=int), 0, []
+        last = np.zeros(n + 1, dtype=int)
+        s = 0
+        steps = []
         for k in range(1, _product_cap(float(xs.max(initial=0.0)), t)):
             if s == n:
                 break
@@ -282,8 +293,12 @@ class ProductKernelSolution:
             raise NonConvergenceError("product-kernel series stalled")
         # in order of last term, the lanes that add term k are those from searchsorted(last, k)
         by_last = np.argsort(last[:-1], kind="stable")
-        lanes, last, lr, peak = lanes[by_last], last[:-1][by_last], lr[by_last], peak[by_last]
-        log_term, total = np.zeros(n), _exp_grid(0.0 - peak)
+        lanes = lanes[by_last]
+        last = last[:-1][by_last]
+        lr = lr[by_last]
+        peak = peak[by_last]
+        log_term = np.zeros(n)
+        total = _exp_grid(0.0 - peak)
         for step, s in zip(steps, np.searchsorted(last, range(1, len(steps) + 1)).tolist()):
             lt, tot = log_term[s:], total[s:]
             np.add(lt, lr[s:] - step, out=lt)

@@ -59,6 +59,8 @@ class TestGrammars:
     def test_ranges_up_to_the_points_cap(self):
         top = cli.MAX_POINTS
         assert len(parse_values(f"1:{top}:1")) == len(parse_orders(f"1:{top}")) == top
+        # a float span of 999999.0000000001 still rounds to 10^6 values
+        assert len(parse_values("0:299999.7:3/10")) == top
         # past it, or with an inf count, a range is refused, and not re-worded as a bad order list
         for parse, text in [(parse_values, f"0:{top}:1"), (parse_orders, f"0:{top}"),
                             (parse_values, "0:1e300:1e-300"), (parse_orders, f"0:{10**400}")]:
@@ -900,11 +902,12 @@ def _refuse_iterate(*args, **kwargs):
     raise AssertionError("the engine ran before every setting was checked")
 
 
-def _fresh_python(*args: str, check=True, **run_args) -> subprocess.CompletedProcess:
+def _fresh_python(*args: str, check=True, env=None, **run_args) -> subprocess.CompletedProcess:
     """Run a fresh interpreter, since this one has long imported numpy and scipy."""
     path = os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env={**os.environ, "PYTHONPATH": path}, check=check, **run_args)
+                          env={**os.environ, "PYTHONPATH": path, **(env or {})}, check=check,
+                          **run_args)
 
 
 def _two_gb_address_space():
@@ -923,7 +926,10 @@ def _two_gb_address_space():
         "density-inf-count"])
 def test_points_past_the_cap_are_exit_2_before_they_are_built(argv):
     # 1e12 values, 1e9 orders, 10^8 (x, y) points and an inf count
+    # one BLAS thread, so that the limit bounds the values built and not the
+    # buffers numpy reserves per core when it is imported
     proc = _fresh_python("-m", "pbeseries.cli", *argv.split(), check=False, timeout=30,
+                         env={"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"},
                          preexec_fn=_two_gb_address_space)
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr.endswith(f" {cli.MAX_POINTS} points a range or table may have\n")
