@@ -89,7 +89,7 @@ class _Parser(argparse.ArgumentParser):
 def _rational(text: str) -> Fraction:
     try:
         return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad rational {text!r}") from exc
 
 
@@ -122,7 +122,7 @@ def parse_values(text: str) -> list[float]:
             raise ConfigError(f"range must be start:stop:step, got {text!r}")
         try:
             start, stop, step = (float(Fraction(p)) for p in parts)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise ConfigError(f"bad range {text!r}") from exc
         if step <= 0:
             raise ConfigError("range step must be positive")
@@ -135,7 +135,7 @@ def parse_values(text: str) -> list[float]:
         return vals
     try:
         vals = [float(Fraction(p)) for p in text.split(",") if p.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         raise ConfigError(f"bad value list {text!r}") from exc
     if not vals:
         raise ConfigError("empty value list")
@@ -279,7 +279,7 @@ class _Settings:
             return parse(raw)
         try:
             value = int(raw) if parse is int else float(Fraction(raw))
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             what = "an integer" if parse is int else "numeric"
             raise ConfigError(f"{flag} must be {what}, got {raw!r}") from exc
         if parse is int and value < 0:

@@ -66,12 +66,6 @@ def _tx3(x: float, t: float) -> float:
     return t * x**3 if t else 0.0
 
 
-def _log_ratio(x: float, t: float) -> float:
-    """log(t x^3), with log 0 = -inf: where t x^3 is 0 or underflows, the terms past k = 0 are 0."""
-    ratio = _tx3(x, t)
-    return math.log(ratio) if ratio else -math.inf
-
-
 def _product_cap(x: float, t: float) -> int:
     """The product-kernel density's term cap at (x, t): its terms peak near k = (t x^3 / 4)^{1/3}."""
     return _term_cap((_tx3(x, t) / 4.0) ** (1.0 / 3.0), "product-kernel series", f"x={x}, t={t}")
@@ -248,7 +242,8 @@ class ProductKernelSolution:
     def evaluate(self, x: float, t: float) -> float:
         # Summed in log space: for large t x^3 the terms overflow floats
         # long before the e^{-(t+1)x} envelope is applied.
-        log_ratio = _log_ratio(x, t)
+        ratio = _tx3(x, t)  # log 0 = -inf: where t x^3 is 0 or underflows, terms past k = 0 are 0
+        log_ratio = math.log(ratio) if ratio else -math.inf
         log_term = 0.0
         peak = 0.0
         logs = [0.0]
@@ -269,7 +264,8 @@ class ProductKernelSolution:
         # Pass 1 finds each lane's peak and last term, pass 2 adds exp(l_k - peak)
         # in k order from k = 0.  Each steps the suffix of lanes still running, in
         # order of t x^3, then of last term: O(lanes) state, no term matrix.
-        log_ratio = _math_map(lambda x: _log_ratio(x, t), xs)
+        log_ratio = np.array([math.log(r) if (r := t * x**3) else -math.inf for x in xs.tolist()]
+                             if t else [-math.inf] * xs.size, dtype=float)  # as in evaluate
         lanes = np.argsort(log_ratio, kind="stable")
         lr = log_ratio[lanes]
         n = xs.size

@@ -12,31 +12,32 @@ convolution on [0, x], the tail integral on [x, inf), full-line moments,
 and time integration from 0 -- which is all the iteration engines ever
 apply.
 
-Representation: a PolyExp stores ``{rate: (den, {key: int})}``.  A rate is
-one reduced integer pair per size axis.  A key packs a monomial's exponents
-into one integer, ``_W = MAX_EXPONENT.bit_length()`` bits per field, x | t <<
-_W in 1-D and x | y << _W | t << 2 _W in 2-D: monomials multiply by adding keys,
-x^k and t^1 add a constant, and a field reads by shift and mask.  Each
-operation checks the degree cap once per group before a key moves, so no
+Representation: a PolyExp stores ``{rate: (den, {key: int})}``.  A rate is one
+reduced integer pair per size axis.  Size axes are in divided powers: c x^i
+[y^k] t^j is stored as c i! [k!] x^i/i! [y^k/k!] t^j.  A key packs the
+exponents into one integer, ``_W = MAX_EXPONENT.bit_length()`` bits per field,
+x | t << _W in 1-D and x | y << _W | t << 2 _W in 2-D: monomials multiply by
+adding keys, x^k and t^1 add a constant, and a field reads by shift and mask.
+Each operation checks the degree cap once per group before a key moves, so no
 field carries into the next.  A rate group is one denominator over integer
 numerators, kept canonical (den > 0, gcd(den, *numerators) == 1, no zero
 numerator, no empty group), so two values are equal exactly when their term
-maps are; the zero function is the empty map.  Exponent tuples and
-Fractions live only at the API edge: the constructor, ``monomial`` and
+maps are; the zero function is the empty map.  Exponent tuples, powers x^i
+and Fractions live only at the API edge: the constructor, ``monomial`` and
 ``from_obj`` take them, ``rates()``, ``terms()``, ``moment`` and ``to_obj``
-give them, ordered by rate value (pairs do not sort by value) and by
-exponent tuple.  ``collapse_t`` gives a reduced integer group per
-x-polynomial.  Every operation is written once, in ``_PolyExpBase``.
+give them, ordered by rate value (pairs do not sort by value) and by exponent
+tuple.  ``collapse_t`` gives a reduced integer group per x-polynomial.  Every
+operation is written once, in ``_PolyExpBase``.
 
 All arithmetic is on integers with one gcd per output group.
-``_group_product`` forms products and convolutions: pre-scaling by i! on
-each convolved axis (the Borel/Laplace trick) makes the weight
-i! j!/(i+j+1)! a plain product, and the pairs sum by the pair loop or,
-where that does less work, one big-integer product per pair of packed
-columns (Kronecker substitution); the degree cap and ``WORK_BUDGET`` are
-checked before any pair is formed.  One substitution, ``_substitute``,
-serves time polynomials, ``collapse_t`` and point values: for p/q one
-integer table p^j q^(top-j) serves a whole group.
+``_group_product`` forms products and convolutions; on [0, x], x^i/i! against
+x^j/j! gives x^{i+j+1}/(i+j+1)!, so in divided powers each pair is one
+multiply-add, summed by the pair loop or, where that does less work, one
+big-integer product per pair of packed columns (Kronecker substitution).  The
+degree cap and ``WORK_BUDGET`` are checked before any pair is formed.
+``mul_x``, ``moment``, ``tail_integral`` and size substitutions weigh by
+factorials.  ``_substitute`` serves time polynomials, ``collapse_t`` and point
+values: for p/q one integer table p^j q^(top-j) serves a group.
 
 Everything is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -53,12 +54,11 @@ from typing import Callable, Iterator, Mapping, Union
 
 RationalLike = Union[int, str, Fraction]
 
-# Hard caps on any stored exponent and on one product's pair-bit work (its term
-# pairs times each operand's mean Borel-scaled numerator bits), both checked
-# before the work: ahpetm iterations square their way past either within an
-# order or two, and must fail at once.  No benchmark product takes over 6.7e10.
+# Hard caps on any stored exponent and on one product's work (``_group_product``),
+# both checked before the work: ahpetm iterations square their way past either
+# within an order or two, and must fail at once.  No benchmark product takes over 1.5e10.
 MAX_EXPONENT = 512
-WORK_BUDGET = 2**44
+WORK_BUDGET = 2**41
 
 # Polynomial in t alone: t-exponent -> coefficient.  Moments of PolyExp
 # values live here (the x dependence integrates out exactly).
@@ -93,7 +93,7 @@ class DegreeOverflowError(PolyExpError):
 
 
 class WorkBudgetError(PolyExpError):
-    """A product's pair-bit work would pass WORK_BUDGET."""
+    """A product's work would pass WORK_BUDGET."""
 
 
 def as_fraction(value: RationalLike) -> Fraction:
@@ -117,16 +117,32 @@ def _power_table(p: int, q: int, top: int) -> list[int]:
     return [a * b for a, b in zip(ps, reversed(qs))]
 
 
-def _substitute(nums: Mapping, den: int, value, shift: int) -> tuple:
+def _ratios(top: int) -> list[int]:
+    """``[top!/k! for k in 0..top]``: x^k/k! over the common top!."""
+    return list(accumulate(range(top, 0, -1), mul, initial=1))[::-1]
+
+
+def _shifted(powers, k: int) -> tuple[int, dict]:
+    """(s, {i: s (i+k)!/i!}): x^k x^i/i! is (i+k)!/i! x^{i+k}/(i+k)!; s = lcm i!/(i+k)! if k < 0."""
+    powers = set(powers)
+    s = math.lcm(*(_FACTORIAL[i] // _FACTORIAL[i + k] for i in powers)) if k < 0 else 1
+    return s, {i: s * _FACTORIAL[i + k] // _FACTORIAL[i] for i in powers}
+
+
+def _substitute(nums: Mapping, den: int, value, shift: int, divided: bool = False) -> tuple:
     """The group (den, nums) with value = p/q put into each key's top field, at ``shift``.
 
     With top the highest exponent there, the group goes over den q^top and
     k v^j becomes k p^j q^(top-j), keyed by the fields below; at shift 0 the
-    numerators sum to one integer.
+    numerators sum to one integer.  A ``divided`` field holds v^j/j!, so the
+    group goes over top! more and k v^j/j! weighs top!/j! more.
     """
     p, q = (value if isinstance(value, (int, float)) else as_fraction(value)).as_integer_ratio()
     top = max(nums, default=0) >> shift
     table, low = _power_table(p, q, top), (1 << shift) - 1
+    if divided:
+        table = list(map(mul, table, _ratios(top)))
+        den *= _FACTORIAL[top]
     if not shift:  # the one field left: one sum
         return sum(map(mul, nums.values(), map(table.__getitem__, nums))), den * q**top
     out = defaultdict(int)
@@ -234,7 +250,7 @@ def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, raw_a: floa
     times its contents' product over the gcd of all of them, and W bounds
     every slot of that sum: it is unpacked once, with signed slots.  The
     loop wins when a column pair stands for few term pairs, or when the
-    slots (W bits, over the column spans) outweigh the raw numerators.
+    slots (W bits, over the column spans) outweigh the pairs.
     """
     split_a = _columns(rows_a, xunit)
     split_b = split_a if same else _columns(rows_b, xunit)
@@ -248,8 +264,10 @@ def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, raw_a: floa
     slots = ((sum(spans_a) ** 2 + sum(s * s for s in spans_a)) // 2 if same
              else sum(spans_a) * sum(spans_b))
 
-    def cheaper(width):  # the slots' bit work against the raw pairs', within a factor 2
-        return slots * width * width <= 2 * pairs * raw_a * raw_b
+    # the slots' bit work against the pairs', within a factor 2; a pair's Python step weighs
+    # as 128 more bits per operand (on ahpetm-deep, 96-128 pick each faster path, 0 or 192 not)
+    def cheaper(width):
+        return slots * width * width <= 2 * pairs * (raw_a + 128) * (raw_b + 128)
 
     if not cheaper(max(c[4] for _, c in items_a) + max(c[4] for _, c in items_b)):
         return None  # even a W of the widest cofactors' bits together costs more
@@ -297,37 +315,35 @@ def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, raw_a: floa
     return acc
 
 
-def _group_product(ga: tuple, gb: tuple, dim: int, borel: int = 0):
+def _group_product(ga: tuple, gb: tuple, dim: int, convolved: int = 0):
     """Exact product of two rate groups (den, nums) of ``dim`` size axes; None if it is 0.
 
-    Monomials multiply pairwise and their keys add, except on the first
-    ``borel`` fields, which are convolved on [0, x]: x^i against x^j gives
-    i! j!/(i+j+1)! x^{i+j+1}.  With numerators pre-scaled by i! and j! each
-    pair is one integer multiply-add (``_packed_sums`` or the pair loop);
-    the group goes over Da Db prod top! with a top!/k! factor per term.  A
+    Monomials multiply pairwise over Da Db and their keys add, plus one on
+    the first ``convolved`` fields, convolved on [0, x]: x^i/i! against
+    x^j/j! gives x^{i+j+1}/(i+j+1)!.  So each pair is one integer
+    multiply-add (``_packed_sums`` or the pair loop).  Unconvolved, this is
+    the product of groups in powers x^i, or with a factor in t alone.  A
     self-product (``ga is gb``) forms each unordered pair once.  Every field
     is checked before any pair is formed, so the sums fit their fields, and
-    so is the pair-bit work against ``WORK_BUDGET``.
+    so is the work against ``WORK_BUDGET``.
     """
     (den_a, pa), (den_b, pb) = ga, gb
     if not pa or not pb:
         return None
     shifts = range(0, _W * (dim + 1), _W)
-    tops = [_check_exponent(_top(pa, s) + _top(pb, s) + (s < _W * borel)) for s in shifts]
-    convolved = shifts[:borel]
-
-    def scaled(nums):
-        rows = list(nums.items())
-        for s in convolved:
-            rows = [(key, n * _FACTORIAL[(key >> s) & _MASK]) for key, n in rows]
-        return rows
-
+    for s in shifts:
+        _check_exponent(_top(pa, s) + _top(pb, s) + (s < _W * convolved))
     same = ga is gb
-    rows_a = scaled(pa)
-    rows_b = rows_a if same else scaled(pb)
+    rows_a = list(pa.items())
+    rows_b = rows_a if same else list(pb.items())
     pairs = len(pa) * (len(pa) + 1) // 2 if same else len(pa) * len(pb)
     raw_a, raw_b = (sum(abs(n).bit_length() for _, n in r) / len(r) for r in (rows_a, rows_b))
-    if pairs * raw_a * raw_b > WORK_BUDGET:
+    # the work: raw_a x raw_b bits per pair, and per output term (at most 2^fields times the larger
+    # operand's) a gcd of raw_a + raw_b bits by the den's, 0.6-3.6 times a pair's per bit product
+    den, out = den_a * den_b, raw_a + raw_b
+    terms = min(pairs, 2 ** (dim + 1) * max(len(pa), len(pb)))
+    work = pairs * raw_a * raw_b + terms * out * min(out, den.bit_length())
+    if work > WORK_BUDGET:
         raise WorkBudgetError(f"a product of {pairs} term pairs of {raw_a:.0f} x {raw_b:.0f} bits "
                               f"passes the work budget of {WORK_BUDGET:.3g}; use fewer --terms")
     xunit = sum(1 << s for s in shifts[:-1])  # x^1 on every size axis: the column step
@@ -336,8 +352,8 @@ def _group_product(ga: tuple, gb: tuple, dim: int, borel: int = 0):
     if acc is None:
         acc = defaultdict(int)
         if same:
-            # the pair weight and the key sum are symmetric, so each
-            # unordered pair is formed once and the off-diagonal ones count twice
+            # the key sum is symmetric, so each unordered pair is formed once
+            # and the off-diagonal ones count twice
             for i, (ka, na) in enumerate(rows_a):
                 acc[ka + ka] += na * na
                 twice = na + na
@@ -347,13 +363,9 @@ def _group_product(ga: tuple, gb: tuple, dim: int, borel: int = 0):
             for ka, na in rows_a:
                 for kb, nb in rows_b:
                     acc[ka + kb] += na * nb
-    offset = sum(1 << s for s in convolved)
-    rows = [(key + offset, total) for key, total in acc.items() if total]
-    for s, top in zip(convolved, tops):
-        ratio = list(accumulate(range(top, 0, -1), mul, initial=1))[::-1]  # top!/k!
-        rows = [(key, total * ratio[(key >> s) & _MASK]) for key, total in rows]
-    den = den_a * den_b * math.prod(_FACTORIAL[top] for top in tops[:borel])
-    return _reduced(den, dict(rows)) if rows else None
+    offset = sum(1 << s for s in shifts[:convolved])
+    nums = {key + offset: total for key, total in acc.items() if total}
+    return _reduced(den, nums) if nums else None
 
 
 class _PolyExpBase:
@@ -373,7 +385,7 @@ class _PolyExpBase:
     def __init__(self, terms: Mapping) -> None:
         canon: dict = {}
         for rate, poly in terms.items():
-            den, nums = _over_lcm({self._pack(e): as_fraction(c) for e, c in poly.items()})
+            den, nums = self._divided({self._pack(e): as_fraction(c) for e, c in poly.items()})
             if nums:
                 _merge(canon, self._canon_rate(rate), (den, nums))
         object.__setattr__(self, "_terms", canon)
@@ -391,6 +403,22 @@ class _PolyExpBase:
         """The exponent tuple (size axes, then t) of a key."""
         x, y, t = key & _MASK, key >> _W & _MASK, key >> _W * cls.dim
         return (x, t) if cls.dim == 1 else (x, y, t)
+
+    @classmethod
+    def _weight(cls, key: int) -> int:
+        """i! [k!] of a key's size exponents: the factor between c and its stored form."""
+        weight = _FACTORIAL[key & _MASK]
+        return weight * _FACTORIAL[key >> _W & _MASK] if cls.dim == 2 else weight
+
+    @classmethod
+    def _powers(cls, den: int, nums: dict) -> dict:
+        """{key: c} of a stored group, c the Fraction coefficient of x^i [y^k] t^j."""
+        return {key: Fraction(n, den * cls._weight(key)) for key, n in nums.items()}
+
+    @classmethod
+    def _divided(cls, poly: Mapping) -> tuple[int, dict]:
+        """The stored group of {key: c}, c the coefficient of x^i [y^k] t^j; inverts ``_powers``."""
+        return _over_lcm({key: c * cls._weight(key) for key, c in poly.items()})
 
     def _sorted(self, nums: dict) -> list:
         """A group's (exponent tuple, numerator) pairs in order of the tuple."""
@@ -436,9 +464,8 @@ class _PolyExpBase:
     def terms(self) -> Iterator:
         """Yield (rate, exponents, coefficient) in canonical order."""
         for rate, key in self._by_value():
-            den, nums = self._terms[key]
-            for exps, n in self._sorted(nums):
-                yield rate, exps, Fraction(n, den)
+            for exps, c in self._sorted(self._powers(*self._terms[key])):
+                yield rate, exps, c
 
     def t_degree(self) -> int:
         """Highest t exponent, or -1 for the zero function."""
@@ -491,8 +518,8 @@ class _PolyExpBase:
         """Size convolution int_0^x [int_0^y] f(x - u[, y - v], t) g(u[, v], t) du [dv].
 
         Both operands must carry the same rates wherever term pairs meet.  The
-        closed form is separable: on each size axis x^i e^{-ax} against
-        x^j e^{-ax} gives i! j! / (i+j+1)! x^{i+j+1} e^{-ax}, and t-exponents add.
+        closed form is separable: on each size axis x^i/i! e^{-ax} against
+        x^j/j! e^{-ax} gives x^{i+j+1}/(i+j+1)! e^{-ax}, and t-exponents add.
         """
         for ra in self._terms:
             for rb in other._terms:
@@ -520,7 +547,7 @@ class _PolyExpBase:
 
         Each axis gives int_0^inf x^n e^{-ax} dx = n! / a^{n+1}, so every rate
         must be positive.  With a = p/q and D the group's top degree on the
-        axis, x^i weighs (i+j)! q^{i+j+1} p^{D-i} over p^{D+j+1}.
+        axis, x^i/i! weighs (i+j)!/i! q^{i+j+1} p^{D-i} over p^{D+j+1}.
         """
         if len(orders) > self.dim:
             raise OutOfClassError(f"{len(orders)} moment orders for {self.dim} size axes")
@@ -535,7 +562,7 @@ class _PolyExpBase:
             rows = self._sorted(poly)  # t-exponents in order of first appearance
             for axis, (j, (p, q)) in enumerate(zip(orders, rate)):
                 top = _check_exponent(_top(poly, _W * axis) + j) - j
-                table = [_FACTORIAL[i + j] * q ** (i + j + 1) * p ** (top - i)
+                table = [_FACTORIAL[i + j] // _FACTORIAL[i] * q ** (i + j + 1) * p ** (top - i)
                          for i in range(top + 1)]
                 rows = [(e, num * table[e[axis]]) for e, num in rows]
                 den *= p ** (top + j + 1)
@@ -568,7 +595,8 @@ class _PolyExpBase:
         for rate, (den, poly) in self._terms.items():
             level = [(poly, den)]
             for coords, shift in zip([[t], *reversed(axes)], range(_W * self.dim, -1, -_W)):
-                level = [_substitute(nums, d, v, shift) for v in coords for nums, d in level]
+                level = [_substitute(nums, d, v, shift, shift < _W * self.dim)
+                         for v in coords for nums, d in level]
             for k, (point, (value, d)) in enumerate(zip(points, level)):
                 arg = sum(p / q * v for (p, q), v in zip(rate, point))
                 totals[k] += ratio_times_exp(value, d, arg)
@@ -578,8 +606,8 @@ class _PolyExpBase:
         """Stable-ordered structured form used by the CLI symbolic dump."""
         groups, keys = [], ("coeff", *self._EXPONENTS)
         for api, rate in self._by_value():
-            den, nums = self._terms[rate]
-            monos = [dict(zip(keys, (str(Fraction(n, den)), *e))) for e, n in self._sorted(nums)]
+            coeffs = self._powers(*self._terms[rate])
+            monos = [dict(zip(keys, (str(c), *e))) for e, c in self._sorted(coeffs)]
             axes = api if self.dim > 1 else (api,)
             groups.append({**dict(zip(self._RATES, map(str, axes))), "monomials": monos})
         return {"dim": self.dim, "terms": groups}
@@ -619,20 +647,22 @@ class PolyExp1D(_PolyExpBase):
         return cls({rate: {(xpow, tpow): coeff}})
 
     def mul_x(self, k: int = 1) -> "PolyExp1D":
-        """Multiply by x^k; one check per group keeps the x field in [0, MAX_EXPONENT]."""
+        """Multiply by x^k (``_shifted``); a check per group keeps x in [0, MAX_EXPONENT]."""
         out = {}
         for r, (d, nums) in self._terms.items():
             _check_exponent((min if k < 0 else max)(map(_MASK.__and__, nums)) + k)
-            out[r] = d, {key + k: n for key, n in nums.items()}
+            s, weight = _shifted(map(_MASK.__and__, nums), k)
+            out[r] = _reduced(d * s, {key + k: n * weight[key & _MASK] for key, n in nums.items()})
         return self._wrap(out)
 
     def tail_integral(self, p: int = 0) -> "PolyExp1D":
         """Tail integral int_x^inf y^p f(y, t) dy as a function of x.
 
-        For x^m e^{-ax} with n = m + p >= 0 the closed form is
-        e^{-ax} * sum_{k=0}^{n} (n!/k!) x^k / a^{n-k+1}.
-        With a = P/Q and N the group's top n, the group goes over den P^{N+1},
-        and the k-th term of x^m weighs (n!/k!) Q^r P^{N+1-r}, r = n-k+1.
+        For x^m/m! e^{-ax} with n = m + p >= 0 the closed form is
+        e^{-ax} * sum_{k=0}^{n} (n!/m!) x^k/k! / a^{n-k+1}.
+        With a = P/Q and N the group's top n, the group goes over den s P^{N+1}
+        (s and s n!/m! from ``_shifted``), and the k-th term of x^m/m! weighs
+        s n!/m! Q^r P^{N+1-r}, r = n-k+1.
         """
         if self.has_zero_rate():
             raise ZeroRateError("tail integral of a rate-0 term diverges")
@@ -644,25 +674,26 @@ class PolyExp1D(_PolyExpBase):
                                       "below degree 0")
             top, ((pa, qa),) = _check_exponent(_top(poly, 0) + p), a
             weights = [qa**r * pa ** (top + 1 - r) for r in range(top + 2)]
+            s, ratio = _shifted(map(_MASK.__and__, poly), p)
             nums: defaultdict = defaultdict(int)
             for key, num in poly.items():
                 m = key & _MASK
-                n, tkey = m + p, key - m
-                ratio = _FACTORIAL[n]  # n!/k!
+                n, tkey, c = m + p, key - m, num * ratio[m]
                 for k in range(n + 1):
-                    nums[tkey + k] += num * ratio * weights[n - k + 1]
-                    ratio //= k + 1
+                    nums[tkey + k] += c * weights[n - k + 1]
             nums = {e: n for e, n in nums.items() if n}
             if nums:
-                out[a] = _reduced(den * pa ** (top + 1), nums)
+                out[a] = _reduced(den * s * pa ** (top + 1), nums)
         return self._wrap(out)
 
     def collapse_t(self, t: RationalLike) -> dict[Fraction, tuple[int, list[int]]]:
         """Substitute an exact time: rate -> reduced (den, nums), nums[i] / den at x^i."""
         out: dict[Fraction, tuple[int, list[int]]] = {}
         for rate, (den, poly) in self._terms.items():
-            den, sums = _reduced(*_substitute(poly, den, t, _W)[::-1])
-            out[self._api_rate(rate)] = den, [sums.get(i, 0) for i in range(max(sums) + 1)]
+            sums, den = _substitute(poly, den, t, _W)
+            ratios = _ratios(max(sums))  # x^i/i! is top!/i! x^i over top!
+            den, nums = _reduced(den * ratios[0], {i: sums[i] * r for i, r in enumerate(ratios)})
+            out[self._api_rate(rate)] = den, list(nums.values())
         return out
 
     def eval_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
@@ -683,7 +714,7 @@ class PolyExp1D(_PolyExpBase):
                     sums, den = _substitute(poly, den, t, _W)  # n / den rounds as float(Fraction)
                     acc = np.zeros_like(xs)
                     for i in range(max(sums), -1, -1):
-                        acc = acc * xs + sums[i] / den
+                        acc = acc * xs + sums[i] / (den * _FACTORIAL[i])
                     total += acc * np.exp(-(p / q) * xs)
             except OverflowError:  # an inf coefficient would leave no lane finite
                 total[:] = np.inf

@@ -25,10 +25,10 @@ the first step; ``polyexp`` bounds the work of each product as it is formed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 
 from .polyexp import MAX_EXPONENT, DegreeOverflowError
 from .problems import CoagKernel, Model, coag_gain, coag_loss, coag_operand, frag_rhs, rhs
@@ -41,10 +41,11 @@ class Method(Enum):
 
 @dataclass(frozen=True)
 class SeriesSolution:
-    """Ordered components of a truncated series solution."""
+    """Ordered components of a truncated series solution, and the partial sums formed so far."""
 
     method: Method
     components: tuple
+    sums: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -52,10 +53,12 @@ class SeriesSolution:
         return len(self.components) - 1
 
     def truncated(self, k: int):
-        """Partial sum Psi_k = v_0 + ... + v_k."""
+        """Partial sum Psi_k = v_0 + ... + v_k; those not formed by the engine are added once."""
         if not 0 <= k <= self.n:
             raise IndexError(f"truncation order {k} outside 0..{self.n}")
-        return reduce(lambda a, b: a + b, self.components[: k + 1])
+        for v in self.components[len(self.sums):k + 1]:
+            self.sums.append(self.sums[-1] + v if self.sums else v)
+        return self.sums[k]
 
 
 # 1 + e, where the gain term raises each size degree D to 2 D + 1 + e
@@ -97,15 +100,15 @@ def iterate_accelerated(problem: Model, n: int) -> SeriesSolution:
         raise ValueError("number of components must be nonnegative")
     _check_degree(problem, Method.ACCELERATED, n)
     components = [problem.u0]
-    psi = problem.u0
+    sums = [problem.u0]
     prev_rhs = problem.u0.zero()
     for _ in range(n):
-        cur_rhs = rhs(problem, psi)
+        cur_rhs = rhs(problem, sums[-1])
         v = (cur_rhs - prev_rhs).time_antiderivative()
         components.append(v)
-        psi = psi + v
+        sums.append(sums[-1] + v)
         prev_rhs = cur_rhs
-    return SeriesSolution(Method.ACCELERATED, tuple(components))
+    return SeriesSolution(Method.ACCELERATED, tuple(components), sums)
 
 
 def _bilinear_block(problem: Model, components, operands, moments, k: int):

@@ -79,16 +79,24 @@ def product(f, g):
     """The pointwise product f g: ``_group_product`` without a convolved axis, rates added.
 
     No operator forms it (``mul_tpoly`` is its case of a t-only factor), so
-    the tests check the kernel's plain product through it.
+    the tests check the kernel's plain product through it.  The kernel adds
+    keys, which multiplies powers x^i but not divided powers x^i/i!, so the
+    groups go through ``_powers`` into powers and back; a self-product's
+    group stays one object, as the kernel's self-product path needs.
     """
+    def powers(group):
+        return pe._over_lcm(f._powers(*group))
+
     out: dict = {}
     for ra, ga in f._terms.items():
         for rb, gb in g._terms.items():
-            group = pe._group_product(ga, gb, f.dim)
+            pa = powers(ga)
+            group = pe._group_product(pa, pa if gb is ga else powers(gb), f.dim)
             if group:
                 rate = tuple((Fraction(*a) + Fraction(*b)).as_integer_ratio()
                              for a, b in zip(ra, rb))
-                pe._merge(out, rate, group)
+                den, nums = group
+                pe._merge(out, rate, f._divided({k: Fraction(n, den) for k, n in nums.items()}))
     return f._wrap(out)
 
 

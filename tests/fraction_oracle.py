@@ -24,10 +24,12 @@ def groups(f):
     """(API rate, {exponents: Fraction}) of each stored rate group, in stored order.
 
     Stored keys are unpacked into exponent tuples by ``_unpack``, the one
-    helper that reads the packed layout.
+    helper that reads the packed layout, and stored numerators, which are
+    in divided powers along the size axes, are read by ``_powers``, the one
+    helper that converts them.
     """
-    for rate, (den, nums) in f._terms.items():
-        yield f._api_rate(rate), {f._unpack(key): Fraction(n, den) for key, n in nums.items()}
+    for rate, group in f._terms.items():
+        yield f._api_rate(rate), {f._unpack(key): c for key, c in f._powers(*group).items()}
 
 
 def axes(f, rate) -> tuple:

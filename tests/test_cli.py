@@ -405,13 +405,13 @@ class TestReferenceCheck:
 
     def test_over_the_work_budget_exits_3_before_the_product(self, capsys):
         # the order-4 square has 666 term pairs of ~226,000-bit numerators,
-        # 3.4e13 pair-bits against the budget of 2^44 = 1.76e13
+        # 3.4e13 of work against the budget of 2^41 = 2.2e12
         code, out, err = run(capsys, "density", "--model", "coag", "--kernel", "constant",
                              "--u0", "monoexp:1e12000,10,1", "--terms", "4", "--t", "0.01",
                              "--x", "1")
         assert (code, out) == (3, "")
         assert err.startswith("error: a product of 666 term pairs") and err.count("\n") == 1
-        assert "passes the work budget of 1.76e+13" in err
+        assert "passes the work budget of 2.2e+12" in err
 
     def test_2d_rejected(self, capsys):
         code, _, err = run(
@@ -710,6 +710,18 @@ class TestErrorPaths:
         assert code == 3 and out == ""
         assert err.startswith("error: a value overflows the float range: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        ("density --model coag --kernel constant --u0 exp:1 --terms 1 --t 0 --x 1e400",
+         "error: bad value list '1e400'"),
+        ("density --model coag --kernel constant --u0 exp:1 --terms 1 --t 0 --x 0:1e400:1",
+         "error: bad range '0:1e400:1'"),
+        ("bounds --model coag --kernel constant --u0 exp:1 --t0 1e400",
+         "error: --t0 must be numeric, got '1e400'"),
+    ], ids=["value-list", "range", "setting"])
+    def test_a_value_past_the_float_range_is_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv.split())
+        assert (code, out, err) == (2, "", message + "\n")
 
     @pytest.mark.parametrize("argv", [["--help"], ["density", "--help"]])
     def test_help_returns_0(self, capsys, argv):

@@ -422,6 +422,18 @@ class TestEvaluateGrid:
             sol.evaluate_grid(xs, t)
         assert str(grid.value) == str(scalar.value)
 
+    def test_cube_past_the_float_range(self, monkeypatch):
+        # t x^3 overflows at x = 1e110: the grid falls back to the scalar, which raises
+        # the same error; at t = 0 the ratio is taken as 0 and no lane falls back
+        sol, xs = ProductKernelSolution(), np.array([1.0, 1e110])
+        with pytest.raises(OverflowError):
+            _scalar_grid(sol, xs, 0.5)
+        with pytest.raises(OverflowError):
+            sol.evaluate_grid(xs, 0.5)
+        expected = _scalar_grid(sol, xs, 0.0)
+        monkeypatch.setattr(ProductKernelSolution, "evaluate", _refuse_scalar)
+        assert np.array_equal(sol.evaluate_grid(xs, 0.0), expected)
+
 
 class TestL1TableTimes:
     """The grids at the times the benchmark's L1 tables draw, without the scalar."""

@@ -296,7 +296,7 @@ def kernel_path(packed: bool):
         yield
 
 
-# A content that every t-column shares, as the Borel-scaled iterates' columns do.
+# A content that every t-column shares, as the iterates' columns do.
 BIG = (2**61 - 1) ** 3 * 3**40
 
 
@@ -407,20 +407,24 @@ def test_selection_takes_each_path(monkeypatch):
 @pytest.mark.parametrize("packed", [False, True], ids=["pair-loop", "packed"])
 def test_work_budget_trips_before_any_pair(packed, monkeypatch):
     # 60 terms of 41 bits: the numerators count their multiplies and the packed
-    # path its calls.  Past the budget neither path takes a step; at it, each runs
+    # path its calls.  Past the budget neither path takes a step; at it, each runs.
+    # The work is the pairs' 41 x 41 bits and a gcd per output term, of 41 + 41 bits
+    # against the denominator's 6
     ga = (7, {x | t << pe._W: _Counted(2**40 + 3 * x + t) for x in range(20) for t in range(3)})
     gb = (5, {x | t << pe._W: _Counted(2**41 - 1 - 5 * x - t) for x in range(30) for t in range(2)})
     calls = []
     with kernel_path(packed):
         real = pe._packed_sums
         with mock.patch.object(pe, "_packed_sums", lambda *a: calls.append(1) or real(*a)):
+            # the output's terms are taken as 2^2 times the larger operand's 60
             for a, b, pairs in ((ga, gb, 60 * 60), (ga, ga, 60 * 61 // 2)):
-                monkeypatch.setattr(pe, "WORK_BUDGET", pairs * 41 * 41 - 1)
+                work = pairs * 41 * 41 + (4 * 60) * (41 + 41) * 6
+                monkeypatch.setattr(pe, "WORK_BUDGET", work - 1)
                 _Counted.products, calls[:] = 0, []
                 with pytest.raises(WorkBudgetError, match="passes the work budget"):
                     pe._group_product(a, b, 1)
                 assert (_Counted.products, calls) == (0, [])
-                monkeypatch.setattr(pe, "WORK_BUDGET", pairs * 41 * 41)
+                monkeypatch.setattr(pe, "WORK_BUDGET", work)
                 assert pe._group_product(a, b, 1) is not None
                 assert calls if packed else _Counted.products >= pairs
 

@@ -220,6 +220,22 @@ class TestSeriesStructure:
         with pytest.raises(IndexError):
             s.truncated(-1)
 
+    @pytest.mark.parametrize("fixture", [
+        "constant_kernel_problem", "sum_kernel_problem", "product_kernel_problem",
+        "binary_breakage_problem", "coupled_halfx_problem", "coupled_twox_problem",
+        "bivariate_problem"])
+    def test_truncated_is_the_left_to_right_sum(self, fixture, request):
+        # ahpetm keeps the partial sums its loop forms, the classical engine adds
+        # them on first use, in any order of k
+        problem = request.getfixturevalue(fixture)
+        for engine in (iterate_accelerated, iterate_classical):
+            s = engine(problem, 3)
+            for k in (2, 0, 3, 1):
+                want = s.components[0]
+                for v in s.components[1:k + 1]:
+                    want = want + v
+                assert s.truncated(k) == want, (engine.__name__, k)
+
     def test_components_vanish_at_zero_time(self, coupled_halfx_problem):
         s = iterate_accelerated(coupled_halfx_problem, 3)
         for v in s.components[1:]:
@@ -250,7 +266,7 @@ class TestSeriesStructure:
 
     def test_work_budget(self, product_kernel_problem, monkeypatch):
         # the order-4 products run at the default budget; under a budget of
-        # 50 pair-bits either engine is refused in its first product that passes it
+        # 50 either engine is refused in its first product that passes it
         for engine in (iterate_accelerated, iterate_classical):
             engine(product_kernel_problem, 4)
         monkeypatch.setattr(pe, "WORK_BUDGET", 50)
