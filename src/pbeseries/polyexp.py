@@ -24,10 +24,12 @@ numerators, kept canonical (den > 0, gcd(den, *numerators) == 1, no zero
 numerator, no empty group), so two values are equal exactly when their term
 maps are; the zero function is the empty map.  Exponent tuples, powers x^i
 and Fractions live only at the API edge: the constructor, ``monomial`` and
-``from_obj`` take them, ``rates()``, ``terms()``, ``moment`` and ``to_obj``
-give them, ordered by rate value (pairs do not sort by value) and by exponent
-tuple.  ``collapse_t`` gives a reduced integer group per x-polynomial.  Every
-operation is written once, in ``_PolyExpBase``.
+``from_obj`` take them, ``rates()``, ``terms()`` and ``to_obj`` give them,
+ordered by rate value (pairs do not sort by value) and by exponent tuple, and
+``moment`` gives a time polynomial with its t-exponents ascending.
+``collapse_t`` gives a reduced integer group per x-polynomial in powers x^i,
+which ``eval_grid`` and the root finder read.  Every operation is written
+once, in ``_PolyExpBase``.
 
 All arithmetic is on integers with one gcd per output group.
 ``_group_product`` forms products and convolutions; on [0, x], x^i/i! against
@@ -35,9 +37,10 @@ x^j/j! gives x^{i+j+1}/(i+j+1)!, so in divided powers each pair is one
 multiply-add, summed by the pair loop or, where that does less work, one
 big-integer product per pair of packed columns (Kronecker substitution).  The
 degree cap and ``WORK_BUDGET`` are checked before any pair is formed.
-``mul_x``, ``moment``, ``tail_integral`` and size substitutions weigh by
-factorials.  ``_substitute`` serves time polynomials, ``collapse_t`` and point
-values: for p/q one integer table p^j q^(top-j) serves a group.
+``mul_x``, ``moment``, size substitutions and ``collapse_t`` weigh by
+factorials; ``tail_integral`` weighs through ``mul_x``.  ``_substitute``
+serves time polynomials, ``collapse_t`` and point values: for p/q one integer
+table p^j q^(top-j) serves a group.
 
 Everything is immutable after construction and all operations are pure,
 so values can be shared freely across threads.
@@ -120,13 +123,6 @@ def _power_table(p: int, q: int, top: int) -> list[int]:
 def _ratios(top: int) -> list[int]:
     """``[top!/k! for k in 0..top]``: x^k/k! over the common top!."""
     return list(accumulate(range(top, 0, -1), mul, initial=1))[::-1]
-
-
-def _shifted(powers, k: int) -> tuple[int, dict]:
-    """(s, {i: s (i+k)!/i!}): x^k x^i/i! is (i+k)!/i! x^{i+k}/(i+k)!; s = lcm i!/(i+k)! if k < 0."""
-    powers = set(powers)
-    s = math.lcm(*(_FACTORIAL[i] // _FACTORIAL[i + k] for i in powers)) if k < 0 else 1
-    return s, {i: s * _FACTORIAL[i + k] // _FACTORIAL[i] for i in powers}
 
 
 def _substitute(nums: Mapping, den: int, value, shift: int, divided: bool = False) -> tuple:
@@ -260,17 +256,6 @@ def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, raw_a: floa
     cols_a = {key: _cofactors(col) for key, col in split_a.items()}
     cols_b = cols_a if same else {key: _cofactors(col) for key, col in split_b.items()}
     items_a, items_b = list(cols_a.items()), list(cols_b.items())
-    spans_a, spans_b = ([len(col[2]) for _, col in items] for items in (items_a, items_b))
-    slots = ((sum(spans_a) ** 2 + sum(s * s for s in spans_a)) // 2 if same
-             else sum(spans_a) * sum(spans_b))
-
-    # the slots' bit work against the pairs', within a factor 2; a pair's Python step weighs
-    # as 128 more bits per operand (on ahpetm-deep, 96-128 pick each faster path, 0 or 192 not)
-    def cheaper(width):
-        return slots * width * width <= 2 * pairs * (raw_a + 128) * (raw_b + 128)
-
-    if not cheaper(max(c[4] for _, c in items_a) + max(c[4] for _, c in items_b)):
-        return None  # even a W of the widest cofactors' bits together costs more
     plan: defaultdict = defaultdict(list)  # output column -> [(scale, lo, a, b, bits)]
     for i, (ka, (lo_a, g_a, _, n_a, bits_a)) in enumerate(items_a):
         for kb, (lo_b, g_b, _, n_b, bits_b) in items_b[i:] if same else items_b:
@@ -285,7 +270,12 @@ def _packed_sums(rows_a: list, rows_b: list, same: bool, pairs: int, raw_a: floa
         g = contents[key] = math.gcd(*(scale for scale, *_ in products))
         width = max(width, len(products).bit_length() + 1
                     + max(bits + (scale // g).bit_length() for scale, _, _, _, bits in products))
-    if not cheaper(width):
+    # the slots' bit work against the pairs', within a factor 2; a pair's Python step weighs
+    # as 128 more bits per operand (on ahpetm-deep, 96-128 pick each faster path, 0 or 192 not)
+    spans_a, spans_b = ([len(col[2]) for _, col in items] for items in (items_a, items_b))
+    slots = ((sum(spans_a) ** 2 + sum(s * s for s in spans_a)) // 2 if same
+             else sum(spans_a) * sum(spans_b))
+    if slots * width * width > 2 * pairs * (raw_a + 128) * (raw_b + 128):
         return None
 
     def packed(cols):
@@ -547,7 +537,8 @@ class _PolyExpBase:
 
         Each axis gives int_0^inf x^n e^{-ax} dx = n! / a^{n+1}, so every rate
         must be positive.  With a = p/q and D the group's top degree on the
-        axis, x^i/i! weighs (i+j)!/i! q^{i+j+1} p^{D-i} over p^{D+j+1}.
+        axis, x^i/i! weighs (i+j)!/i! q^{i+j+1} p^{D-i} over p^{D+j+1}.  The
+        t-exponents come in ascending order.
         """
         if len(orders) > self.dim:
             raise OutOfClassError(f"{len(orders)} moment orders for {self.dim} size axes")
@@ -557,23 +548,22 @@ class _PolyExpBase:
         if self.has_zero_rate():
             raise ZeroRateError("moment of a rate-0 term diverges")
         out: dict = {}  # one group under key 0, so that _merge prunes zeros
-        for _, rate in self._by_value():
-            den, poly = self._terms[rate]
-            rows = self._sorted(poly)  # t-exponents in order of first appearance
-            for axis, (j, (p, q)) in enumerate(zip(orders, rate)):
-                top = _check_exponent(_top(poly, _W * axis) + j) - j
+        for rate, (den, poly) in self._terms.items():
+            rows = poly.items()
+            for shift, j, (p, q) in zip(range(0, _W * self.dim, _W), orders, rate):
+                top = _check_exponent(_top(poly, shift) + j) - j
                 table = [_FACTORIAL[i + j] // _FACTORIAL[i] * q ** (i + j + 1) * p ** (top - i)
                          for i in range(top + 1)]
-                rows = [(e, num * table[e[axis]]) for e, num in rows]
+                rows = [(key, num * table[key >> shift & _MASK]) for key, num in rows]
                 den *= p ** (top + j + 1)
             sums: defaultdict = defaultdict(int)
-            for e, num in rows:
-                sums[e[-1]] += num
+            for key, num in rows:
+                sums[key >> _W * self.dim] += num
             sums = {jt: num for jt, num in sums.items() if num}
             if sums:
                 _merge(out, 0, (den, sums))
         den, sums = out.get(0, (1, {}))
-        return {jt: Fraction(num, den) for jt, num in sums.items()}
+        return {jt: Fraction(sums[jt], den) for jt in sorted(sums)}
 
     def evaluate(self, *point: float) -> float:
         """Float value at (x[, y], t); see ``_evaluate``."""
@@ -647,46 +637,50 @@ class PolyExp1D(_PolyExpBase):
         return cls({rate: {(xpow, tpow): coeff}})
 
     def mul_x(self, k: int = 1) -> "PolyExp1D":
-        """Multiply by x^k (``_shifted``); a check per group keeps x in [0, MAX_EXPONENT]."""
+        """Multiply by x^k: x^k x^i/i! is (i+k)!/i! x^{i+k}/(i+k)!.
+
+        A check per group keeps x in [0, MAX_EXPONENT]; for k < 0 the group
+        goes over s = lcm i!/(i+k)! more, so every weight is an integer.
+        """
         out = {}
         for r, (d, nums) in self._terms.items():
-            _check_exponent((min if k < 0 else max)(map(_MASK.__and__, nums)) + k)
-            s, weight = _shifted(map(_MASK.__and__, nums), k)
+            powers = set(map(_MASK.__and__, nums))
+            _check_exponent((min if k < 0 else max)(powers) + k)
+            s = math.lcm(*(_FACTORIAL[i] // _FACTORIAL[i + k] for i in powers)) if k < 0 else 1
+            weight = {i: s * _FACTORIAL[i + k] // _FACTORIAL[i] for i in powers}
             out[r] = _reduced(d * s, {key + k: n * weight[key & _MASK] for key, n in nums.items()})
         return self._wrap(out)
 
     def tail_integral(self, p: int = 0) -> "PolyExp1D":
         """Tail integral int_x^inf y^p f(y, t) dy as a function of x.
 
-        For x^m/m! e^{-ax} with n = m + p >= 0 the closed form is
-        e^{-ax} * sum_{k=0}^{n} (n!/m!) x^k/k! / a^{n-k+1}.
-        With a = P/Q and N the group's top n, the group goes over den s P^{N+1}
-        (s and s n!/m! from ``_shifted``), and the k-th term of x^m/m! weighs
-        s n!/m! Q^r P^{N+1-r}, r = n-k+1.
+        y^p f is ``mul_x(p)``, and for its x^n/n! e^{-ax} the closed form is
+        e^{-ax} * sum_{k=0}^{n} x^k/k! / a^{n-k+1}.  With a = P/Q and N the
+        group's top n, the group goes over den P^{N+1}, and the k-th term of
+        x^n/n! weighs Q^r P^{N+1-r}, r = n-k+1.
         """
         if self.has_zero_rate():
             raise ZeroRateError("tail integral of a rate-0 term diverges")
-        out: dict = {}
-        for _, a in self._by_value():
-            den, poly = self._terms[a]
-            if (low := min(map(_MASK.__and__, poly))) + p < 0:
+        for _, nums in self._terms.values():
+            if (low := min(map(_MASK.__and__, nums))) + p < 0:
                 raise OutOfClassError(f"tail integral with power {p} drives x^{low} "
                                       "below degree 0")
-            top, ((pa, qa),) = _check_exponent(_top(poly, 0) + p), a
+        f, out = self.mul_x(p) if p else self, {}
+        for _, a in f._by_value():
+            den, poly = f._terms[a]
+            top, ((pa, qa),) = _top(poly, 0), a
             weights = [qa**r * pa ** (top + 1 - r) for r in range(top + 2)]
-            s, ratio = _shifted(map(_MASK.__and__, poly), p)
             nums: defaultdict = defaultdict(int)
             for key, num in poly.items():
-                m = key & _MASK
-                n, tkey, c = m + p, key - m, num * ratio[m]
+                n = key & _MASK
                 for k in range(n + 1):
-                    nums[tkey + k] += c * weights[n - k + 1]
+                    nums[key - n + k] += num * weights[n - k + 1]
             nums = {e: n for e, n in nums.items() if n}
             if nums:
-                out[a] = _reduced(den * s * pa ** (top + 1), nums)
+                out[a] = _reduced(den * pa ** (top + 1), nums)
         return self._wrap(out)
 
-    def collapse_t(self, t: RationalLike) -> dict[Fraction, tuple[int, list[int]]]:
+    def collapse_t(self, t: RationalLike | float) -> dict[Fraction, tuple[int, list[int]]]:
         """Substitute an exact time: rate -> reduced (den, nums), nums[i] / den at x^i."""
         out: dict[Fraction, tuple[int, list[int]]] = {}
         for rate, (den, poly) in self._terms.items():
@@ -699,10 +693,11 @@ class PolyExp1D(_PolyExpBase):
     def eval_grid(self, xs: np.ndarray, t: float) -> np.ndarray:
         """Vectorised float evaluation at many x for one t.
 
-        The time substitution is exact; the x polynomial is then evaluated by
-        Horner in float64, accurate to ~1e-13 relative of the largest intermediate
-        term.  The lanes where it is not finite (all, where a coefficient is past
-        the float range) go in one call to ``_evaluate``, as ``evaluate`` does.
+        The time substitution is exact (``collapse_t``); the x polynomial is then
+        evaluated by Horner in float64, accurate to ~1e-13 relative of the largest
+        intermediate term.  The lanes where it is not finite (all, where a
+        coefficient is past the float range) go in one call to ``_evaluate``, as
+        ``evaluate`` does.
         """
         import numpy as np  # here, so that ``import pbeseries`` does not load numpy
 
@@ -710,12 +705,11 @@ class PolyExp1D(_PolyExpBase):
         total = np.zeros_like(xs)
         with np.errstate(all="ignore"):  # a lane that is not finite goes to ``_evaluate``
             try:
-                for ((p, q),), (den, poly) in self._terms.items():
-                    sums, den = _substitute(poly, den, t, _W)  # n / den rounds as float(Fraction)
+                for rate, (den, nums) in self.collapse_t(t).items():
                     acc = np.zeros_like(xs)
-                    for i in range(max(sums), -1, -1):
-                        acc = acc * xs + sums[i] / (den * _FACTORIAL[i])
-                    total += acc * np.exp(-(p / q) * xs)
+                    for n in reversed(nums):
+                        acc = acc * xs + n / den  # rounds once, as float(Fraction)
+                    total += acc * np.exp(-float(rate) * xs)
             except OverflowError:  # an inf coefficient would leave no lane finite
                 total[:] = np.inf
             bad = ~np.isfinite(total)

@@ -66,23 +66,27 @@ _SIZE_DEGREE_STEP = {CoagKernel.CONSTANT: 1, CoagKernel.SUM: 2, CoagKernel.PRODU
 
 
 def _check_degree(problem: Model, method: Method, n: int) -> None:
-    """Coagulation pairs the top degrees of earlier orders: check Psi_n up front.
+    """Check Psi_n's forecast degrees against the exponent cap before the first step.
 
-    ahpetm squares Psi_k, so each degree follows D_{k+1} = 2 D_k + step; the
-    classical block pairs v_i with v_{k-i}, whose top degrees sum alike, so
-    D_{k+1} = D_k + D_0 + step.  The t-degree has D_0 = 0 and step 1.  Without
-    breakage each size axis has step 1 + e exactly, since the gain term always
-    outgrows the loss; breakage moves the size degrees, so only t is checked then.
+    With coagulation, ahpetm squares Psi_k, so each degree follows
+    D_{k+1} = 2 D_k + step; the classical block pairs v_i with v_{k-i}, whose
+    top degrees sum alike, so D_{k+1} = D_k + D_0 + step.  The t-degree has
+    D_0 = 0 and step 1.  Without breakage each size axis has step 1 + e
+    exactly, since the gain term always outgrows the loss; breakage moves the
+    size degrees, so only t is checked then.  Breakage alone is linear:
+    D_{k+1} = D_k + step, with step k on x, whose selection term s x^k u
+    alone reaches the top degree, so it cannot cancel.
     """
-    if problem.kernel is None:
-        return
     starts, steps = {"t": 0}, {"t": 1}
-    if problem.frag is None:
+    if problem.kernel is None or problem.frag is None:
         for axis, name in enumerate("xy"[: problem.dim]):
             starts[name] = max(e[axis] for _, e, _ in problem.u0.terms())
-            steps[name] = _SIZE_DEGREE_STEP[problem.kernel]
+            steps[name] = (problem.frag.k if problem.kernel is None
+                           else _SIZE_DEGREE_STEP[problem.kernel])
     degrees = dict(starts)
-    partner = degrees if method is Method.ACCELERATED else starts
+    partner = (dict.fromkeys(starts, 0) if problem.kernel is None
+               else degrees if method is Method.ACCELERATED else starts)
+    what = "on breakage alone" if problem.kernel is None else "with coagulation"
     for k in range(1, n + 1):
         for name, step in steps.items():
             d = degrees[name] = degrees[name] + partner[name] + step
@@ -90,7 +94,7 @@ def _check_degree(problem: Model, method: Method, n: int) -> None:
                 other = " or use the classical method" if partner is degrees else ""
                 raise DegreeOverflowError(
                     f"{name}-degree {d} of Psi_{k} exceeds cap {MAX_EXPONENT}: {method.value} "
-                    f"with coagulation fits at most {k - 1} terms under the exponent cap "
+                    f"{what} fits at most {k - 1} terms under the exponent cap "
                     f"{MAX_EXPONENT}; lower the number of terms{other}")
 
 

@@ -120,10 +120,10 @@ ORDERS = st.integers(0, 2)
 
 @given(values(PolyExp1D, RATES_1D[1:]), values(PolyExp2D, RATES_2D), ORDERS, ORDERS)
 def test_moment_matches_oracle(f, h, jx, jy):
-    # equal as exact rationals and with the t-exponents in the same order
+    # equal as exact rationals, with the t-exponents in ascending order
     for value, orders in ((f, (jx,)), (h, (jx, jy))):
         new, ref = value.moment(*orders), oracle.moment(value, *orders)
-        assert new == ref and list(new) == list(ref)
+        assert new == ref and list(new) == sorted(ref)
 
 
 COORDS = st.floats(0, 20, allow_subnormal=False)

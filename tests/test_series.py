@@ -10,6 +10,7 @@ import pbeseries.series as series
 from pbeseries.polyexp import DegreeOverflowError, PolyExp1D, WorkBudgetError
 from pbeseries.problems import (
     CoagKernel,
+    FragSpec,
     Model,
     coag_bilinear,
     coag_operand,
@@ -210,6 +211,12 @@ class TestClassical:
         assert sp.expand(psi - taylor) == 0
 
 
+@pytest.fixture(scope="module")
+def quartic_selection_problem():
+    """Breakage with B = 3x/y^2 and S(x) = x^4 on e^{-x}: each order adds 4 to the x-degree."""
+    return Model(exponential_ic(1), frag=FragSpec(F(3), 2, F(1), 4))
+
+
 class TestSeriesStructure:
     def test_truncated_boundaries(self, constant_kernel_problem):
         s = iterate_accelerated(constant_kernel_problem, 2)
@@ -277,18 +284,21 @@ class TestSeriesStructure:
     @pytest.mark.parametrize(
         "fixture, fits",
         [("constant_kernel_problem", (9, 512)), ("coupled_halfx_problem", (9, 512)),
-         ("bivariate_problem", (8, 255))],
-        ids=["constant_kernel_problem", "coupled_halfx_problem", "bivariate_problem"],
+         ("bivariate_problem", (8, 255)), ("binary_breakage_problem", (512, 512)),
+         ("quartic_selection_problem", (128, 128))],
+        ids=["constant_kernel_problem", "coupled_halfx_problem", "bivariate_problem",
+             "binary_breakage_problem", "quartic_selection_problem"],
     )
     def test_accelerated_degree_checked_before_first_step(
         self, fixture, fits, request, monkeypatch
     ):
         # With coagulation the ahpetm Psi_n has t-degree 2^n - 1, and the
         # bivariate x y u0 gives x- and y-degree 2^(n+1) - 1; the classical
-        # Psi_n has t-degree n, and x- and y-degree 1 + 2 n.  For each engine
-        # the largest n that fits the cap of 512 reaches its first step (the
-        # right-hand side, or the classical operand of v_0), the next is
-        # refused before it
+        # Psi_n has t-degree n, and x- and y-degree 1 + 2 n.  On breakage alone
+        # both engines' Psi_n has t-degree n and x-degree n k (S = x^k on
+        # e^{-x}).  For each engine the largest n that fits the cap of 512
+        # reaches its first step (the right-hand side, or the classical operand
+        # of v_0), the next is refused before it, naming coagulation only where it runs
         class Reached(Exception):
             pass
 
@@ -302,17 +312,9 @@ class TestSeriesStructure:
             with pytest.raises(Reached):
                 engine(problem, most)
             for n in (most + 1, 600, 10**9):
-                with pytest.raises(DegreeOverflowError, match="exponent cap"):
+                with pytest.raises(DegreeOverflowError, match="exponent cap") as exc:
                     engine(problem, n)
-
-    def test_linear_breakage_degree_not_checked_up_front(
-        self, binary_breakage_problem, monkeypatch
-    ):
-        monkeypatch.setattr(series, "rhs", lambda problem, u: 1 / 0)
-        monkeypatch.setattr(series, "coag_operand", lambda kernel, v: 1 / 0)
-        for engine in (iterate_accelerated, iterate_classical):
-            with pytest.raises(ZeroDivisionError):
-                engine(binary_breakage_problem, 600)
+                assert ("with coagulation" in str(exc.value)) == (problem.kernel is not None)
 
     def test_negative_order_rejected(self, constant_kernel_problem):
         with pytest.raises(ValueError):
